@@ -235,11 +235,10 @@ def _scan_point(eps, U, L_list, beta, *, omega, theta, x_hat, mb_L,
     else:
         mb = ModelParams(L=mb_L, beta=beta, eps=eps, u=1.0, U=U, omega=omega,
                          theta=theta, x_hat=x_hat)
-        ct = fix_counterterm(mb, tolerance=counterterm_tol)
-        nu = ct.nu
-        mb = mb.with_nu(ct.nu)
         spectral = diagonalize(mb)
-        s = equal_time_matrix(mb, spectral)
+        nu = fix_counterterm(mb, tolerance=counterterm_tol,
+                             spectral=spectral).nu
+        s = equal_time_matrix(mb.with_nu(nu), spectral)
         rate = _coarse_rate(s, mb.sites, mb_window)
 
     verdict = _ipr_verdict(median_ipr)

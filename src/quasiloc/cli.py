@@ -8,7 +8,6 @@ bit-reproducible.  Exit status: 0 success, 1 runtime error, 2 invalid flags.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, asdict
 
@@ -31,7 +30,6 @@ class RunConfig:
     parameters: dict
     output: str
     format: str
-    deterministic: bool = True
 
     def to_dict(self):
         return asdict(self)
@@ -57,11 +55,6 @@ def _parse_grid(text):
     """a:b:n -> n evenly spaced values from a to b inclusive."""
     a, b, n = text.split(":")
     return np.linspace(float(a), float(b), int(n)).tolist()
-
-
-def _apply_threads(n):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _emit(config, payload, stream):
@@ -107,8 +100,6 @@ def build_parser():
         prog="quasiloc",
         description="quasi-periodic fermionic chain laboratory")
     parser.add_argument("--config", help="JSON file with flag defaults")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("QUASILOC_THREADS", "0")))
     parser.add_argument("--output", "-o", help="output path (default stdout)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -266,9 +257,10 @@ def _run_chain(args):
 
 def _run_decay(args):
     params = _params_from(args)
-    if args.fit_counterterm:
-        params = params.with_nu(fix_counterterm(params).nu)
     spectral = diagonalize(params)
+    if args.fit_counterterm:
+        # nu only shifts mu, so the same spectrum serves the correlation
+        params = params.with_nu(fix_counterterm(params, spectral=spectral).nu)
     corr = compute_correlation(params, spectral, [0.0])
     lo, hi = args.window.split(":")
     fit = fit_spatial_decay(corr, 0.0, window=(int(lo), int(hi)))
@@ -320,8 +312,6 @@ def parse_and_dispatch(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads > 0:
-        _apply_threads(args.threads)
 
     handler = _HANDLERS[args.subcommand]
     try:
@@ -337,7 +327,7 @@ def parse_and_dispatch(argv=None):
     config = RunConfig(
         subcommand=args.subcommand,
         parameters={k: v for k, v in vars(args).items()
-                    if k not in ("config", "output", "threads", "subcommand")},
+                    if k not in ("config", "output", "subcommand")},
         output=args.output or "-",
         format=fmt)
     if args.output:

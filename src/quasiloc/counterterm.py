@@ -8,7 +8,7 @@ stored sector spectra.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .many_body import diagonalize, mean_particle_number
 from .single_particle import ModelParams, fermi_occupation, free_density
@@ -43,11 +43,7 @@ class CountertermResult:
 
 def _reference_density(params):
     """Filling of the U = 0 chain (same eps) at mu0; the matching target."""
-    free = ModelParams(L=params.L, beta=params.beta, eps=params.eps,
-                       u=params.u, U=0.0, omega=params.omega,
-                       theta=params.theta, x_hat=params.x_hat, nu=0.0,
-                       M=params.M)
-    return free_density(free)
+    return free_density(replace(params, U=0.0, nu=0.0))
 
 
 def fix_counterterm(params, tolerance=1e-6, spectral=None, max_iter=200):

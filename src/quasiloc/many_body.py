@@ -122,7 +122,6 @@ class SpectralDecomposition:
     energies: list
     vectors: list
     include_counterterms: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_sectors(self):
@@ -159,42 +158,6 @@ class SpectralDecomposition:
         z = sum(float(np.sum(wi)) for wi in w)
         return np.array([float(np.sum(wi)) / z for wi in w])
 
-    def a_eigen(self, n, x):
-        """a_x between sectors (n, n+1), rotated to the eigenbases (cached)."""
-        key = ("a_eigen", n, x)
-        if key not in self._cache:
-            half = self.params.L // 2
-            a = annihilation_matrix(self.sectors[n], self.sectors[n + 1],
-                                    x + half)
-            self._cache[key] = self.vectors[n].T @ (a @ self.vectors[n + 1])
-        return self._cache[key]
-
-    def a_occ(self, n, x):
-        """a_x between sectors (n, n+1) in the occupation basis (cached, sparse)."""
-        key = ("a_occ", n, x)
-        if key not in self._cache:
-            half = self.params.L // 2
-            self._cache[key] = annihilation_matrix(
-                self.sectors[n], self.sectors[n + 1], x + half).tocoo()
-        return self._cache[key]
-
-    def sector_boltzmann(self, n):
-        """V diag(exp(-beta (E - E_min))) V^T of sector n, occupation basis (cached)."""
-        key = ("boltz", n)
-        if key not in self._cache:
-            e = self.energies[n]
-            w = np.exp(-self.params.beta * (e - float(np.min(e))))
-            v = self.vectors[n]
-            self._cache[key] = (v * w) @ v.T
-        return self._cache[key]
-
-    def _sector_scale(self, n, mu):
-        """Scalar relating sector_boltzmann(n) to the mu-shifted weights."""
-        e_min = float(np.min(self.energies[n]))
-        k0 = self.ground_shift(mu)
-        return math.exp(-self.params.beta *
-                        (e_min - mu * self.sectors[n].n_particles - k0))
-
     def residual_norm(self, n):
         """max_k ||H v_k - E_k v_k|| / ||H|| for sector n (diagnostic)."""
         h = build_hamiltonian(self.params, self.sectors[n],
@@ -219,29 +182,77 @@ def diagonalize(params, include_counterterms=False):
                                  include_counterterms=include_counterterms)
 
 
-def _branch_scalar(spectral, mu, x, y, t, branch):
-    """One time-ordering branch of the Lehmann sum for S2(x, y, t).
+_BLOCK_ELEMENTS = 1 << 16  # entries of one weighted column block (512 kB)
 
-    branch '+': t in [0, beta), the a a+ ordering.
-    branch '-': t in (-beta, 0], minus the a+ a ordering.
+
+def _rotated_annihilators(spectral, n):
+    """Stack A[x] = V_n^T a_x V_{n+1} over all sites, shape (n_sites, d_n, d_{n+1})."""
+    sec, sec1 = spectral.sectors[n], spectral.sectors[n + 1]
+    vn, vn1 = spectral.vectors[n], spectral.vectors[n + 1]
+    stack = np.empty((sec.n_sites, len(sec), len(sec1)))
+    for x_bit in range(sec.n_sites):
+        a = annihilation_matrix(sec, sec1, x_bit).tocoo()
+        # one signed entry per touched row: rotate only the rows a_x reaches
+        np.matmul(vn[a.row].T, a.data[:, None] * vn1[a.col], out=stack[x_bit])
+    return stack
+
+
+def _lehmann_factors(beta, t, k_row, k_col, left_limit):
+    """Pairs (w_row, w_col) whose outer products sum to the weight W_t.
+
+    t > 0 is the a a+ ordering, t < 0 minus the a+ a ordering.  At t = 0 both
+    one-sided limits enter with weight 1/2, or t -> 0- alone with left_limit.
     """
-    params = spectral.params
-    beta = params.beta
+    pairs = []
+    if t > 0.0 or (t == 0.0 and not left_limit):
+        pairs.append((np.exp(-(beta - t) * k_row), np.exp(-t * k_col)))
+    if t <= 0.0:
+        pairs.append((-np.exp(t * k_row), np.exp(-(beta + t) * k_col)))
+    if t == 0.0 and not left_limit:
+        pairs = [(0.5 * w_row, w_col) for w_row, w_col in pairs]
+    return pairs
+
+
+def _add_sector_pair(s, spectral, n, k_row, k_col, beta, times, left_limit):
+    """Add sum_ij W_t[i, j] A[x, i, j] A[y, i, j] into s[t] for every t.
+
+    The stack is contracted in blocks of whole rows i, so that neither the
+    weighted stack nor a full W_t is ever formed.  The stack dies with this
+    call, so only one sector pair's stack is alive at a time.
+    """
+    factors = [_lehmann_factors(beta, t, k_row, k_col, left_limit)
+               for t in times]
+    a = _rotated_annihilators(spectral, n).reshape(s.shape[1], -1)
+    d_col = k_col.size
+    rows = max(1, _BLOCK_ELEMENTS // (a.shape[0] * d_col))
+    for i0 in range(0, k_row.size, rows):
+        i1 = i0 + rows
+        block = a[:, i0 * d_col:i1 * d_col]
+        for s_t, pairs in zip(s, factors):
+            w = sum(np.outer(w_row[i0:i1], w_col) for w_row, w_col in pairs)
+            s_t += (block * w.ravel()) @ block.T
+
+
+def _lehmann(params, spectral, times, mu=None, left_limit=False):
+    """S2(x, y; t) for all site pairs, shape (n_times, n_sites, n_sites).
+
+    The one Lehmann sum of the package.  Per sector pair (n, n+1) the
+    annihilators are rotated to the eigenbases once and every time slice is
+    a weighted contraction of that stack, divided by Z at the end.  t = 0
+    means the mean of the one-sided limits unless left_limit asks for t -> 0-.
+    """
+    times = [float(t) for t in times]
+    if any(abs(t) >= params.beta for t in times):
+        raise ValueError("time difference must satisfy |t| < beta")
+    spectral._require_complete()
+    if mu is None:
+        mu = params.mu
     shifted = spectral.shifted_energies(mu)
-    z = spectral.partition_function(mu)
-    total = 0.0
+    s = np.zeros((len(times), params.n_sites, params.n_sites))
     for n in range(spectral.n_sectors - 1):
-        ax = spectral.a_eigen(n, x)
-        ay = ax if y == x else spectral.a_eigen(n, y)
-        if branch == "+":
-            wr = np.exp(-(beta - t) * shifted[n])
-            wc = np.exp(-t * shifted[n + 1])
-            total += float(wr @ (ax * ay) @ wc)
-        else:
-            wr = np.exp(t * shifted[n])
-            wc = np.exp(-(beta + t) * shifted[n + 1])
-            total -= float(wr @ (ay * ax) @ wc)
-    return total / z
+        _add_sector_pair(s, spectral, n, shifted[n], shifted[n + 1],
+                         params.beta, times, left_limit)
+    return s / spectral.partition_function(mu)
 
 
 def two_point_function(params, spectral, x, y, t, mu=None):
@@ -250,109 +261,28 @@ def two_point_function(params, spectral, x, y, t, mu=None):
     At t = 0 the mean of the two one-sided limits is returned, matching the
     regularized equal-time convention of the free propagator.
     """
-    if abs(t) >= params.beta:
-        raise ValueError("time difference must satisfy |t| < beta")
-    spectral._require_complete()
-    if mu is None:
-        mu = params.mu
-    if t > 0.0:
-        return _branch_scalar(spectral, mu, x, y, t, "+")
-    if t < 0.0:
-        return _branch_scalar(spectral, mu, x, y, t, "-")
-    return 0.5 * (_branch_scalar(spectral, mu, x, y, 0.0, "+")
-                  + _branch_scalar(spectral, mu, x, y, 0.0, "-"))
-
-
-def _coo_trace(dense, coo):
-    """sum_{ij} dense[i, j] * coo[j, i] without forming products of matrices."""
-    return float(np.sum(dense[coo.col, coo.row] * coo.data))
+    half = params.L // 2
+    return float(_lehmann(params, spectral, [t], mu)[0, x + half, y + half])
 
 
 def equal_time_matrix(params, spectral, mu=None):
-    """All-pairs S2(x, y; 0) (mean-of-limits convention), occupation-basis route.
-
-    At equal time one side of each branch carries unit weights, so only one
-    dense Boltzmann matrix per sector is needed and every (x, y) entry reduces
-    to a sparse-sparse trace.
-    """
-    spectral._require_complete()
-    if mu is None:
-        mu = params.mu
-    ns = params.n_sites
-    z = spectral.partition_function(mu)
-    s = np.zeros((ns, ns))
-    for n in range(spectral.n_sectors - 1):
-        bn = spectral.sector_boltzmann(n) * spectral._sector_scale(n, mu)
-        bnp = spectral.sector_boltzmann(n + 1) * spectral._sector_scale(n + 1, mu)
-        axs = [spectral.a_occ(n, x) for x in params.sites]
-        for ix in range(ns):
-            ax = axs[ix]
-            for iy in range(ns):
-                ay = axs[iy]
-                # + branch, t -> 0+: rows Boltzmann(N), columns identity
-                g = (ax @ ay.T).tocoo()
-                plus = _coo_trace(bn, g)
-                # - branch, t -> 0-: rows identity, columns Boltzmann(N+1)
-                g2 = (ay.T @ ax).tocoo()
-                minus = -_coo_trace(bnp, g2)
-                s[ix, iy] += 0.5 * (plus + minus) / z
-    return s
+    """All-pairs S2(x, y; 0) in the mean-of-limits convention."""
+    return _lehmann(params, spectral, [0.0], mu)[0]
 
 
 def correlation_matrix(params, spectral, t, mu=None):
     """All-pairs S2(x, y; t) for one time difference."""
-    if abs(t) >= params.beta:
-        raise ValueError("time difference must satisfy |t| < beta")
-    spectral._require_complete()
-    if mu is None:
-        mu = params.mu
-    if t == 0.0:
-        return equal_time_matrix(params, spectral, mu)
-    ns = params.n_sites
-    beta = params.beta
-    shifted = spectral.shifted_energies(mu)
-    z = spectral.partition_function(mu)
-    s = np.zeros((ns, ns))
-    for n in range(spectral.n_sectors - 1):
-        vn, vnp = spectral.vectors[n], spectral.vectors[n + 1]
-        if t > 0.0:
-            r = (vn * np.exp(-(beta - t) * shifted[n])) @ vn.T
-            q = (vnp * np.exp(-t * shifted[n + 1])) @ vnp.T
-        else:
-            r = (vn * np.exp(t * shifted[n])) @ vn.T
-            q = (vnp * np.exp(-(beta + t) * shifted[n + 1])) @ vnp.T
-        axs = [spectral.a_occ(n, x).tocsr() for x in params.sites]
-        left = [np.asarray((ax @ q)) for ax in axs]       # a_x Q
-        right = [np.asarray((ax.T @ r).T) for ax in axs]  # (a_y^T R)^T = R^T a_y
-        for ix in range(ns):
-            for iy in range(ns):
-                if t > 0.0:
-                    # tr(R a_x Q a_y^T) = sum (R^T a_y) * (a_x Q)
-                    s[ix, iy] += float(np.sum(right[iy] * left[ix])) / z
-                else:
-                    s[ix, iy] -= float(np.sum(right[ix] * left[iy])) / z
-    return s
+    return _lehmann(params, spectral, [t], mu)[0]
 
 
 def occupations(params, spectral, mu=None):
-    """Equal-time occupations <n_x> from the t -> 0- branch of the correlation."""
-    spectral._require_complete()
-    if mu is None:
-        mu = params.mu
-    ns = params.n_sites
-    z = spectral.partition_function(mu)
-    occ = np.zeros(ns)
-    for n in range(spectral.n_sectors - 1):
-        scale = spectral._sector_scale(n + 1, mu)
-        for ix in range(ns):
-            key = ("occ_trace", n, ix)
-            if key not in spectral._cache:
-                ax = spectral.a_occ(n, ix - params.L // 2)
-                bnp = spectral.sector_boltzmann(n + 1)
-                g = (ax.T @ ax).tocoo()
-                spectral._cache[key] = _coo_trace(bnp, g)
-            occ[ix] += spectral._cache[key] * scale / z
-    return occ
+    """Equal-time occupations <n_x> = -S2(x, x; 0-).
+
+    The one-sided limit keeps occupations far below 1e-16 to relative
+    precision; 1/2 - S2(x, x; 0) would cancel them to rounding noise.
+    """
+    return -np.diagonal(_lehmann(params, spectral, [0.0], mu,
+                                 left_limit=True)[0])
 
 
 def density(params, spectral, mu=None):
@@ -368,12 +298,8 @@ def occupations_expectation(params, spectral, mu=None):
     weights = spectral.sector_weights(mu)
     z = spectral.partition_function(mu)
     occ = np.zeros(params.n_sites)
-    for n in range(spectral.n_sectors):
-        key = ("occ_expect", n)
-        if key not in spectral._cache:
-            spectral._cache[key] = (spectral.vectors[n] ** 2).T @ _occupancy(
-                spectral.sectors[n])
-        occ += weights[n] @ spectral._cache[key] / z
+    for w, v, sec in zip(weights, spectral.vectors, spectral.sectors):
+        occ += w @ ((v ** 2).T @ _occupancy(sec)) / z
     return occ
 
 
@@ -411,7 +337,6 @@ class CorrelationFunction:
 def compute_correlation(params, spectral, times, mu=None):
     """Sample the two-point function on a grid of time differences."""
     times = np.asarray(sorted(set(float(t) for t in times)))
-    values = np.stack([correlation_matrix(params, spectral, t, mu)
-                       for t in times])
-    return CorrelationFunction(times=times, sites=params.sites, values=values,
+    return CorrelationFunction(times=times, sites=params.sites,
+                               values=_lehmann(params, spectral, times, mu),
                                meta=params.to_dict())

@@ -7,7 +7,7 @@ sums exist only as test oracles for the regularized limit.
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -32,7 +32,6 @@ class ModelParams:
     theta: float = 0.2377
     x_hat: int = 2
     nu: float = 0.0
-    M: int = 20
 
     def __post_init__(self):
         if self.omega is None:
@@ -81,10 +80,7 @@ class ModelParams:
                         (self.omega_value * self.x_hat + self.theta))
 
     def with_nu(self, nu):
-        d = asdict(self)
-        d["nu"] = nu
-        d["omega"] = self.omega
-        return ModelParams(**d)
+        return replace(self, nu=nu)
 
     def to_dict(self):
         """JSON-friendly snapshot used in output headers and metadata."""
@@ -92,7 +88,6 @@ class ModelParams:
             "L": self.L, "beta": self.beta, "eps": self.eps, "u": self.u,
             "U": self.U, "omega": self.omega_value, "tau": self.omega.tau,
             "theta": self.theta, "x_hat": self.x_hat, "nu": self.nu,
-            "M": self.M,
         }
 
 

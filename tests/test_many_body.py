@@ -1,11 +1,59 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import quasiloc as q
 from quasiloc.many_body import enumerate_sector, _occupancy
+
+
+def fock_correlation(p, times):
+    """Brute-force S2(x, y; t) over the full 2^(L+1) Fock space.
+
+    Jordan-Wigner annihilators from np.kron (bit b of the basis index is site
+    b - L/2, sign (-1)^(occupied bits below b)), dense H, and the trace
+    formula; t = 0 is the mean of the two one-sided limits.
+    """
+    ns = p.n_sites
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])   # |0><1|
+    z_sign, eye = np.diag([1.0, -1.0]), np.eye(2)
+    # np.kron puts its first factor on the most significant bit
+    c = [reduce(np.kron, [lower if k == b else z_sign if k < b else eye
+                          for k in reversed(range(ns))]) for b in range(ns)]
+    n_op = [ci.T @ ci for ci in c]
+    phi = q.onsite_energy(p, p.sites)
+    h = sum(phi[b] * n_op[b] for b in range(ns))
+    h = h + sum(2.0 * p.U * n_op[b] @ n_op[b + 1]
+                - p.eps * (c[b].T @ c[b + 1] + c[b + 1].T @ c[b])
+                for b in range(ns - 1))
+    e, v = np.linalg.eigh(h - p.mu * sum(n_op))
+    e = e - e[0]
+
+    def boltz(s):
+        return (v * np.exp(-s * e)) @ v.T
+
+    z = np.sum(np.exp(-p.beta * e))
+
+    def plus(t, x, y):
+        return np.trace(boltz(p.beta - t) @ c[x] @ boltz(t) @ c[y].T) / z
+
+    def minus(t, x, y):
+        return -np.trace(boltz(p.beta + t) @ c[y].T @ boltz(-t) @ c[x]) / z
+
+    out = np.zeros((len(times), ns, ns))
+    for it, t in enumerate(times):
+        for x in range(ns):
+            for y in range(ns):
+                if t > 0.0:
+                    out[it, x, y] = plus(t, x, y)
+                elif t < 0.0:
+                    out[it, x, y] = minus(t, x, y)
+                else:
+                    out[it, x, y] = 0.5 * (plus(0.0, x, y) + minus(0.0, x, y))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -133,11 +181,20 @@ def test_two_point_time_domain(small):
 def test_equal_time_matrix_consistency(small):
     p, spd = small
     em = q.equal_time_matrix(p, spd)
-    half = p.L // 2
-    for (x, y) in ((0, 0), (1, -2), (-3, 3)):
-        assert em[x + half, y + half] == pytest.approx(
-            q.two_point_function(p, spd, x, y, 0.0), abs=1e-12)
+    np.testing.assert_allclose(em, fock_correlation(p, [0.0])[0], atol=1e-12)
     np.testing.assert_allclose(em, em.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_correlation_matrix_matches_fock_oracle(L):
+    p = q.ModelParams(L=L, beta=4.0, eps=0.3, U=0.25, theta=0.31, x_hat=1)
+    spd = q.diagonalize(p)
+    times = (0.0, 0.7, 2.9, -0.4, -3.6)
+    fock = fock_correlation(p, times)
+    for t, expect in zip(times, fock):
+        np.testing.assert_allclose(q.correlation_matrix(p, spd, t), expect,
+                                   atol=1e-12)
+    assert np.max(np.abs(fock[0] - np.diag(np.diag(fock[0])))) > 1e-3
 
 
 def test_occupation_routes_agree(small):
@@ -161,11 +218,19 @@ def test_occupation_equal_time_relation(small):
     # <n_x> = -S2(x, x; 0-) limit = 1/2 - S2(x, x; 0) in the mean convention
     p, spd = small
     em = q.equal_time_matrix(p, spd)
+    np.testing.assert_allclose(q.occupations_expectation(p, spd),
+                               0.5 - np.diag(em), atol=1e-11)
+
+
+def test_occupations_keep_relative_precision():
+    # far above the Fermi level <n_x> ~ e^(-beta gap) lies below rounding of
+    # 1/2; the occupation route must resolve it to relative precision
+    p = q.ModelParams(L=8, beta=40.0, theta=0.31)
+    spd = q.diagonalize(p)
     occ = q.occupations(p, spd)
-    half = p.L // 2
-    for x in p.sites:
-        assert occ[x + half] == pytest.approx(0.5 - em[x + half, x + half],
-                                              abs=1e-11)
+    assert np.min(occ) < 1e-20
+    np.testing.assert_allclose(occ, q.occupations_expectation(p, spd),
+                               rtol=1e-9, atol=0.0)
 
 
 def test_compute_correlation_container(small):
@@ -192,3 +257,55 @@ def test_counterterm_hamiltonian_shifts_diagonal():
     np.testing.assert_allclose(d, expect, atol=1e-14)
     # hopping part untouched
     np.testing.assert_allclose(h1 - h0, np.diag(d), atol=1e-14)
+
+
+# ---- identities over random parameters -------------------------------------
+
+@st.composite
+def chains(draw, U=None):
+    L = draw(st.sampled_from([2, 4, 6]))
+    p = q.ModelParams(
+        L=L, beta=draw(st.floats(0.5, 12.0)),
+        eps=draw(st.floats(-0.6, 0.6)),
+        U=draw(st.floats(-0.6, 0.6)) if U is None else U,
+        theta=draw(st.floats(0.05, 0.95)),
+        x_hat=draw(st.sampled_from([-1, 1])))
+    return p, q.diagonalize(p)
+
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@PROPERTY
+@given(chains(), st.floats(0.01, 0.99))
+def test_kms_antiperiodicity_property(chain, frac):
+    p, spd = chain
+    t = frac * p.beta
+    np.testing.assert_allclose(q.correlation_matrix(p, spd, t - p.beta),
+                               -q.correlation_matrix(p, spd, t), atol=1e-12)
+
+
+@PROPERTY
+@given(chains())
+def test_equal_time_matrix_symmetric_property(chain):
+    p, spd = chain
+    em = q.equal_time_matrix(p, spd)
+    np.testing.assert_allclose(em, em.T, atol=1e-12)
+
+
+@PROPERTY
+@given(chains())
+def test_occupations_sum_rule_property(chain):
+    p, spd = chain
+    assert float(np.sum(q.occupations(p, spd))) == pytest.approx(
+        q.mean_particle_number(p, spd), abs=1e-11)
+
+
+@PROPERTY
+@given(chains(U=0.0), st.floats(-0.99, 0.99))
+def test_free_fermion_oracle_property(chain, frac):
+    p, spd = chain
+    for t in (0.0, frac * p.beta):
+        np.testing.assert_allclose(q.correlation_matrix(p, spd, t),
+                                   q.one_body_correlation_matrix(p, t),
+                                   atol=1e-12)
