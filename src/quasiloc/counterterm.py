@@ -7,11 +7,10 @@ decomposition serves the whole root search: each trial nu just reweights the
 stored sector spectra.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 from .many_body import diagonalize, mean_particle_number
-from .single_particle import ModelParams, fermi_occupation, free_density
+from .single_particle import ModelParams, free_density
 
 
 class BracketError(RuntimeError):

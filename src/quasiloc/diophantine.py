@@ -12,6 +12,7 @@ with ||.|| the distance to the nearest integer.  The certification is
 empirical (finite q_max), not a number-theoretic proof.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -208,6 +209,11 @@ def exact_convergent_denominators(omega, q_max):
     return out
 
 
+@functools.cache
 def golden_frequency(tau=1.5, q_max=10 ** 5, thetas=()):
+    """The certified golden mean, scanned once per argument set (thetas a tuple).
+
+    Every caller shares the returned instance, so it must not be mutated.
+    """
     return DiophantineFrequency.certify(GOLDEN_MEAN, tau=tau, q_max=q_max,
                                         thetas=thetas)

@@ -8,7 +8,7 @@ which leaves all observables invariant and keeps every weight in (0, 1].
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,10 +127,16 @@ class SpectralDecomposition:
     def n_sectors(self):
         return len(self.sectors)
 
-    def _require_complete(self):
+    def _require_compatible(self, params):
+        """Complete, and computed at params up to nu (which only shifts mu
+        unless the counterterms are part of H)."""
         if self.n_sectors != self.params.n_sites + 1:
             raise IncompleteSpectralDataError(
                 f"need {self.params.n_sites + 1} sectors, have {self.n_sectors}")
+        free_nu = {} if self.include_counterterms else {"nu": 0.0}
+        if replace(params, **free_nu) != replace(self.params, **free_nu):
+            raise ValueError("params differ from those of the spectral "
+                             "decomposition")
 
     def grand_energies(self, mu):
         return [e - mu * s.n_particles
@@ -244,7 +250,7 @@ def _lehmann(params, spectral, times, mu=None, left_limit=False):
     times = [float(t) for t in times]
     if any(abs(t) >= params.beta for t in times):
         raise ValueError("time difference must satisfy |t| < beta")
-    spectral._require_complete()
+    spectral._require_compatible(params)
     if mu is None:
         mu = params.mu
     shifted = spectral.shifted_energies(mu)
@@ -292,7 +298,7 @@ def density(params, spectral, mu=None):
 
 def occupations_expectation(params, spectral, mu=None):
     """Independent route: <n_x> as a thermal expectation over eigenvectors."""
-    spectral._require_complete()
+    spectral._require_compatible(params)
     if mu is None:
         mu = params.mu
     weights = spectral.sector_weights(mu)
@@ -305,7 +311,7 @@ def occupations_expectation(params, spectral, mu=None):
 
 def mean_particle_number(params, spectral, mu=None):
     """<N> from sector weights alone; cheap objective for the counterterm search."""
-    spectral._require_complete()
+    spectral._require_compatible(params)
     if mu is None:
         mu = params.mu
     weights = spectral.sector_weights(mu)

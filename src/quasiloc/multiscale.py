@@ -134,28 +134,26 @@ def partition_of_unity_check(family, x_values, k0_values):
     Also verifies the two infrared supports never overlap; overlapping supports
     mean a is too large and raise ScaleConfigurationError.
     """
-    worst = 0.0
-    for x in np.asarray(x_values, dtype=float):
-        for k0 in np.asarray(k0_values, dtype=float):
-            cp = chi_h(family, family.omega * (x - family.x_bar_plus), k0, 0)
-            cm = chi_h(family, family.omega * (x - family.x_bar_minus), k0, 0)
-            if cp > 0.0 and cm > 0.0:
-                raise ScaleConfigurationError(
-                    f"chi_0 supports overlap at x = {x}, k0 = {k0}")
-            c1 = chi_ultraviolet(family, family.omega * x, k0)
-            worst = max(worst, abs(c1 + cp + cm - 1.0))
-    return worst
+    x = np.asarray(x_values, dtype=float)[:, None]
+    k0 = np.asarray(k0_values, dtype=float)[None, :]
+    cp = chi_h(family, family.omega * (x - family.x_bar_plus), k0, 0)
+    cm = chi_h(family, family.omega * (x - family.x_bar_minus), k0, 0)
+    overlap = np.argwhere((cp > 0.0) & (cm > 0.0))
+    if overlap.size:
+        i, j = overlap[0]
+        raise ScaleConfigurationError(
+            f"chi_0 supports overlap at x = {x[i, 0]}, k0 = {k0[0, j]}")
+    c1 = chi_ultraviolet(family, family.omega * x, k0)
+    return float(np.max(np.abs(c1 + cp + cm - 1.0), initial=0.0))
 
 
 def telescoping_residual(family, t_values, k0_values, h_star):
     """Max residual of sum_{h_star < h <= 0} f_h - (chi_0 - chi_{h_star})."""
-    worst = 0.0
-    for t in np.asarray(t_values, dtype=float):
-        for k0 in np.asarray(k0_values, dtype=float):
-            total = sum(f_h(family, t, k0, h) for h in range(h_star + 1, 1))
-            target = chi_h(family, t, k0, 0) - chi_h(family, t, k0, h_star)
-            worst = max(worst, abs(total - target))
-    return worst
+    t = np.asarray(t_values, dtype=float)[:, None]
+    k0 = np.asarray(k0_values, dtype=float)[None, :]
+    total = sum(f_h(family, t, k0, h) for h in range(h_star + 1, 1))
+    target = chi_h(family, t, k0, 0) - chi_h(family, t, k0, h_star)
+    return float(np.max(np.abs(total - target), initial=0.0))
 
 
 def scale_of(family, x, k0):
@@ -180,15 +178,12 @@ def scale_of(family, x, k0):
     return min(h, 0)
 
 
-def _denominator(family, rho, x_prime, linearized=False, delta=None):
+def _denominator(family, rho, delta, linearized):
     """phi at x' + x_bar_rho minus mu0; optionally the linearized small divisor.
 
-    delta is the signed fractional part of omega x_prime; passing it exactly
-    matters for very large x_prime, where the float product has lost it.
+    delta is the signed fractional part of omega x'; passing it exactly
+    matters for very large x', where the float product has lost it.
     """
-    if delta is None:
-        q = family.omega * x_prime
-        delta = q - round(q)
     if linearized:
         return family.v0 * (1.0 if rho > 0 else -1.0) * delta
     # cos A - cos B = -2 sin((A+B)/2) sin((A-B)/2), exact in the tiny delta
@@ -200,87 +195,57 @@ def _denominator(family, rho, x_prime, linearized=False, delta=None):
         * math.sin(math.pi * delta)
 
 
-def single_scale_propagator(family, rho, x_prime, t, h, linearized=False,
-                            epsrel=1e-8, delta=None):
-    """g^(h)_rho(x', t): the f_h-filtered inverse of -i k0 + (phi - mu0) at beta = infinity.
+def _band(family, rho, x_prime, t, h_low, h_high, linearized, delta):
+    """The chi_{h_high} - chi_{h_low} filtered inverse of -i k0 + (phi - mu0).
 
-    Real by the joint (t, k0) -> (-t, -k0) evenness of f_h; identically zero
-    when omega x' falls outside the scale-h annulus.  Quadrature that fails to
-    reach the requested relative tolerance raises QuadratureError.  delta
-    optionally supplies the exact signed fractional part of omega x_prime.
+    Pairing k0 with -k0 leaves the real integrand
+    2 (chi_{h_high} - chi_{h_low}) (d cos t k0 + k0 sin t k0) / (k0^2 + d^2)
+    on the k0 window of the band, and 0 when omega x' lies outside the band.
+    Quadrature that misses the 1e-6 gate raises QuadratureError.
     """
-    if h > 0:
-        raise ValueError("single-scale propagators carry h <= 0")
     if delta is None:
         delta = family.omega * x_prime
         delta -= round(delta)
     q = family.v0 * abs(delta)
-    r_hi = family.a * family.gamma ** h
-    r_lo = family.a * family.gamma ** (h - 2)
-    if q >= r_hi:
-        return 0.0
-    k_hi = math.sqrt(r_hi ** 2 - q ** 2)
-    k_lo = math.sqrt(max(r_lo ** 2 - q ** 2, 0.0))
-    d = _denominator(family, rho, x_prime, linearized, delta=delta)
-
-    def weight(k0):
-        return f_h(family, delta, k0, h) / (k0 ** 2 + d * d)
-
-    # combine k0 and -k0: the integrand is manifestly real
-    if t == 0.0:
-        val, err = quad(lambda k0: 2.0 * d * weight(k0), k_lo, k_hi,
-                        epsabs=0.0, epsrel=epsrel, limit=400)
-        total, toterr = val, err
-    else:
-        c, cerr = quad(weight, k_lo, k_hi, weight="cos", wvar=t,
-                       epsabs=0.0, epsrel=epsrel, limit=400)
-        s, serr = quad(lambda k0: k0 * weight(k0), k_lo, k_hi, weight="sin",
-                       wvar=t, epsabs=0.0, epsrel=epsrel, limit=400)
-        total = 2.0 * (d * c + s)
-        toterr = 2.0 * (abs(d) * cerr + serr)
-    scale_ref = 1.0  # |g| = O(1) uniformly in h, so an absolute gate is meaningful
-    if toterr > 1e-6 * max(scale_ref, abs(total)):
-        raise QuadratureError("single-scale quadrature did not converge", toterr)
-    return total
-
-
-def filtered_propagator(family, rho, x_prime, t, h_low, h_high=0,
-                        linearized=False, epsrel=1e-8):
-    """Propagator filtered with chi_{h_high} - chi_{h_low} (telescoped band)."""
-    q = family.v0 * torus_norm(family.omega * x_prime)
     r_hi = family.a * family.gamma ** h_high
     r_lo = family.a * family.gamma ** (h_low - 1)
     if q >= r_hi:
         return 0.0
-    k_hi = math.sqrt(r_hi ** 2 - q ** 2)
-    k_lo = math.sqrt(max(r_lo ** 2 - q ** 2, 0.0))
-    d = _denominator(family, rho, x_prime, linearized)
+    d = _denominator(family, rho, delta, linearized)
 
-    def band(k0):
-        w = (chi_h(family, family.omega * x_prime, k0, h_high)
-             - chi_h(family, family.omega * x_prime, k0, h_low))
-        return w / (k0 ** 2 + d * d)
+    def integrand(k0):
+        w = chi_h(family, delta, k0, h_high) - chi_h(family, delta, k0, h_low)
+        return 2.0 * w * (d * math.cos(t * k0) + k0 * math.sin(t * k0)) \
+            / (k0 * k0 + d * d)
 
-    if t == 0.0:
-        val, _ = quad(lambda k0: 2.0 * d * band(k0), k_lo, k_hi,
-                      epsabs=0.0, epsrel=epsrel, limit=800)
-        return val
-    c, _ = quad(band, k_lo, k_hi, weight="cos", wvar=t,
-                epsabs=0.0, epsrel=epsrel, limit=800)
-    s, _ = quad(lambda k0: k0 * band(k0), k_lo, k_hi, weight="sin", wvar=t,
-                epsabs=0.0, epsrel=epsrel, limit=800)
-    return 2.0 * (d * c + s)
+    total, err = quad(integrand, math.sqrt(max(r_lo ** 2 - q ** 2, 0.0)),
+                      math.sqrt(r_hi ** 2 - q ** 2), epsabs=0.0, epsrel=1e-8,
+                      limit=400)
+    # |g| = O(1) uniformly in h, so an absolute gate is meaningful
+    if err > 1e-6 * max(1.0, abs(total)):
+        raise QuadratureError("band quadrature did not converge", err)
+    return total
 
 
-def in_scale_sites(family, h, candidates):
-    """Integers x' among candidates whose omega x' lies inside the scale-h annulus
-    (including x' = 0, which every scale supports through its k0 window)."""
-    out = []
-    r_hi = family.a * family.gamma ** h
-    for x in candidates:
-        if family.v0 * torus_norm(family.omega * x) < r_hi:
-            out.append(int(x))
-    return out
+def single_scale_propagator(family, rho, x_prime, t, h, linearized=False,
+                            delta=None):
+    """g^(h)_rho(x', t): the f_h-filtered inverse of -i k0 + (phi - mu0) at beta = infinity.
+
+    The band (h - 1, h), since f_h = chi_h - chi_{h-1}.  Real by the joint
+    (t, k0) -> (-t, -k0) evenness of f_h.  delta optionally supplies the
+    exact signed fractional part of omega x_prime.
+    """
+    if h > 0:
+        raise ValueError("single-scale propagators carry h <= 0")
+    return _band(family, rho, x_prime, t, h - 1, h, linearized, delta)
+
+
+def filtered_propagator(family, rho, x_prime, t, h_low, h_high=0,
+                        linearized=False, delta=None):
+    """Propagator filtered with chi_{h_high} - chi_{h_low} (telescoped band)."""
+    if not h_low < h_high <= 0:
+        raise ValueError("a band needs h_low < h_high <= 0")
+    return _band(family, rho, x_prime, t, h_low, h_high, linearized, delta)
 
 
 def _annulus_candidates(family, h, multiples=(1, 2, 3)):

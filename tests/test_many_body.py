@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -150,6 +151,22 @@ def test_incomplete_spectral_data_rejected():
     spd.vectors = spd.vectors[:-1]
     with pytest.raises(q.IncompleteSpectralDataError):
         q.two_point_function(p, spd, 0, 0, 1.0)
+
+
+def test_mismatched_params_rejected():
+    p = q.ModelParams(L=4, beta=5.0, eps=0.2, U=0.1)
+    spd = q.diagonalize(p)
+    for other in (replace(p, beta=6.0), replace(p, eps=0.3)):
+        with pytest.raises(ValueError, match="spectral decomposition"):
+            q.correlation_matrix(other, spd, 1.0)
+        with pytest.raises(ValueError, match="spectral decomposition"):
+            q.mean_particle_number(other, spd)
+    # nu only shifts mu, unless the counterterms are built into H
+    shifted = p.with_nu(0.05)
+    assert q.mean_particle_number(shifted, spd) != q.mean_particle_number(p, spd)
+    with_ct = q.diagonalize(p, include_counterterms=True)
+    with pytest.raises(ValueError, match="spectral decomposition"):
+        q.occupations_expectation(shifted, with_ct)
 
 
 def test_two_point_free_oracle():

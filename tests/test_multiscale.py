@@ -1,12 +1,14 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quasiloc as q
+from quasiloc import multiscale
 from quasiloc.multiscale import (SCALE_UV, ScaleConfigurationError,
-                                 _annulus_candidates, telescoping_residual,
-                                 in_scale_sites)
+                                 _annulus_candidates, telescoping_residual)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +76,44 @@ def test_partition_of_unity(family):
     assert q.partition_of_unity_check(family, xs, k0s) < 1e-12
 
 
+def loop_grid_checks(family, xs, k0s, ts, h_star):
+    """Scalar-loop reference of the two grid checks: (partition residual or
+    first overlapping (x, k0), telescoping residual)."""
+    worst, overlap = 0.0, None
+    for x in xs:
+        for k0 in k0s:
+            cp = q.chi_h(family, family.omega * (x - family.x_bar_plus), k0, 0)
+            cm = q.chi_h(family, family.omega * (x - family.x_bar_minus), k0, 0)
+            if cp > 0.0 and cm > 0.0 and overlap is None:
+                overlap = (x, k0)
+            c1 = q.chi_ultraviolet(family, family.omega * x, k0)
+            worst = max(worst, abs(c1 + cp + cm - 1.0))
+    tele = 0.0
+    for t in ts:
+        for k0 in k0s:
+            total = sum(q.f_h(family, t, k0, h) for h in range(h_star + 1, 1))
+            target = q.chi_h(family, t, k0, 0) - q.chi_h(family, t, k0, h_star)
+            tele = max(tele, abs(total - target))
+    return overlap or worst, tele
+
+
+def test_grid_checks_match_loop_reference(family):
+    xs = np.arange(-20.0, 21.0)
+    k0s = np.linspace(-0.3, 0.3, 13)
+    ts = np.linspace(-4, 4, 9)
+    partition, tele = loop_grid_checks(family, xs, k0s, ts, -4)
+    assert q.partition_of_unity_check(family, xs, k0s) == partition
+    assert telescoping_residual(family, ts, k0s, -4) == tele
+    # a support constant past the disjointness bound (set behind the
+    # constructor's guard) must be caught, naming the first offending point
+    wide = copy.copy(family)
+    object.__setattr__(wide, "a", 4.0 * family.a)
+    (x, k0), _ = loop_grid_checks(wide, xs, k0s, ts, -4)
+    with pytest.raises(ScaleConfigurationError,
+                       match=f"at x = {x}, k0 = {k0}$"):
+        q.partition_of_unity_check(wide, xs, k0s)
+
+
 def test_overlapping_supports_rejected():
     # nearly coincident singular points squeeze the disjointness bound below
     # any positive a; the family cannot even be constructed
@@ -116,13 +156,34 @@ def test_single_scale_real_and_bounded(family):
 
 
 def test_telescoped_propagator_sum(family):
-    # sum of single scales equals the band-filtered propagator
+    # sum of single scales equals the band-filtered propagator, at x' = 0
+    # (d = 0) and at a site with a nonzero divisor inside the band
     h_star = -3
-    for t in (0.0, 2.0):
-        total = sum(q.single_scale_propagator(family, 1, 0, t, h)
-                    for h in range(h_star + 1, 1))
-        band = q.filtered_propagator(family, 1, 0, t, h_star)
-        assert total == pytest.approx(band, abs=1e-7)
+    x_prime, delta = next(c for c in _annulus_candidates(family, -1)
+                          if c[0] != 0)
+    for x, dlt in ((0, 0.0), (x_prime, delta)):
+        for t in (0.0, 2.0):
+            total = sum(q.single_scale_propagator(family, 1, x, t, h,
+                                                  delta=dlt)
+                        for h in range(h_star + 1, 1))
+            band = q.filtered_propagator(family, 1, x, t, h_star, delta=dlt)
+            assert total == pytest.approx(band, abs=1e-7)
+    assert band != 0.0
+
+
+def test_band_rejects_bad_scales(family):
+    for h_low, h_high in ((-3, -3), (0, -3), (-3, 1)):
+        with pytest.raises(ValueError):
+            q.filtered_propagator(family, 1, 0, 1.0, h_low, h_high)
+
+
+def test_unconverged_band_raises(family, monkeypatch):
+    monkeypatch.setattr(multiscale, "quad", lambda f, a, b, **kw: (0.3, 1e-3))
+    with pytest.raises(q.QuadratureError) as err:
+        q.filtered_propagator(family, 1, 0, 2.0, -3)
+    assert err.value.residual == 1e-3
+    with pytest.raises(q.QuadratureError):
+        q.single_scale_propagator(family, 1, 0, 2.0, -3)
 
 
 def test_linearized_mode_agrees_for_tiny_divisor(family):
@@ -148,12 +209,47 @@ def test_decay_constants_uniform(family):
     assert max(vals) / min(vals) < 2.0
 
 
-def test_in_scale_sites(family):
-    got = in_scale_sites(family, -1, range(0, 200))
-    assert 0 in got
-    for x in got:
-        assert family.v0 * q.torus_norm(family.omega * x) < \
-            family.a * family.gamma ** -1
+def gauss_legendre_propagator(family, rho, delta, t, h, linearized=False,
+                              panels=64, order=16):
+    """g^(h)_rho by fixed-node composite Gauss-Legendre over the scale-h k0 window.
+
+    The divisor is u (cos 2 pi (z + rho delta) - cos 2 pi z) with
+    z = omega x_hat + theta, written as a product of sines so that tiny delta
+    keeps its relative precision; linearized, it is v0 rho delta.
+    """
+    qv = family.v0 * abs(delta)
+    r_hi = family.a * family.gamma ** h
+    r_lo = family.a * family.gamma ** (h - 2)
+    if qv >= r_hi:
+        return 0.0
+    z = family.omega * family.x_hat + family.theta
+    d = -2.0 * family.u * math.sin(math.pi * (2.0 * z + rho * delta)) \
+        * math.sin(math.pi * rho * delta)
+    if linearized:
+        d = family.v0 * rho * delta
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(math.sqrt(max(r_lo ** 2 - qv ** 2, 0.0)),
+                        math.sqrt(r_hi ** 2 - qv ** 2), panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    k = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+    g_k = (q.f_h(family, delta, k, h) / (-1j * k + d)
+           * np.exp(-1j * k * t))
+    # the k0 < 0 half of the line is the complex conjugate
+    return float(2.0 * np.sum(half * weights * g_k).real)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_single_scale_matches_gauss_legendre_property(family, data):
+    h = data.draw(st.integers(-6, 0))
+    x_prime, delta = data.draw(st.sampled_from(_annulus_candidates(family, h)))
+    rho = data.draw(st.sampled_from([1, -1]))
+    linearized = data.draw(st.booleans())
+    t = data.draw(st.floats(0.0, 8.0)) * family.gamma ** (-h)
+    got = q.single_scale_propagator(family, rho, x_prime, t, h,
+                                    linearized=linearized, delta=delta)
+    ref = gauss_legendre_propagator(family, rho, delta, t, h, linearized)
+    assert abs(got - ref) <= 1e-7 * max(1.0, abs(ref))
 
 
 def test_chain_graph_empty_and_single():

@@ -11,6 +11,11 @@ def params():
     return q.ModelParams(L=8, beta=10.0, eps=0.1)
 
 
+def test_default_frequency_certified_once():
+    assert q.ModelParams(L=4, beta=1.0).omega is \
+        q.ModelParams(L=6, beta=2.0).omega
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         q.ModelParams(L=7, beta=1.0)          # odd L
