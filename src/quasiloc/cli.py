@@ -268,7 +268,7 @@ def _run_decay(args):
         "rate": fit.rate, "xi_fit": fit.xi_fit, "prefactor": fit.prefactor,
         "r_squared": fit.r_squared, "theorem_rate": fit.theorem_rate,
         "window": list(fit.window), "n_points": fit.n_points,
-        "nu": params.nu,
+        "nu": params.nu, "discarded_weight": float(corr.discarded[0]),
     }
 
 

@@ -68,25 +68,19 @@ def build_hamiltonian(params, sector, include_counterterms=False):
     if params.U != 0.0:
         diag = diag + 2.0 * params.U * np.sum(occ[:, :-1] * occ[:, 1:], axis=1)
 
-    rows, cols, vals = [], [], []
     dim = len(sector)
-    rows.extend(range(dim))
-    cols.extend(range(dim))
-    vals.extend(diag.tolist())
+    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
     if params.eps != 0.0:
-        index_of = sector.index_of
-        for i, mask in enumerate(sector.states.tolist()):
-            for b in range(sector.n_sites - 1):
-                pair = 0b11 << b
-                # exactly one of the two neighboring sites occupied
-                if bin(mask & pair).count("1") == 1:
-                    j = index_of[mask ^ pair]
-                    if j > i:
-                        # adjacent hop: no occupied sites in between, sign +1
-                        rows.extend((i, j))
-                        cols.extend((j, i))
-                        vals.extend((-params.eps, -params.eps))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        # exactly one of the two neighboring sites occupied; an adjacent hop
+        # crosses no occupied site, so its sign is +1
+        i, b = np.nonzero(occ[:, :-1] != occ[:, 1:])
+        states = sector.states
+        rows.append(i)
+        cols.append(np.searchsorted(states, states[i] ^ (0b11 << b)))
+        vals.append(np.full(i.size, -params.eps))
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(dim, dim))
 
 
 def annihilation_matrix(sector_n, sector_np1, x_bit):
@@ -96,16 +90,11 @@ def annihilation_matrix(sector_n, sector_np1, x_bit):
     (-1)^(number of occupied bits below b).
     """
     bit = 1 << x_bit
-    below = bit - 1
-    rows, cols, vals = [], [], []
-    index_of = sector_n.index_of
-    for j, mask in enumerate(sector_np1.states.tolist()):
-        if mask & bit:
-            sign = -1.0 if bin(mask & below).count("1") % 2 else 1.0
-            rows.append(index_of[mask ^ bit])
-            cols.append(j)
-            vals.append(sign)
-    return sp.csr_matrix((vals, (rows, cols)),
+    cols = np.flatnonzero(sector_np1.states & bit)
+    occupied = sector_np1.states[cols]
+    signs = 1.0 - 2.0 * (np.bitwise_count(occupied & (bit - 1)) & 1)
+    rows = np.searchsorted(sector_n.states, occupied ^ bit)
+    return sp.csr_matrix((signs, (rows, cols)),
                          shape=(len(sector_n), len(sector_np1)))
 
 
@@ -179,7 +168,7 @@ def diagonalize(params, include_counterterms=False):
     for n in range(params.n_sites + 1):
         sec = enumerate_sector(params.L, n)
         h = build_hamiltonian(params, sec, include_counterterms).toarray()
-        e, v = eigh(h)
+        e, v = eigh(h, driver="evd")
         sectors.append(sec)
         energies.append(e)
         vectors.append(v)
@@ -189,18 +178,52 @@ def diagonalize(params, include_counterterms=False):
 
 
 _BLOCK_ELEMENTS = 1 << 16  # entries of one weighted column block (512 kB)
+_TAIL = 1e-16  # largest summed Boltzmann factor one side of a slab may drop
 
 
-def _rotated_annihilators(spectral, n):
-    """Stack A[x] = V_n^T a_x V_{n+1} over all sites, shape (n_sites, d_n, d_{n+1})."""
+def _slab(w, tail):
+    """Kept length and dropped weight of one side of a thermal slab.
+
+    Eigenvalues ascend within a sector, so |w| does not increase along w:
+    dropping its smallest entries while their sum stays <= tail keeps a
+    leading block w[:keep].
+    """
+    suffix = np.cumsum(np.abs(w)[::-1])[::-1]
+    keep = int(np.count_nonzero(suffix > tail))
+    return keep, float(suffix[keep]) if keep < w.size else 0.0
+
+
+def _rotation_plan(slabs):
+    """Slabs (r, c) to rotate so that each requested slab is a leading block
+    of one of them.
+
+    A slab inside a larger one is cut from it.  When the rest would cost
+    more than their enclosing slab, that slab alone is rotated, so the stacks
+    of one pair never outgrow the full d_n x d_{n+1} stack.
+    """
+    plan = []
+    for r, c in sorted(set(slabs), key=lambda rc: rc[0] * rc[1], reverse=True):
+        if not any(r <= r1 and c <= c1 for r1, c1 in plan):
+            plan.append((r, c))
+    box = (max(r for r, _ in plan), max(c for _, c in plan))
+    if sum(r * c for r, c in plan) > box[0] * box[1]:
+        return [box]
+    return plan
+
+
+def _rotated_annihilators(spectral, n, slabs):
+    """Per slab (r, c) the stack A[x] = V_n[:, :r]^T a_x V_{n+1}[:, :c] over
+    all sites, shape (n_sites, r, c)."""
     sec, sec1 = spectral.sectors[n], spectral.sectors[n + 1]
     vn, vn1 = spectral.vectors[n], spectral.vectors[n + 1]
-    stack = np.empty((sec.n_sites, len(sec), len(sec1)))
+    stacks = [np.empty((sec.n_sites, r, c)) for r, c in slabs]
     for x_bit in range(sec.n_sites):
         a = annihilation_matrix(sec, sec1, x_bit).tocoo()
         # one signed entry per touched row: rotate only the rows a_x reaches
-        np.matmul(vn[a.row].T, a.data[:, None] * vn1[a.col], out=stack[x_bit])
-    return stack
+        for (r, c), stack in zip(slabs, stacks):
+            np.matmul(vn[a.row, :r].T, a.data[:, None] * vn1[a.col, :c],
+                      out=stack[x_bit])
+    return stacks
 
 
 def _lehmann_factors(beta, t, k_row, k_col, left_limit):
@@ -219,33 +242,65 @@ def _lehmann_factors(beta, t, k_row, k_col, left_limit):
     return pairs
 
 
-def _add_sector_pair(s, spectral, n, k_row, k_col, beta, times, left_limit):
-    """Add sum_ij W_t[i, j] A[x, i, j] A[y, i, j] into s[t] for every t.
+def _contract(s_t, stack, w_row, w_col):
+    """s_t += sum_ij w_row[i] w_col[j] A[x, i, j] A[y, i, j].
 
     The stack is contracted in blocks of whole rows i, so that neither the
-    weighted stack nor a full W_t is ever formed.  The stack dies with this
-    call, so only one sector pair's stack is alive at a time.
+    weighted stack nor a full weight matrix is ever formed.
     """
-    factors = [_lehmann_factors(beta, t, k_row, k_col, left_limit)
-               for t in times]
-    a = _rotated_annihilators(spectral, n).reshape(s.shape[1], -1)
-    d_col = k_col.size
-    rows = max(1, _BLOCK_ELEMENTS // (a.shape[0] * d_col))
-    for i0 in range(0, k_row.size, rows):
-        i1 = i0 + rows
-        block = a[:, i0 * d_col:i1 * d_col]
-        for s_t, pairs in zip(s, factors):
-            w = sum(np.outer(w_row[i0:i1], w_col) for w_row, w_col in pairs)
-            s_t += (block * w.ravel()) @ block.T
+    n_sites, d_row, d_col = stack.shape
+    rows = max(1, _BLOCK_ELEMENTS // (n_sites * d_col))
+    for i0 in range(0, d_row, rows):
+        block = stack[:, i0:i0 + rows].reshape(n_sites, -1)
+        w = np.outer(w_row[i0:i0 + rows], w_col)
+        s_t += (block * w.ravel()) @ block.T
+
+
+def _add_sector_pair(s, bound, spectral, n, k_row, k_col, beta, times,
+                     left_limit):
+    """Add the (n, n+1) sector pair's Lehmann terms into s[t], and the weight
+    they leave out into bound[t].
+
+    Each branch of each time is rotated and contracted only on its thermal
+    slab, the leading rows and columns left by `_slab` on either side.  Every
+    row and column of V_n^T a_x V_{n+1} has norm <= ||a_x|| = 1, so the
+    entries the slab leaves out change no S2(x, y; t) by more than the
+    dropped row plus column weight.  The slabs depend on the weights only, so
+    t and t - beta get the same ones.  The stacks die with this call.
+    """
+    # The t -> 0- limit gives the occupations, which must keep relative
+    # precision far below any fixed tail (e^(-beta gap) ~ 1e-26 at a site
+    # above the Fermi level), so it drops exact zeros only.
+    tail = 0.0 if left_limit else _TAIL
+    terms = []
+    for it, t in enumerate(times):
+        for w_row, w_col in _lehmann_factors(beta, t, k_row, k_col,
+                                             left_limit):
+            r, dropped_row = _slab(w_row, tail)
+            c, dropped_col = _slab(w_col, tail)
+            bound[it] += dropped_row + dropped_col
+            if r and c:
+                terms.append((it, w_row[:r], w_col[:c]))
+    if not terms:
+        return
+    plan = _rotation_plan([(w_row.size, w_col.size)
+                           for _, w_row, w_col in terms])
+    stacks = _rotated_annihilators(spectral, n, plan)
+    for it, w_row, w_col in terms:
+        r, c = w_row.size, w_col.size
+        stack = next(a for a in stacks if r <= a.shape[1] and c <= a.shape[2])
+        _contract(s[it], stack[:, :r, :c], w_row, w_col)
 
 
 def _lehmann(params, spectral, times, mu=None, left_limit=False):
-    """S2(x, y; t) for all site pairs, shape (n_times, n_sites, n_sites).
+    """S2(x, y; t) for all site pairs, shape (n_times, n_sites, n_sites), and
+    per time a bound on the part the thermal slabs leave out.
 
     The one Lehmann sum of the package.  Per sector pair (n, n+1) the
-    annihilators are rotated to the eigenbases once and every time slice is
-    a weighted contraction of that stack, divided by Z at the end.  t = 0
-    means the mean of the one-sided limits unless left_limit asks for t -> 0-.
+    annihilators are rotated to the eigenbases once per distinct slab and
+    every time slice is a weighted contraction of its stack, divided by Z at
+    the end.  t = 0 means the mean of the one-sided limits unless left_limit
+    asks for t -> 0-.
     """
     times = [float(t) for t in times]
     if any(abs(t) >= params.beta for t in times):
@@ -255,10 +310,12 @@ def _lehmann(params, spectral, times, mu=None, left_limit=False):
         mu = params.mu
     shifted = spectral.shifted_energies(mu)
     s = np.zeros((len(times), params.n_sites, params.n_sites))
+    bound = np.zeros(len(times))
     for n in range(spectral.n_sectors - 1):
-        _add_sector_pair(s, spectral, n, shifted[n], shifted[n + 1],
+        _add_sector_pair(s, bound, spectral, n, shifted[n], shifted[n + 1],
                          params.beta, times, left_limit)
-    return s / spectral.partition_function(mu)
+    z = spectral.partition_function(mu)
+    return s / z, bound / z
 
 
 def two_point_function(params, spectral, x, y, t, mu=None):
@@ -268,17 +325,20 @@ def two_point_function(params, spectral, x, y, t, mu=None):
     regularized equal-time convention of the free propagator.
     """
     half = params.L // 2
-    return float(_lehmann(params, spectral, [t], mu)[0, x + half, y + half])
+    s, _ = _lehmann(params, spectral, [t], mu)
+    return float(s[0, x + half, y + half])
 
 
 def equal_time_matrix(params, spectral, mu=None):
     """All-pairs S2(x, y; 0) in the mean-of-limits convention."""
-    return _lehmann(params, spectral, [0.0], mu)[0]
+    s, _ = _lehmann(params, spectral, [0.0], mu)
+    return s[0]
 
 
 def correlation_matrix(params, spectral, t, mu=None):
     """All-pairs S2(x, y; t) for one time difference."""
-    return _lehmann(params, spectral, [t], mu)[0]
+    s, _ = _lehmann(params, spectral, [t], mu)
+    return s[0]
 
 
 def occupations(params, spectral, mu=None):
@@ -287,8 +347,8 @@ def occupations(params, spectral, mu=None):
     The one-sided limit keeps occupations far below 1e-16 to relative
     precision; 1/2 - S2(x, x; 0) would cancel them to rounding noise.
     """
-    return -np.diagonal(_lehmann(params, spectral, [0.0], mu,
-                                 left_limit=True)[0])
+    s, _ = _lehmann(params, spectral, [0.0], mu, left_limit=True)
+    return -np.diagonal(s[0])
 
 
 def density(params, spectral, mu=None):
@@ -328,6 +388,9 @@ class CorrelationFunction:
     values: np.ndarray          # shape (n_times, n_sites, n_sites)
     meta: dict
     convention: str = "equal-time mean of one-sided limits"
+    # per time, a bound on |values - exact| from the discarded Boltzmann
+    # weight; None for values that did not come from the Lehmann kernel
+    discarded: np.ndarray = None
 
     def at_time(self, t):
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -343,6 +406,6 @@ class CorrelationFunction:
 def compute_correlation(params, spectral, times, mu=None):
     """Sample the two-point function on a grid of time differences."""
     times = np.asarray(sorted(set(float(t) for t in times)))
-    return CorrelationFunction(times=times, sites=params.sites,
-                               values=_lehmann(params, spectral, times, mu),
-                               meta=params.to_dict())
+    values, discarded = _lehmann(params, spectral, times, mu)
+    return CorrelationFunction(times=times, sites=params.sites, values=values,
+                               meta=params.to_dict(), discarded=discarded)

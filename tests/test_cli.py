@@ -68,6 +68,17 @@ def test_correlate_output(capsys):
     assert len(lines) == 2 + 2 * 5 * 5
 
 
+def test_decay_reports_discarded_weight(capsys):
+    status, out, _ = run_cli(
+        ["decay", "--L", "8", "--beta", "24", "--eps", "0.1", "--U", "0.1",
+         "--window", "1:4"], capsys)
+    assert status == 0
+    weight = json.loads(out)["results"]["discarded_weight"]
+    # thermal slabs drop weight at this temperature, and at most 1e-16 per
+    # side, branch and sector pair
+    assert 0.0 < weight <= 2 * 2 * 9 * 1e-16
+
+
 def test_density_output(capsys):
     status, out, _ = run_cli(
         ["density", "--L", "4", "--beta", "6"], capsys)

@@ -8,7 +8,43 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import quasiloc as q
+from quasiloc import many_body
 from quasiloc.many_body import enumerate_sector, _occupancy
+
+
+def hamiltonian_loop(params, sector):
+    """Reference: the mask-by-mask loop build_hamiltonian used to run."""
+    occ = _occupancy(sector)
+    phi = np.asarray(q.onsite_energy(params, params.sites), dtype=float)
+    diag = occ @ phi
+    if params.U != 0.0:
+        diag = diag + 2.0 * params.U * np.sum(occ[:, :-1] * occ[:, 1:], axis=1)
+    dim = len(sector)
+    rows, cols, vals = list(range(dim)), list(range(dim)), diag.tolist()
+    if params.eps != 0.0:
+        for i, mask in enumerate(sector.states.tolist()):
+            for b in range(sector.n_sites - 1):
+                pair = 0b11 << b
+                if bin(mask & pair).count("1") == 1:
+                    j = sector.index_of[mask ^ pair]
+                    if j > i:
+                        rows.extend((i, j))
+                        cols.extend((j, i))
+                        vals.extend((-params.eps, -params.eps))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+def annihilation_loop(sector_n, sector_np1, x_bit):
+    """Reference: the mask-by-mask loop annihilation_matrix used to run."""
+    bit = 1 << x_bit
+    rows, cols, vals = [], [], []
+    for j, mask in enumerate(sector_np1.states.tolist()):
+        if mask & bit:
+            rows.append(sector_n.index_of[mask ^ bit])
+            cols.append(j)
+            vals.append(-1.0 if bin(mask & (bit - 1)).count("1") % 2 else 1.0)
+    return sp.csr_matrix((vals, (rows, cols)),
+                         shape=(len(sector_n), len(sector_np1)))
 
 
 def fock_correlation(p, times):
@@ -80,6 +116,20 @@ def test_occupancy_counts():
     np.testing.assert_array_equal(occ.sum(axis=1), 2)
 
 
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+def test_fock_operators_match_loop_reference(L):
+    p = q.ModelParams(L=L, beta=5.0, eps=0.2, U=0.3, x_hat=1)
+    secs = [enumerate_sector(L, n) for n in range(L + 2)]
+    for sec in secs:
+        h = q.build_hamiltonian(p, sec)
+        assert abs(h - hamiltonian_loop(p, sec)).max() == 0.0
+    for sec, sec1 in zip(secs, secs[1:]):
+        for x_bit in range(L + 1):
+            a = q.annihilation_matrix(sec, sec1, x_bit)
+            ref = annihilation_loop(sec, sec1, x_bit)
+            assert a.nnz == ref.nnz and abs(a - ref).max() == 0.0
+
+
 def test_hamiltonian_hermitian_and_number_conserving():
     p = q.ModelParams(L=6, beta=5.0, eps=0.2, U=0.3)
     for n in (0, 1, 3, 7):
@@ -141,6 +191,12 @@ def test_residual_norms(small):
     p, spd = small
     for n in (0, 2, 5):
         assert spd.residual_norm(n) < 1e-12
+    big = q.diagonalize(q.ModelParams(L=10, beta=5.0, eps=0.15, U=0.1))
+    n = max(range(big.n_sectors), key=lambda k: len(big.sectors[k]))
+    v = big.vectors[n]
+    assert len(big.sectors[n]) == 462
+    assert big.residual_norm(n) < 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-13
 
 
 def test_incomplete_spectral_data_rejected():
@@ -255,6 +311,7 @@ def test_compute_correlation_container(small):
     corr = q.compute_correlation(p, spd, [0.0, 1.0, -1.0, 1.0])
     assert corr.times.tolist() == [-1.0, 0.0, 1.0]
     assert corr.values.shape == (3, p.n_sites, p.n_sites)
+    assert corr.discarded.shape == (3,) and np.all(corr.discarded >= 0.0)
     assert corr.value(0, 1, 1.0) == pytest.approx(
         q.two_point_function(p, spd, 0, 1, 1.0), abs=1e-12)
     with pytest.raises(KeyError):
@@ -279,10 +336,10 @@ def test_counterterm_hamiltonian_shifts_diagonal():
 # ---- identities over random parameters -------------------------------------
 
 @st.composite
-def chains(draw, U=None):
-    L = draw(st.sampled_from([2, 4, 6]))
+def chains(draw, U=None, sizes=(2, 4, 6), betas=(0.5, 12.0)):
+    L = draw(st.sampled_from(sizes))
     p = q.ModelParams(
-        L=L, beta=draw(st.floats(0.5, 12.0)),
+        L=L, beta=draw(st.floats(*betas)),
         eps=draw(st.floats(-0.6, 0.6)),
         U=draw(st.floats(-0.6, 0.6)) if U is None else U,
         theta=draw(st.floats(0.05, 0.95)),
@@ -326,3 +383,40 @@ def test_free_fermion_oracle_property(chain, frac):
         np.testing.assert_allclose(q.correlation_matrix(p, spd, t),
                                    q.one_body_correlation_matrix(p, t),
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("tail", [1e-4, 1e-2])
+@pytest.mark.parametrize("beta", [6.0, 20.0])
+def test_slab_bound_holds_at_coarse_tails(monkeypatch, tail, beta):
+    # with a coarse tail the cut is far above rounding, so the reported
+    # bound is tested against errors it must actually cover
+    monkeypatch.setattr(many_body, "_TAIL", tail)
+    p = q.ModelParams(L=6, beta=beta, eps=0.3, U=0.25, theta=0.31, x_hat=1)
+    spd = q.diagonalize(p)
+    corr = q.compute_correlation(p, spd, [0.0, 3.0, 3.0 - beta])
+    fock = fock_correlation(p, corr.times)
+    err = np.max(np.abs(corr.values - fock), axis=(1, 2))
+    assert np.all(err > 1e-7)
+    assert np.all(err <= corr.discarded)
+
+
+@PROPERTY
+@given(chains(sizes=(4, 6), betas=(20.0, 80.0)), st.floats(0.01, 0.99),
+       st.sampled_from([-1.0, 1.0]))
+def test_thermal_slabs_bound_their_error_property(chain, frac, sign):
+    # at low temperature the slabs drop weight; the reported bound must
+    # cover the difference from the Fock oracle, t = 0 included
+    p, spd = chain
+    t = sign * frac * p.beta
+    partner = t - sign * p.beta
+    corr = q.compute_correlation(p, spd, [0.0, t, partner])
+    fock = fock_correlation(p, corr.times)
+    np.testing.assert_allclose(corr.values, fock, atol=1e-12)
+    err = np.max(np.abs(corr.values - fock), axis=(1, 2))
+    assert np.all(err <= corr.discarded + 1e-13)
+    assert np.max(corr.discarded) > 0.0
+    # each side of each branch of each sector pair drops at most 1e-16; Z >= 1
+    assert np.all(corr.discarded <= 2 * 2 * p.n_sites * 1e-16)
+    # KMS: t and t -/+ beta are cut to the same slabs
+    np.testing.assert_allclose(corr.at_time(partner), -corr.at_time(t),
+                               atol=1e-12)
