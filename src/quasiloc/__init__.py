@@ -10,7 +10,6 @@ from .single_particle import (ModelParams, onsite_potential, onsite_energy,
                               build_single_particle_matrix,
                               single_particle_spectrum, fermi_occupation,
                               free_propagator, matsubara_propagator_sum,
-                              tadpole_nu_tilde, tadpole_counterterm,
                               transfer_matrix, lyapunov_exponent,
                               eigenstate_localization, localization_table,
                               one_body_two_point, one_body_correlation_matrix,
@@ -19,7 +18,7 @@ from .many_body import (FockSector, enumerate_sector, build_hamiltonian,
                         annihilation_matrix, SpectralDecomposition,
                         diagonalize, two_point_function, correlation_matrix,
                         equal_time_matrix, occupations, density,
-                        occupations_expectation, mean_particle_number,
+                        mean_particle_number,
                         CorrelationFunction, compute_correlation,
                         IncompleteSpectralDataError)
 from .multiscale import (ScaleFamily, ScaleConfigurationError,

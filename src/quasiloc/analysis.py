@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .single_particle import (ModelParams, lyapunov_exponent,
+from .single_particle import (ModelParams, _site_index, lyapunov_exponent,
                               single_particle_spectrum,
                               eigenstate_localization)
 from .many_body import diagonalize, equal_time_matrix
@@ -125,8 +125,8 @@ def fit_temporal_decay(corr, x, y, powers=(1, 2, 3), tau=None):
         raise FitError("need at least 5 sampled times")
     if tau is None:
         tau = float(corr.meta.get("tau", 1.5))
-    half = (corr.sites.size - 1) // 2
-    vals = np.abs(corr.values[:, x + half, y + half])
+    L = corr.sites.size - 1
+    vals = np.abs(corr.values[:, _site_index(L, x), _site_index(L, y)])
     times = corr.times
     delta = (1.0 + min(abs(x), abs(y))) ** (-tau)
     constants = {

@@ -6,15 +6,14 @@ entering any exponential are shifted by the global ground value of E - mu N,
 which leaves all observables invariant and keeps every weight in (0, 1].
 """
 
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from .single_particle import onsite_energy, tadpole_counterterm
+from .single_particle import _site_index, onsite_energy
 
 
 class IncompleteSpectralDataError(RuntimeError):
@@ -27,7 +26,6 @@ class FockSector:
     n_particles: int
     n_sites: int
     states: np.ndarray
-    index_of: dict = field(repr=False)
 
     def __len__(self):
         return self.states.size
@@ -37,12 +35,9 @@ def enumerate_sector(L, n_particles):
     n_sites = L + 1
     if not 0 <= n_particles <= n_sites:
         raise ValueError("n_particles outside [0, L+1]")
-    masks = sorted(
-        sum(1 << b for b in combo)
-        for combo in itertools.combinations(range(n_sites), n_particles))
-    states = np.array(masks, dtype=np.int64)
-    return FockSector(n_particles=n_particles, n_sites=n_sites, states=states,
-                      index_of={m: i for i, m in enumerate(masks)})
+    masks = np.arange(1 << n_sites, dtype=np.int64)
+    return FockSector(n_particles=n_particles, n_sites=n_sites,
+                      states=masks[np.bitwise_count(masks) == n_particles])
 
 
 def _occupancy(sector):
@@ -51,19 +46,15 @@ def _occupancy(sector):
     return (sector.states[:, None] >> bits[None, :]) & 1
 
 
-def build_hamiltonian(params, sector, include_counterterms=False):
+def build_hamiltonian(params, sector):
     """Sparse symmetric Hamiltonian block of one particle-number sector.
 
     Diagonal: sum_x phi_x n_x plus the two-sided-delta pair term, which counts
     every bond twice (coefficient 2U per bond).  Hopping -eps between
-    neighbors, open ends.  With include_counterterms the one-body nu + nu_C(x)
-    term joins the diagonal.
+    neighbors, open ends.  The counterterm nu enters only through mu.
     """
     occ = _occupancy(sector)
     phi = np.asarray(onsite_energy(params, params.sites), dtype=float)
-    if include_counterterms:
-        phi = phi + params.nu + np.array(
-            [tadpole_counterterm(params, x) for x in params.sites])
     diag = occ @ phi
     if params.U != 0.0:
         diag = diag + 2.0 * params.U * np.sum(occ[:, :-1] * occ[:, 1:], axis=1)
@@ -110,20 +101,17 @@ class SpectralDecomposition:
     sectors: list
     energies: list
     vectors: list
-    include_counterterms: bool = False
 
     @property
     def n_sectors(self):
         return len(self.sectors)
 
     def _require_compatible(self, params):
-        """Complete, and computed at params up to nu (which only shifts mu
-        unless the counterterms are part of H)."""
+        """Complete, and computed at params up to nu (which only shifts mu)."""
         if self.n_sectors != self.params.n_sites + 1:
             raise IncompleteSpectralDataError(
                 f"need {self.params.n_sites + 1} sectors, have {self.n_sectors}")
-        free_nu = {} if self.include_counterterms else {"nu": 0.0}
-        if replace(params, **free_nu) != replace(self.params, **free_nu):
+        if replace(params, nu=0.0) != replace(self.params, nu=0.0):
             raise ValueError("params differ from those of the spectral "
                              "decomposition")
 
@@ -155,41 +143,39 @@ class SpectralDecomposition:
 
     def residual_norm(self, n):
         """max_k ||H v_k - E_k v_k|| / ||H|| for sector n (diagnostic)."""
-        h = build_hamiltonian(self.params, self.sectors[n],
-                              self.include_counterterms).toarray()
+        h = build_hamiltonian(self.params, self.sectors[n]).toarray()
         r = h @ self.vectors[n] - self.vectors[n] * self.energies[n]
         hnorm = max(np.linalg.norm(h, 2), 1e-300)
         return float(np.max(np.linalg.norm(r, axis=0))) / hnorm
 
 
-def diagonalize(params, include_counterterms=False):
+def diagonalize(params):
     """Dense eigh of every particle-number sector."""
     sectors, energies, vectors = [], [], []
     for n in range(params.n_sites + 1):
         sec = enumerate_sector(params.L, n)
-        h = build_hamiltonian(params, sec, include_counterterms).toarray()
+        h = build_hamiltonian(params, sec).toarray()
         e, v = eigh(h, driver="evd")
         sectors.append(sec)
         energies.append(e)
         vectors.append(v)
     return SpectralDecomposition(params=params, sectors=sectors,
-                                 energies=energies, vectors=vectors,
-                                 include_counterterms=include_counterterms)
+                                 energies=energies, vectors=vectors)
 
 
 _BLOCK_ELEMENTS = 1 << 16  # entries of one weighted column block (512 kB)
 _TAIL = 1e-16  # largest summed Boltzmann factor one side of a slab may drop
 
 
-def _slab(w, tail):
+def _slab(w):
     """Kept length and dropped weight of one side of a thermal slab.
 
     Eigenvalues ascend within a sector, so |w| does not increase along w:
-    dropping its smallest entries while their sum stays <= tail keeps a
+    dropping its smallest entries while their sum stays <= _TAIL keeps a
     leading block w[:keep].
     """
     suffix = np.cumsum(np.abs(w)[::-1])[::-1]
-    keep = int(np.count_nonzero(suffix > tail))
+    keep = int(np.count_nonzero(suffix > _TAIL))
     return keep, float(suffix[keep]) if keep < w.size else 0.0
 
 
@@ -226,18 +212,18 @@ def _rotated_annihilators(spectral, n, slabs):
     return stacks
 
 
-def _lehmann_factors(beta, t, k_row, k_col, left_limit):
+def _lehmann_factors(beta, t, k_row, k_col):
     """Pairs (w_row, w_col) whose outer products sum to the weight W_t.
 
     t > 0 is the a a+ ordering, t < 0 minus the a+ a ordering.  At t = 0 both
-    one-sided limits enter with weight 1/2, or t -> 0- alone with left_limit.
+    one-sided limits enter with weight 1/2.
     """
     pairs = []
-    if t > 0.0 or (t == 0.0 and not left_limit):
+    if t >= 0.0:
         pairs.append((np.exp(-(beta - t) * k_row), np.exp(-t * k_col)))
     if t <= 0.0:
         pairs.append((-np.exp(t * k_row), np.exp(-(beta + t) * k_col)))
-    if t == 0.0 and not left_limit:
+    if t == 0.0:
         pairs = [(0.5 * w_row, w_col) for w_row, w_col in pairs]
     return pairs
 
@@ -256,8 +242,7 @@ def _contract(s_t, stack, w_row, w_col):
         s_t += (block * w.ravel()) @ block.T
 
 
-def _add_sector_pair(s, bound, spectral, n, k_row, k_col, beta, times,
-                     left_limit):
+def _add_sector_pair(s, bound, spectral, n, k_row, k_col, beta, times):
     """Add the (n, n+1) sector pair's Lehmann terms into s[t], and the weight
     they leave out into bound[t].
 
@@ -268,16 +253,11 @@ def _add_sector_pair(s, bound, spectral, n, k_row, k_col, beta, times,
     dropped row plus column weight.  The slabs depend on the weights only, so
     t and t - beta get the same ones.  The stacks die with this call.
     """
-    # The t -> 0- limit gives the occupations, which must keep relative
-    # precision far below any fixed tail (e^(-beta gap) ~ 1e-26 at a site
-    # above the Fermi level), so it drops exact zeros only.
-    tail = 0.0 if left_limit else _TAIL
     terms = []
     for it, t in enumerate(times):
-        for w_row, w_col in _lehmann_factors(beta, t, k_row, k_col,
-                                             left_limit):
-            r, dropped_row = _slab(w_row, tail)
-            c, dropped_col = _slab(w_col, tail)
+        for w_row, w_col in _lehmann_factors(beta, t, k_row, k_col):
+            r, dropped_row = _slab(w_row)
+            c, dropped_col = _slab(w_col)
             bound[it] += dropped_row + dropped_col
             if r and c:
                 terms.append((it, w_row[:r], w_col[:c]))
@@ -292,15 +272,14 @@ def _add_sector_pair(s, bound, spectral, n, k_row, k_col, beta, times,
         _contract(s[it], stack[:, :r, :c], w_row, w_col)
 
 
-def _lehmann(params, spectral, times, mu=None, left_limit=False):
+def _lehmann(params, spectral, times, mu=None):
     """S2(x, y; t) for all site pairs, shape (n_times, n_sites, n_sites), and
     per time a bound on the part the thermal slabs leave out.
 
     The one Lehmann sum of the package.  Per sector pair (n, n+1) the
     annihilators are rotated to the eigenbases once per distinct slab and
     every time slice is a weighted contraction of its stack, divided by Z at
-    the end.  t = 0 means the mean of the one-sided limits unless left_limit
-    asks for t -> 0-.
+    the end.  t = 0 means the mean of the one-sided limits.
     """
     times = [float(t) for t in times]
     if any(abs(t) >= params.beta for t in times):
@@ -313,7 +292,7 @@ def _lehmann(params, spectral, times, mu=None, left_limit=False):
     bound = np.zeros(len(times))
     for n in range(spectral.n_sectors - 1):
         _add_sector_pair(s, bound, spectral, n, shifted[n], shifted[n + 1],
-                         params.beta, times, left_limit)
+                         params.beta, times)
     z = spectral.partition_function(mu)
     return s / z, bound / z
 
@@ -324,9 +303,9 @@ def two_point_function(params, spectral, x, y, t, mu=None):
     At t = 0 the mean of the two one-sided limits is returned, matching the
     regularized equal-time convention of the free propagator.
     """
-    half = params.L // 2
+    ix, iy = _site_index(params.L, x), _site_index(params.L, y)
     s, _ = _lehmann(params, spectral, [t], mu)
-    return float(s[0, x + half, y + half])
+    return float(s[0, ix, iy])
 
 
 def equal_time_matrix(params, spectral, mu=None):
@@ -342,31 +321,25 @@ def correlation_matrix(params, spectral, t, mu=None):
 
 
 def occupations(params, spectral, mu=None):
-    """Equal-time occupations <n_x> = -S2(x, x; 0-).
+    """Equal-time occupations <n_x> = sum_k w_k sum_m v_k(m)^2 n_x(m) / Z.
 
-    The one-sided limit keeps occupations far below 1e-16 to relative
-    precision; 1/2 - S2(x, x; 0) would cancel them to rounding noise.
+    Every term is non-negative, so occupations far below 1e-16 keep their
+    relative precision; 1/2 - S2(x, x; 0) would cancel them to rounding noise.
     """
-    s, _ = _lehmann(params, spectral, [0.0], mu, left_limit=True)
-    return -np.diagonal(s[0])
-
-
-def density(params, spectral, mu=None):
-    """Mean filling (1/(L+1)) sum_x <n_x> from the correlation route."""
-    return float(np.mean(occupations(params, spectral, mu)))
-
-
-def occupations_expectation(params, spectral, mu=None):
-    """Independent route: <n_x> as a thermal expectation over eigenvectors."""
     spectral._require_compatible(params)
     if mu is None:
         mu = params.mu
     weights = spectral.sector_weights(mu)
-    z = spectral.partition_function(mu)
+    z = sum(float(np.sum(w)) for w in weights)
     occ = np.zeros(params.n_sites)
     for w, v, sec in zip(weights, spectral.vectors, spectral.sectors):
-        occ += w @ ((v ** 2).T @ _occupancy(sec)) / z
-    return occ
+        occ += ((v ** 2) @ w) @ _occupancy(sec)
+    return occ / z
+
+
+def density(params, spectral, mu=None):
+    """Mean filling <N> / (L+1), the quantity the counterterm search matches."""
+    return mean_particle_number(params, spectral, mu) / params.n_sites
 
 
 def mean_particle_number(params, spectral, mu=None):
@@ -399,8 +372,8 @@ class CorrelationFunction:
         return self.values[idx]
 
     def value(self, x, y, t):
-        half = (self.sites.size - 1) // 2
-        return float(self.at_time(t)[x + half, y + half])
+        L = self.sites.size - 1
+        return float(self.at_time(t)[_site_index(L, x), _site_index(L, y)])
 
 
 def compute_correlation(params, spectral, times, mu=None):

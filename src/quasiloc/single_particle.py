@@ -98,10 +98,16 @@ def onsite_potential(u, omega, theta, x):
     return u * np.cos(2.0 * math.pi * (omega * np.asarray(x, dtype=float) + theta))
 
 
-def onsite_energy(params, x):
-    x_arr = np.asarray(x)
-    if np.any(np.abs(x_arr) > params.L // 2):
+def _site_index(L, x):
+    """Array index x + L/2 of site x; ValueError outside {-L/2, ..., L/2}."""
+    half = L // 2
+    if np.any(np.abs(x) > half):
         raise ValueError("site outside lattice")
+    return x + half
+
+
+def onsite_energy(params, x):
+    _site_index(params.L, np.asarray(x))
     return onsite_potential(params.u, params.omega_value, params.theta, x)
 
 
@@ -171,30 +177,6 @@ def matsubara_propagator_sum(params, x, t, M, cutoff_gamma=1.5):
     chi = smooth_cutoff(k0 / cutoff_gamma ** M, cutoff_gamma)
     terms = chi * (delta * np.cos(k0 * t) + k0 * np.sin(k0 * t)) / (k0 ** 2 + delta ** 2)
     return (2.0 / beta) * float(np.sum(terms))
-
-
-def tadpole_nu_tilde(params, x):
-    """Half the jump of gbar across t = 0, from the closed-form one-sided limits.
-
-    This equals the mean-of-limits regularized equal-time value minus the
-    t -> 0- (density) value; the truncated Matsubara sum is the oracle pinning
-    this convention.
-    """
-    delta = onsite_energy(params, x) - params.mu
-    g_plus = 1.0 - fermi_occupation(delta, params.beta)   # t -> 0+
-    g_minus = -fermi_occupation(delta, params.beta)       # t -> 0-
-    return 0.5 * (g_plus - g_minus)
-
-
-def tadpole_counterterm(params, x):
-    """nu_C(x) = U (nu_tilde(x+1) + nu_tilde(x-1)); missing neighbors at the
-    open ends contribute 0."""
-    half = params.L // 2
-    out = 0.0
-    for y in (x + 1, x - 1):
-        if -half <= y <= half:
-            out += tadpole_nu_tilde(params, y)
-    return params.U * out
 
 
 def transfer_matrix(E, eps, u, omega, theta, x):
@@ -279,9 +261,8 @@ def one_body_two_point(params, x, y, t):
     """
     if abs(t) >= params.beta:
         raise ValueError("time difference must satisfy |t| < beta")
+    ix, iy = _site_index(params.L, x), _site_index(params.L, y)
     evals, evecs = single_particle_spectrum(params)
-    half = params.L // 2
-    ix, iy = x + half, y + half
     kern = propagator_kernel(evals - params.mu, params.beta, t)
     return float(np.sum(evecs[ix, :] * evecs[iy, :] * kern))
 

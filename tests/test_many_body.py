@@ -12,6 +12,11 @@ from quasiloc import many_body
 from quasiloc.many_body import enumerate_sector, _occupancy
 
 
+def index_of(sector):
+    """Reference: mask -> basis index of a sector, as a dict."""
+    return {m: i for i, m in enumerate(sector.states.tolist())}
+
+
 def hamiltonian_loop(params, sector):
     """Reference: the mask-by-mask loop build_hamiltonian used to run."""
     occ = _occupancy(sector)
@@ -22,11 +27,12 @@ def hamiltonian_loop(params, sector):
     dim = len(sector)
     rows, cols, vals = list(range(dim)), list(range(dim)), diag.tolist()
     if params.eps != 0.0:
+        index = index_of(sector)
         for i, mask in enumerate(sector.states.tolist()):
             for b in range(sector.n_sites - 1):
                 pair = 0b11 << b
                 if bin(mask & pair).count("1") == 1:
-                    j = sector.index_of[mask ^ pair]
+                    j = index[mask ^ pair]
                     if j > i:
                         rows.extend((i, j))
                         cols.extend((j, i))
@@ -37,22 +43,23 @@ def hamiltonian_loop(params, sector):
 def annihilation_loop(sector_n, sector_np1, x_bit):
     """Reference: the mask-by-mask loop annihilation_matrix used to run."""
     bit = 1 << x_bit
+    index = index_of(sector_n)
     rows, cols, vals = [], [], []
     for j, mask in enumerate(sector_np1.states.tolist()):
         if mask & bit:
-            rows.append(sector_n.index_of[mask ^ bit])
+            rows.append(index[mask ^ bit])
             cols.append(j)
             vals.append(-1.0 if bin(mask & (bit - 1)).count("1") % 2 else 1.0)
     return sp.csr_matrix((vals, (rows, cols)),
                          shape=(len(sector_n), len(sector_np1)))
 
 
-def fock_correlation(p, times):
-    """Brute-force S2(x, y; t) over the full 2^(L+1) Fock space.
+def fock_system(p):
+    """Full 2^(L+1) Fock space: annihilators, number operators and the
+    eigenpairs of H - mu N, energies shifted to a zero ground value.
 
-    Jordan-Wigner annihilators from np.kron (bit b of the basis index is site
-    b - L/2, sign (-1)^(occupied bits below b)), dense H, and the trace
-    formula; t = 0 is the mean of the two one-sided limits.
+    Jordan-Wigner annihilators from np.kron: bit b of the basis index is site
+    b - L/2, sign (-1)^(occupied bits below b).
     """
     ns = p.n_sites
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])   # |0><1|
@@ -67,7 +74,22 @@ def fock_correlation(p, times):
                 - p.eps * (c[b].T @ c[b + 1] + c[b + 1].T @ c[b])
                 for b in range(ns - 1))
     e, v = np.linalg.eigh(h - p.mu * sum(n_op))
-    e = e - e[0]
+    return c, n_op, e - e[0], v
+
+
+def fock_occupations(p):
+    """Brute-force <n_x> = sum_k e^(-beta E_k) <k|n_x|k> / Z; every term is
+    non-negative, so tiny occupations keep their relative precision."""
+    _, n_op, e, v = fock_system(p)
+    w = np.exp(-p.beta * e)
+    return np.array([(np.diag(n) @ v ** 2) @ w for n in n_op]) / np.sum(w)
+
+
+def fock_correlation(p, times):
+    """Brute-force S2(x, y; t) over the full Fock space from the trace
+    formula; t = 0 is the mean of the two one-sided limits."""
+    ns = p.n_sites
+    c, _, e, v = fock_system(p)
 
     def boltz(s):
         return (v * np.exp(-s * e)) @ v.T
@@ -100,14 +122,20 @@ def small():
 
 
 def test_sector_sizes():
-    sec = enumerate_sector(6, 3)
-    assert len(sec) == math.comb(7, 3)
-    assert sec.states.tolist() == sorted(sec.states.tolist())
-    for i, m in enumerate(sec.states.tolist()):
-        assert bin(m).count("1") == 3
-        assert sec.index_of[m] == i
-    with pytest.raises(ValueError):
-        enumerate_sector(6, 8)
+    for L in (2, 4, 6, 8):
+        secs = [enumerate_sector(L, n) for n in range(L + 2)]
+        for n, sec in enumerate(secs):
+            masks = sec.states.tolist()
+            assert len(sec) == len(masks) == math.comb(L + 1, n)
+            assert masks == sorted(masks)
+            assert all(bin(m).count("1") == n for m in masks)
+        # the sectors partition the Fock space
+        every = sorted(m for sec in secs for m in sec.states.tolist())
+        assert every == list(range(2 ** (L + 1)))
+        with pytest.raises(ValueError):
+            enumerate_sector(L, L + 2)
+        with pytest.raises(ValueError):
+            enumerate_sector(L, -1)
 
 
 def test_occupancy_counts():
@@ -144,11 +172,12 @@ def test_hamiltonian_diagonal_terms():
     sec = enumerate_sector(p.L, 2)
     h = q.build_hamiltonian(p, sec).toarray()
     phi = q.onsite_energy(p, p.sites)
+    index = index_of(sec)
     # state with sites -2, -1 occupied (bits 0, 1)
-    i = sec.index_of[0b00011]
+    i = index[0b00011]
     assert h[i, i] == pytest.approx(phi[0] + phi[1] + 2 * 0.25)
     # non-adjacent pair: no interaction
-    j = sec.index_of[0b00101]
+    j = index[0b00101]
     assert h[j, j] == pytest.approx(phi[0] + phi[2])
 
 
@@ -173,8 +202,8 @@ def test_fermionic_sign_adjacent_hop():
     p = q.ModelParams(L=4, beta=5.0, eps=0.3, U=0.0)
     sec = enumerate_sector(p.L, 2)
     h = q.build_hamiltonian(p, sec).toarray()
-    i = sec.index_of[0b00011]
-    j = sec.index_of[0b00101]
+    index = index_of(sec)
+    i, j = index[0b00011], index[0b00101]
     assert h[i, j] == pytest.approx(-0.3)
 
 
@@ -217,12 +246,10 @@ def test_mismatched_params_rejected():
             q.correlation_matrix(other, spd, 1.0)
         with pytest.raises(ValueError, match="spectral decomposition"):
             q.mean_particle_number(other, spd)
-    # nu only shifts mu, unless the counterterms are built into H
+    # nu only shifts mu, so one decomposition serves every nu
     shifted = p.with_nu(0.05)
     assert q.mean_particle_number(shifted, spd) != q.mean_particle_number(p, spd)
-    with_ct = q.diagonalize(p, include_counterterms=True)
-    with pytest.raises(ValueError, match="spectral decomposition"):
-        q.occupations_expectation(shifted, with_ct)
+    assert q.density(shifted, spd) > q.density(p, spd)
 
 
 def test_two_point_free_oracle():
@@ -270,29 +297,23 @@ def test_correlation_matrix_matches_fock_oracle(L):
     assert np.max(np.abs(fock[0] - np.diag(np.diag(fock[0])))) > 1e-3
 
 
-def test_occupation_routes_agree(small):
-    p, spd = small
-    lehmann = q.occupations(p, spd)
-    expect = q.occupations_expectation(p, spd)
-    np.testing.assert_allclose(lehmann, expect, atol=1e-11)
-    assert np.all(lehmann > -1e-12)
-    assert np.all(lehmann < 1.0 + 1e-12)
-
-
 def test_mean_particle_number_consistent(small):
     p, spd = small
     n_weights = q.mean_particle_number(p, spd)
     n_occ = float(np.sum(q.occupations(p, spd)))
     assert n_weights == pytest.approx(n_occ, abs=1e-10)
-    assert q.density(p, spd) == pytest.approx(n_weights / p.n_sites, abs=1e-10)
+    assert q.density(p, spd) == pytest.approx(n_occ / p.n_sites, abs=1e-10)
 
 
 def test_occupation_equal_time_relation(small):
-    # <n_x> = -S2(x, x; 0-) limit = 1/2 - S2(x, x; 0) in the mean convention
+    # <n_x> = -S2(x, x; 0-) limit = 1/2 - S2(x, x; 0) in the mean convention:
+    # the sector-weight route against the Lehmann kernel
     p, spd = small
+    occ = q.occupations(p, spd)
     em = q.equal_time_matrix(p, spd)
-    np.testing.assert_allclose(q.occupations_expectation(p, spd),
-                               0.5 - np.diag(em), atol=1e-11)
+    np.testing.assert_allclose(occ, 0.5 - np.diag(em), atol=1e-11)
+    assert np.all(occ >= 0.0)
+    assert np.all(occ <= 1.0)
 
 
 def test_occupations_keep_relative_precision():
@@ -302,8 +323,23 @@ def test_occupations_keep_relative_precision():
     spd = q.diagonalize(p)
     occ = q.occupations(p, spd)
     assert np.min(occ) < 1e-20
-    np.testing.assert_allclose(occ, q.occupations_expectation(p, spd),
-                               rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(occ, fock_occupations(p), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("x, y", [(-4, 0), (0, 4)])
+@pytest.mark.parametrize("read", [
+    lambda p, spd, corr, x, y: q.two_point_function(p, spd, x, y, 1.0),
+    lambda p, spd, corr, x, y: corr.value(x, y, 1.0),
+    lambda p, spd, corr, x, y: q.one_body_two_point(p, x, y, 1.0),
+    lambda p, spd, corr, x, y: q.fit_temporal_decay(corr, x, y),
+], ids=["two_point_function", "value", "one_body_two_point",
+        "fit_temporal_decay"])
+def test_site_outside_lattice_rejected(small, read, x, y):
+    # L = 6 has sites -3..3; -4 must not wrap around to site 3
+    p, spd = small
+    corr = q.compute_correlation(p, spd, [-2.0, -1.0, 0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="site outside lattice"):
+        read(p, spd, corr, x, y)
 
 
 def test_compute_correlation_container(small):
@@ -316,21 +352,6 @@ def test_compute_correlation_container(small):
         q.two_point_function(p, spd, 0, 1, 1.0), abs=1e-12)
     with pytest.raises(KeyError):
         corr.at_time(0.37)
-
-
-def test_counterterm_hamiltonian_shifts_diagonal():
-    p = q.ModelParams(L=4, beta=5.0, eps=0.1, U=0.2, nu=0.05)
-    sec = enumerate_sector(p.L, 1)
-    h0 = q.build_hamiltonian(p, sec).toarray()
-    h1 = q.build_hamiltonian(p, sec, include_counterterms=True).toarray()
-    d = np.diag(h1 - h0)
-    # nu plus the tadpole term, one particle so single-site shifts
-    occ = _occupancy(sec)
-    expect = occ @ np.array([p.nu + q.tadpole_counterterm(p, x)
-                             for x in p.sites])
-    np.testing.assert_allclose(d, expect, atol=1e-14)
-    # hopping part untouched
-    np.testing.assert_allclose(h1 - h0, np.diag(d), atol=1e-14)
 
 
 # ---- identities over random parameters -------------------------------------
@@ -368,11 +389,15 @@ def test_equal_time_matrix_symmetric_property(chain):
 
 
 @PROPERTY
-@given(chains())
+@given(chains(betas=(0.5, 80.0)))
 def test_occupations_sum_rule_property(chain):
     p, spd = chain
-    assert float(np.sum(q.occupations(p, spd))) == pytest.approx(
+    occ = q.occupations(p, spd)
+    assert float(np.sum(occ)) == pytest.approx(
         q.mean_particle_number(p, spd), abs=1e-11)
+    # eigenvector entries carry ~1e-16 absolute error, so an occupation b is
+    # known to ~sqrt(b) 1e-16: relative 1e-9 down to b ~ 1e-14, then 1e-20
+    np.testing.assert_allclose(occ, fock_occupations(p), rtol=1e-9, atol=1e-20)
 
 
 @PROPERTY

@@ -102,27 +102,12 @@ def test_matsubara_sum_converges_to_closed_form():
 
 def test_matsubara_sum_pins_equal_time_convention():
     # the truncated frequency sum converges to the mean of the one-sided
-    # limits at t = 0, which fixes the tadpole normalization
+    # limits at t = 0, the equal-time convention of the free propagator
     p = q.ModelParams(L=8, beta=4.0)
     for x in (0, 1, -3):
         exact = q.free_propagator(p, x, 0.0)
         approx = q.matsubara_propagator_sum(p, x, 0.0, M=26)
         assert approx == pytest.approx(exact, abs=5e-4)
-
-
-def test_tadpole_nu_tilde_is_half(params):
-    # half the jump of gbar across t = 0 is 1/2 identically
-    for x in (-3, 0, 2):
-        assert q.tadpole_nu_tilde(params, x) == pytest.approx(0.5)
-
-
-def test_tadpole_counterterm_boundaries():
-    p = q.ModelParams(L=8, beta=10.0, U=0.3)
-    # bulk site: both neighbors contribute
-    assert q.tadpole_counterterm(p, 0) == pytest.approx(0.3 * 1.0)
-    # edge site: one missing neighbor
-    assert q.tadpole_counterterm(p, 4) == pytest.approx(0.3 * 0.5)
-    assert q.tadpole_counterterm(p, -4) == pytest.approx(0.3 * 0.5)
 
 
 def test_transfer_matrix_determinant():
