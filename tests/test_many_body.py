@@ -305,15 +305,22 @@ def test_mean_particle_number_consistent(small):
     assert q.density(p, spd) == pytest.approx(n_occ / p.n_sites, abs=1e-10)
 
 
+def test_occupation_routes_agree(small):
+    # the sector-weight sum against the full Fock-space trace
+    p, spd = small
+    occ = q.occupations(p, spd)
+    np.testing.assert_allclose(occ, fock_occupations(p), atol=1e-12)
+    assert np.all(occ >= 0.0)
+    assert np.all(occ <= 1.0)
+
+
 def test_occupation_equal_time_relation(small):
     # <n_x> = -S2(x, x; 0-) limit = 1/2 - S2(x, x; 0) in the mean convention:
     # the sector-weight route against the Lehmann kernel
     p, spd = small
-    occ = q.occupations(p, spd)
     em = q.equal_time_matrix(p, spd)
-    np.testing.assert_allclose(occ, 0.5 - np.diag(em), atol=1e-11)
-    assert np.all(occ >= 0.0)
-    assert np.all(occ <= 1.0)
+    np.testing.assert_allclose(q.occupations(p, spd), 0.5 - np.diag(em),
+                               atol=1e-11)
 
 
 def test_occupations_keep_relative_precision():
