@@ -7,13 +7,10 @@ from .diophantine import (GOLDEN_MEAN, SILVER_MEAN, DiophantineFrequency,
                           phase_diophantine_constant, golden_frequency)
 from .cutoffs import smooth_cutoff, smooth_step
 from .single_particle import (ModelParams, onsite_potential, onsite_energy,
-                              build_single_particle_matrix,
                               single_particle_spectrum, fermi_occupation,
-                              free_propagator, matsubara_propagator_sum,
-                              transfer_matrix, lyapunov_exponent,
+                              free_propagator, lyapunov_exponent,
                               eigenstate_localization, localization_table,
-                              one_body_two_point, one_body_correlation_matrix,
-                              free_density)
+                              one_body_correlation_matrix, free_density)
 from .many_body import (FockSector, enumerate_sector, build_hamiltonian,
                         annihilation_matrix, SpectralDecomposition,
                         diagonalize, two_point_function, correlation_matrix,
@@ -24,7 +21,7 @@ from .many_body import (FockSector, enumerate_sector, build_hamiltonian,
 from .multiscale import (ScaleFamily, ScaleConfigurationError,
                          QuadratureError, ZeroDivisorError, chi_h, f_h,
                          chi_ultraviolet, partition_of_unity_check,
-                         telescoping_residual, scale_of,
+                         telescoping_residual,
                          single_scale_propagator, filtered_propagator,
                          scale_decay_constants, chain_graph_value)
 from .counterterm import (CountertermResult, BracketError, fix_counterterm,

@@ -19,6 +19,14 @@ from .single_particle import (ModelParams, _site_index, lyapunov_exponent,
 from .many_body import diagonalize, equal_time_matrix
 from .counterterm import fix_counterterm
 
+# fit_spatial_decay drops pairs this close to either open end
+_FIT_EXCLUSION = 2
+# phase_scan's many-body indicator: distances of its coarse decay rate, which
+# must resolve at least 2 of them (fit_spatial_decay asks for 4)
+_SCAN_WINDOW = (1, 3)
+# transfer matrices per Lyapunov exponent in phase_scan
+_LYAPUNOV_STEPS = 20000
+
 
 class FitError(RuntimeError):
     """Too little usable data for a meaningful decay fit."""
@@ -45,52 +53,56 @@ def _log_correction(x, y, tau):
     return math.log(1.0 + m) ** tau
 
 
-def fit_spatial_decay(corr, t_fixed=0.0, window=(2, 8), boundary_exclusion=2,
-                      tau=None, couplings=None, divide_log_factor=True):
-    """Fit log |S2(x, y; t)| against |x - y| over the distance window.
+def _log_profile(s, sites, window, exclusion, tau=None):
+    """Mean log |S(x, y)| per distance |x - y| in the window.
 
-    The logarithmic correction factor is divided out before fitting (turn
-    divide_log_factor off for data known to carry none).  Pairs
-    within boundary_exclusion sites of either open end are dropped; values per
-    distance are averaged in log.  theorem_rate is |log max couplings| when
-    the couplings are supplied through the correlation metadata or the
-    couplings argument.
+    Pairs within `exclusion` sites of either open end are dropped.  With tau,
+    each |S| is first divided by the log correction (log(1 + m))^tau.  Values
+    at or below 1e-14 are left out.  Returns (distances, mean logs), both
+    ascending in distance; a distance with no usable pair is absent.
     """
-    s = corr.at_time(t_fixed)
-    sites = corr.sites
-    if tau is None:
-        tau = float(corr.meta.get("tau", 1.5))
-    if couplings is None:
-        couplings = (abs(float(corr.meta.get("eps", 0.0))),
-                     abs(float(corr.meta.get("U", 0.0))))
-    cmax = max(couplings)
-    theorem_rate = abs(math.log(cmax)) if 0.0 < cmax < 1.0 else math.inf
-
     half = (sites.size - 1) // 2
-    lo_keep = -half + boundary_exclusion
-    hi_keep = half - boundary_exclusion
     by_distance = {}
     for ix, x in enumerate(sites):
-        if not lo_keep <= x <= hi_keep:
+        if abs(x) > half - exclusion:
             continue
         for iy, y in enumerate(sites):
-            if not lo_keep <= y <= hi_keep:
+            if abs(y) > half - exclusion:
                 continue
             d = abs(int(x) - int(y))
             if not window[0] <= d <= window[1]:
                 continue
             v = abs(float(s[ix, iy]))
-            if divide_log_factor:
+            if tau is not None:
                 v /= _log_correction(x, y, tau)
             if v > 1e-14:
                 by_distance.setdefault(d, []).append(v)
-    if not by_distance:
-        raise FitError("off-diagonal identically zero in the fit window")
-    if len(by_distance) < 4:
-        raise FitError(
-            f"only {len(by_distance)} usable distances in window {window}")
     d_arr = np.array(sorted(by_distance), dtype=float)
     logv = np.array([np.mean(np.log(by_distance[int(d)])) for d in d_arr])
+    return d_arr, logv
+
+
+def fit_spatial_decay(corr, t_fixed=0.0, window=(2, 8)):
+    """Fit log |S2(x, y; t)| against |x - y| over the distance window.
+
+    The logarithmic correction factor (log(1 + m))^tau, with tau from the
+    correlation metadata, is divided out before fitting.  Pairs within
+    _FIT_EXCLUSION sites of either open end are dropped; values per distance
+    are averaged in log.  theorem_rate is |log max(|eps|, |U|)| with the
+    couplings from the correlation metadata.
+    """
+    tau = float(corr.meta.get("tau", 1.5))
+    cmax = max(abs(float(corr.meta.get("eps", 0.0))),
+               abs(float(corr.meta.get("U", 0.0))))
+    theorem_rate = abs(math.log(cmax)) if 0.0 < cmax < 1.0 else math.inf
+
+    d_arr, logv = _log_profile(corr.at_time(t_fixed), corr.sites, window,
+                               _FIT_EXCLUSION, tau)
+    if d_arr.size == 0:
+        raise FitError("off-diagonal identically zero in the fit window")
+    if d_arr.size < 4:
+        raise FitError(
+            f"only {d_arr.size} usable distances in window {window}")
     slope, intercept = np.polyfit(d_arr, logv, 1)
     pred = slope * d_arr + intercept
     ss_res = float(np.sum((logv - pred) ** 2))
@@ -176,16 +188,17 @@ def _ipr_verdict(median_ipr):
 
 
 def phase_scan(eps_values, U_values, L_list, beta, *, omega=None,
-               theta=0.2377, x_hat=2, mb_L=8, mb_window=(1, 3),
-               lyapunov_steps=20000, counterterm_tol=1e-6):
+               theta=0.2377, x_hat=2, mb_L=8):
     """Coarse phase diagnostics over the (eps, U) grid.
 
     Per point: single-particle mean IPR at each L in L_list, the Lyapunov
-    exponent at E = mu0, and (for the many-body indicator) the equal-time
-    decay rate at size mb_L with the counterterm fixed.  eps = 0 has no
-    transfer matrix and U = eps = 0 has exactly zero off-diagonal
-    correlations; both get infinite-rate sentinels.  Errors at one grid point
-    are captured in its record instead of aborting the scan.
+    exponent at a mid-spectrum energy, and (for the many-body indicator) the
+    equal-time decay rate over distances _SCAN_WINDOW, all sites included, at
+    size mb_L with the counterterm fixed.  eps = 0 has no transfer matrix and
+    U = eps = 0 has exactly zero off-diagonal correlations; both get
+    infinite-rate sentinels, as does a decay rate with fewer than 2 resolved
+    distances.  Errors at one grid point are captured in its record instead
+    of aborting the scan.
     """
     grid = {}
     for eps in sorted(set(float(e) for e in eps_values)):
@@ -193,9 +206,7 @@ def phase_scan(eps_values, U_values, L_list, beta, *, omega=None,
             try:
                 grid[(eps, U)] = _scan_point(
                     eps, U, L_list, beta, omega=omega, theta=theta,
-                    x_hat=x_hat, mb_L=mb_L, mb_window=mb_window,
-                    lyapunov_steps=lyapunov_steps,
-                    counterterm_tol=counterterm_tol)
+                    x_hat=x_hat, mb_L=mb_L)
             except Exception as exc:  # keep scanning the rest of the grid
                 grid[(eps, U)] = PhasePoint(
                     eps=eps, U=U, median_ipr={}, lyapunov=math.nan,
@@ -204,8 +215,7 @@ def phase_scan(eps_values, U_values, L_list, beta, *, omega=None,
     return grid
 
 
-def _scan_point(eps, U, L_list, beta, *, omega, theta, x_hat, mb_L,
-                mb_window, lyapunov_steps, counterterm_tol):
+def _scan_point(eps, U, L_list, beta, *, omega, theta, x_hat, mb_L):
     median_ipr = {}
     mid_energy = 0.0
     for L in sorted(set(int(v) for v in L_list)):
@@ -227,19 +237,18 @@ def _scan_point(eps, U, L_list, beta, *, omega, theta, x_hat, mb_L,
         # Cantor spectrum, where the exponent stays positive even in the
         # extended phase
         lam = lyapunov_exponent(mid_energy, eps, 1.0, ref.omega_value, theta,
-                                lyapunov_steps)
+                                _LYAPUNOV_STEPS)
 
-    nu = 0.0
-    if eps == 0.0 and U == 0.0:
-        rate = math.inf
-    else:
+    nu, rate = 0.0, math.inf
+    if eps != 0.0 or U != 0.0:
         mb = ModelParams(L=mb_L, beta=beta, eps=eps, u=1.0, U=U, omega=omega,
                          theta=theta, x_hat=x_hat)
         spectral = diagonalize(mb)
-        nu = fix_counterterm(mb, tolerance=counterterm_tol,
-                             spectral=spectral).nu
+        nu = fix_counterterm(mb, spectral=spectral).nu
         s = equal_time_matrix(mb.with_nu(nu), spectral)
-        rate = _coarse_rate(s, mb.sites, mb_window)
+        d_arr, logv = _log_profile(s, mb.sites, _SCAN_WINDOW, 0)
+        if d_arr.size >= 2:
+            rate = -float(np.polyfit(d_arr, logv, 1)[0])
 
     verdict = _ipr_verdict(median_ipr)
     finite_size_gap = 2.0 * math.pi / (max(median_ipr) + 1)
@@ -247,21 +256,3 @@ def _scan_point(eps, U, L_list, beta, *, omega, theta, x_hat, mb_L,
         verdict = "unresolved"  # exponent below the finite-size resolution
     return PhasePoint(eps=eps, U=U, median_ipr=median_ipr, lyapunov=lam,
                       decay_rate=rate, nu=nu, verdict=verdict)
-
-
-def _coarse_rate(s, sites, window):
-    """Crude log-slope of the correlation over a short distance window."""
-    by_d = {}
-    for ix, x in enumerate(sites):
-        for iy, y in enumerate(sites):
-            d = abs(int(x) - int(y))
-            if window[0] <= d <= window[1]:
-                v = abs(float(s[ix, iy]))
-                if v > 1e-14:
-                    by_d.setdefault(d, []).append(v)
-    if len(by_d) < 2:
-        return math.inf
-    d_arr = np.array(sorted(by_d), dtype=float)
-    logv = np.array([np.mean(np.log(by_d[int(d)])) for d in d_arr])
-    slope, _ = np.polyfit(d_arr, logv, 1)
-    return -float(slope)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .diophantine import (GOLDEN_MEAN, SILVER_MEAN, DiophantineFrequency,
-                          frequency_diophantine_constant,
+from .diophantine import (GOLDEN_MEAN, SILVER_MEAN, continued_fraction,
+                          convergents, frequency_diophantine_constant,
                           phase_diophantine_constant)
 from .single_particle import (ModelParams, localization_table,
                               lyapunov_exponent)
@@ -178,12 +178,12 @@ def _run_dioph(args):
                                              return_argmin=True)
     c0p, argp = phase_diophantine_constant(omega, args.theta, args.tau,
                                            args.qmax, return_argmin=True)
-    freq = DiophantineFrequency.certify(omega, tau=args.tau, q_max=min(
-        args.qmax, 10 ** 5))
+    if args.tau <= 1.0:  # as DiophantineFrequency.certify requires
+        raise ValueError("tau must exceed 1")
     return "json", {
         "c0_freq": c0, "c0_phase": c0p,
         "argmin_x": {"freq": arg, "phase": argp},
-        "convergents": freq.convergents(),
+        "convergents": convergents(continued_fraction(omega, 20)),
     }
 
 
@@ -291,7 +291,7 @@ _HANDLERS = {
 }
 
 
-def parse_and_dispatch(argv=None):
+def main(argv=None):
     parser = build_parser()
     pre, _ = parser.parse_known_args(argv)
     if pre.config:
@@ -336,10 +336,6 @@ def parse_and_dispatch(argv=None):
     else:
         _emit(config, payload, sys.stdout)
     return 0
-
-
-def main(argv=None):
-    return parse_and_dispatch(argv)
 
 
 if __name__ == "__main__":

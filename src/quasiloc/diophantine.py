@@ -160,16 +160,6 @@ class DiophantineFrequency:
         return cls(omega=float(omega), partial_quotients=quotients, tau=tau,
                    c0_freq=c0, q_max=q_max, c0_phase=phases)
 
-    def convergents(self):
-        return convergents(self.partial_quotients)
-
-    def check_convergents(self):
-        """Verify |omega - p_k/q_k| < 1/q_k^2 for every stored convergent."""
-        for p, q in self.convergents():
-            if abs(self.omega - p / q) >= 1.0 / q ** 2:
-                return False
-        return True
-
 
 def exact_fractional_part(omega, x):
     """Signed fractional part of omega * x with omega treated as the exact

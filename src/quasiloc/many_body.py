@@ -134,20 +134,6 @@ class SpectralDecomposition:
     def partition_function(self, mu):
         return sum(float(np.sum(w)) for w in self.sector_weights(mu))
 
-    def sector_probabilities(self, mu=None):
-        if mu is None:
-            mu = self.params.mu
-        w = self.sector_weights(mu)
-        z = sum(float(np.sum(wi)) for wi in w)
-        return np.array([float(np.sum(wi)) / z for wi in w])
-
-    def residual_norm(self, n):
-        """max_k ||H v_k - E_k v_k|| / ||H|| for sector n (diagnostic)."""
-        h = build_hamiltonian(self.params, self.sectors[n]).toarray()
-        r = h @ self.vectors[n] - self.vectors[n] * self.energies[n]
-        hnorm = max(np.linalg.norm(h, 2), 1e-300)
-        return float(np.max(np.linalg.norm(r, axis=0))) / hnorm
-
 
 def diagonalize(params):
     """Dense eigh of every particle-number sector."""

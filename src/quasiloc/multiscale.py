@@ -16,8 +16,6 @@ from scipy.integrate import quad
 from .cutoffs import smooth_cutoff
 from .diophantine import DiophantineFrequency, torus_norm
 
-SCALE_UV = 1
-
 
 class ScaleConfigurationError(ValueError):
     """Cutoff supports around the two singular points must stay disjoint."""
@@ -88,12 +86,6 @@ class ScaleFamily:
                    gamma=gamma, a=safety * 0.5 * sep, v0=v0, h_min=h_min,
                    x_bar_plus=x_bar_plus, x_bar_minus=x_bar_minus)
 
-    @classmethod
-    def from_params(cls, params, gamma=None, h_min=-10, safety=0.5):
-        return cls.build(params.omega_value, params.theta, params.x_hat,
-                         u=params.u, tau=params.omega.tau, gamma=gamma,
-                         h_min=h_min, safety=safety)
-
     @property
     def mu0(self):
         return self.u * math.cos(2.0 * math.pi * (self.omega * self.x_hat + self.theta))
@@ -109,7 +101,11 @@ def chi_h(family, t, k0, h):
     """Smooth cutoff: 1 for r <= a gamma^(h-1), 0 for r >= a gamma^h, even in (t, k0)."""
     if h > 0:
         raise ValueError("chi_h is defined for h <= 0")
-    r = family.radius(t, k0)
+    return _chi_of_radius(family, family.radius(t, k0), h)
+
+
+def _chi_of_radius(family, r, h):
+    """chi_h at radius r = sqrt(k0^2 + v0^2 ||omega x'||^2)."""
     return smooth_cutoff(r / (family.a * family.gamma ** (h - 1)), family.gamma)
 
 
@@ -156,28 +152,6 @@ def telescoping_residual(family, t_values, k0_values, h_star):
     return float(np.max(np.abs(total - target), initial=0.0))
 
 
-def scale_of(family, x, k0):
-    """Scale label of the lattice point (x, k0).
-
-    Returns SCALE_UV (= 1) in the ultraviolet region, the integer h of the
-    annulus a gamma^(h-1) <= r <= a gamma^h otherwise (higher scale at the
-    overlap of adjacent slices), and None below h_min.
-    """
-    rp = family.radius(family.omega * (x - family.x_bar_plus), k0)
-    rm = family.radius(family.omega * (x - family.x_bar_minus), k0)
-    r = min(rp, rm)
-    if r >= family.a:
-        return SCALE_UV
-    if r == 0.0:
-        return None
-    # annulus a gamma^(h-1) <= r <= a gamma^h; exact powers belong to both
-    # adjacent scales and get the higher one
-    h = math.floor(math.log(r / family.a, family.gamma) + 1e-12) + 1
-    if h < family.h_min:
-        return None
-    return min(h, 0)
-
-
 def _denominator(family, rho, delta, linearized):
     """phi at x' + x_bar_rho minus mu0; optionally the linearized small divisor.
 
@@ -214,7 +188,10 @@ def _band(family, rho, x_prime, t, h_low, h_high, linearized, delta):
     d = _denominator(family, rho, delta, linearized)
 
     def integrand(k0):
-        w = chi_h(family, delta, k0, h_high) - chi_h(family, delta, k0, h_low)
+        # |delta| <= 1/2, so q is v0 ||omega x'|| and r is family.radius
+        r = np.hypot(k0, q)
+        w = _chi_of_radius(family, r, h_high) \
+            - _chi_of_radius(family, r, h_low)
         return 2.0 * w * (d * math.cos(t * k0) + k0 * math.sin(t * k0)) \
             / (k0 * k0 + d * d)
 

@@ -2,8 +2,10 @@
 
 The chain lives on sites x in {-L/2, ..., L/2} with open (Dirichlet) ends,
 on-site potential phi_x = u cos 2 pi (omega x + theta) and hopping -eps.  The
-free propagator gbar(x, t) is evaluated in closed form; truncated Matsubara
-sums exist only as test oracles for the regularized limit.
+free propagator gbar(x, t) is evaluated in closed form, and at U = 0 the
+two-point function comes from the one-body eigenpairs.  Truncated Matsubara
+sums, the dense one-body matrix and explicit transfer-matrix products are
+independent cross-checks that live in the tests.
 """
 
 import math
@@ -12,8 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .cutoffs import smooth_cutoff
 from .diophantine import DiophantineFrequency, golden_frequency
+
+# steps between renormalizations of the transfer-matrix iterate
+_RENORM_EVERY = 16
+# eigenvector amplitudes at or below this are left out of the xi fit
+_AMPLITUDE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,17 +117,6 @@ def onsite_energy(params, x):
     return onsite_potential(params.u, params.omega_value, params.theta, x)
 
 
-def build_single_particle_matrix(params):
-    """Symmetric tridiagonal (L+1)x(L+1) matrix: onsite energies on the diagonal,
-    -eps on nearest neighbors, no wraparound (open ends)."""
-    diag = onsite_energy(params, params.sites)
-    n = params.n_sites
-    h = np.diag(np.asarray(diag, dtype=float))
-    off = -params.eps * np.ones(n - 1)
-    h += np.diag(off, 1) + np.diag(off, -1)
-    return h
-
-
 def single_particle_spectrum(params):
     """Eigenvalues (ascending) and orthonormal eigenvectors of the open chain."""
     diag = np.asarray(onsite_energy(params, params.sites), dtype=float)
@@ -161,38 +156,13 @@ def free_propagator(params, x, t):
     return propagator_kernel(delta, params.beta, t)
 
 
-def matsubara_propagator_sum(params, x, t, M, cutoff_gamma=1.5):
-    """Truncated Matsubara sum for gbar(x, t) with a smooth frequency cutoff.
-
-    (1/beta) sum over fermionic k0 with chi(gamma^-M |k0|) > 0 of
-    exp(-i k0 t) / (-i k0 + delta).  Test oracle for the closed form; the sum
-    is real by the k0 -> -k0 symmetry.
-    """
-    beta = params.beta
-    delta = float(onsite_energy(params, x) - params.mu)
-    k_max = cutoff_gamma ** (M + 1)
-    n_max = int(math.floor(k_max * beta / (2.0 * math.pi) - 0.5))
-    n0 = np.arange(0, n_max + 1)
-    k0 = (2.0 * math.pi / beta) * (n0 + 0.5)
-    chi = smooth_cutoff(k0 / cutoff_gamma ** M, cutoff_gamma)
-    terms = chi * (delta * np.cos(k0 * t) + k0 * np.sin(k0 * t)) / (k0 ** 2 + delta ** 2)
-    return (2.0 / beta) * float(np.sum(terms))
-
-
-def transfer_matrix(E, eps, u, omega, theta, x):
-    """2x2 transfer matrix [[(phi_x - E)/eps, -1], [1, 0]] of the difference equation."""
-    if eps == 0.0:
-        raise ValueError("transfer matrix undefined at eps = 0")
-    phi = onsite_potential(u, omega, theta, x)
-    return np.array([[(phi - E) / eps, -1.0], [1.0, 0.0]])
-
-
-def lyapunov_exponent(E, eps, u, omega, theta, n_steps, psi0=(1.0, 0.0),
-                      renorm_every=16):
+def lyapunov_exponent(E, eps, u, omega, theta, n_steps):
     """Growth rate of the transfer-matrix cocycle along the orbit x = 0, 1, 2, ...
 
-    The running vector is renormalized every few steps to avoid overflow;
-    the accumulated log norms divided by n_steps estimate the exponent.
+    Iterates psi_(x+1) = ((phi_x - E)/eps) psi_x - psi_(x-1) from (1, 0), the
+    product of the matrices [[(phi_x - E)/eps, -1], [1, 0]].  The running
+    vector is renormalized every _RENORM_EVERY steps to avoid overflow; the
+    accumulated log norms divided by n_steps estimate the exponent.
     """
     if eps == 0.0:
         raise ValueError("transfer matrix undefined at eps = 0")
@@ -203,13 +173,13 @@ def lyapunov_exponent(E, eps, u, omega, theta, n_steps, psi0=(1.0, 0.0),
     inv_eps = 1.0 / eps
     two_pi_omega = 2.0 * math.pi * omega
     two_pi_theta = 2.0 * math.pi * theta
-    psi_cur, psi_old = float(psi0[0]), float(psi0[1])
+    psi_cur, psi_old = 1.0, 0.0
     log_sum = 0.0
     cos = math.cos
     for x in range(n_steps):
         a = inv_eps * (u * cos(two_pi_omega * x + two_pi_theta) - E)
         psi_cur, psi_old = a * psi_cur - psi_old, psi_cur
-        if (x + 1) % renorm_every == 0:
+        if (x + 1) % _RENORM_EVERY == 0:
             scale = max(abs(psi_cur), abs(psi_old))
             if scale > 0.0:
                 log_sum += math.log(scale)
@@ -221,18 +191,18 @@ def lyapunov_exponent(E, eps, u, omega, theta, n_steps, psi0=(1.0, 0.0),
     return log_sum / n_steps
 
 
-def eigenstate_localization(eigvec, threshold=1e-12):
+def eigenstate_localization(eigvec):
     """Localization length xi and inverse participation ratio of a normalized state.
 
     xi = -1/slope of the least-squares line of log|psi| against the distance
-    from the peak, restricted to amplitudes above threshold.  Fewer than 4
-    usable sites (or 2 distinct distances) means the fit is degenerate and xi
-    is reported as 0.
+    from the peak, restricted to amplitudes above _AMPLITUDE_FLOOR.  Fewer
+    than 4 usable sites (or 2 distinct distances) means the fit is degenerate
+    and xi is reported as 0.
     """
     psi = np.abs(np.asarray(eigvec, dtype=float))
     ipr = float(np.sum(psi ** 4))
     peak = int(np.argmax(psi))
-    mask = psi > threshold
+    mask = psi > _AMPLITUDE_FLOOR
     if int(np.sum(mask)) < 4:
         return 0.0, ipr
     d = np.abs(np.arange(psi.size) - peak)[mask].astype(float)
@@ -254,21 +224,12 @@ def localization_table(params):
     return rows
 
 
-def one_body_two_point(params, x, y, t):
-    """Free-fermion two-point function from the one-body eigenpairs only.
-
-    Independent of the many-body machinery: exact at U = 0 for any eps.
-    """
-    if abs(t) >= params.beta:
-        raise ValueError("time difference must satisfy |t| < beta")
-    ix, iy = _site_index(params.L, x), _site_index(params.L, y)
-    evals, evecs = single_particle_spectrum(params)
-    kern = propagator_kernel(evals - params.mu, params.beta, t)
-    return float(np.sum(evecs[ix, :] * evecs[iy, :] * kern))
-
-
 def one_body_correlation_matrix(params, t):
-    """All-pairs version of one_body_two_point."""
+    """Free-fermion S(x, y; t) for all pairs, from the one-body eigenpairs only.
+
+    Independent of the many-body machinery and exact at U = 0 for any eps;
+    entry [x + L/2, y + L/2] is the pair (x, y).
+    """
     if abs(t) >= params.beta:
         raise ValueError("time difference must satisfy |t| < beta")
     evals, evecs = single_particle_spectrum(params)

@@ -23,9 +23,8 @@ def _synthetic_corr(rate, L=16, with_log_factor=False, tau=1.5):
 
 
 def test_fit_exact_exponential():
-    corr = _synthetic_corr(2.0)
-    fit = q.fit_spatial_decay(corr, 0.0, window=(2, 8),
-                              divide_log_factor=False)
+    corr = _synthetic_corr(2.0, with_log_factor=True)
+    fit = q.fit_spatial_decay(corr, 0.0, window=(2, 8))
     assert fit.rate == pytest.approx(2.0, abs=1e-6)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.xi_fit == pytest.approx(0.5, abs=1e-6)
@@ -108,6 +107,37 @@ def test_phase_scan_captures_point_errors():
     pt = grid[(0.1, 0.0)]
     assert pt.verdict == "error"
     assert "beta" in pt.error
+
+
+def coarse_rate(s, sites, window):
+    """Reference log-slope of |S| over a short distance window, all sites
+    included: the many-body decay rate phase_scan reports."""
+    by_d = {}
+    for ix, x in enumerate(sites):
+        for iy, y in enumerate(sites):
+            d = abs(int(x) - int(y))
+            if window[0] <= d <= window[1]:
+                v = abs(float(s[ix, iy]))
+                if v > 1e-14:
+                    by_d.setdefault(d, []).append(v)
+    if len(by_d) < 2:
+        return math.inf
+    d_arr = np.array(sorted(by_d), dtype=float)
+    logv = np.array([np.mean(np.log(by_d[int(d)])) for d in d_arr])
+    slope, _ = np.polyfit(d_arr, logv, 1)
+    return -float(slope)
+
+
+@pytest.mark.parametrize("eps, U", [(0.2, 0.1), (0.4, 0.0)])
+def test_phase_scan_rate_matches_coarse_reference(eps, U):
+    pt = q.phase_scan([eps], [U], [40], 6.0, mb_L=6)[(eps, U)]
+    assert pt.error is None
+    mb = q.ModelParams(L=6, beta=6.0, eps=eps, U=U)
+    spectral = q.diagonalize(mb)
+    s = q.equal_time_matrix(mb.with_nu(pt.nu), spectral)
+    ref = coarse_rate(s, mb.sites, (1, 3))
+    assert math.isfinite(ref)
+    assert pt.decay_rate == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_phase_scan_order_invariant():

@@ -77,7 +77,9 @@ def test_phase_constant_generic_positive():
 def test_certify_roundtrip():
     freq = q.DiophantineFrequency.certify(q.GOLDEN_MEAN, tau=1.5,
                                           q_max=10 ** 4, thetas=(0.2377,))
-    assert freq.check_convergents()
+    # every stored convergent obeys |omega - p/q| < 1/q^2
+    for p, qd in q.convergents(freq.partial_quotients):
+        assert abs(freq.omega - p / qd) < 1.0 / qd ** 2
     assert freq.c0_freq > 0.0
     assert freq.c0_phase[0.2377] > 0.0
     assert freq.tau == 1.5

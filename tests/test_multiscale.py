@@ -7,13 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 import quasiloc as q
 from quasiloc import multiscale
-from quasiloc.multiscale import (SCALE_UV, ScaleConfigurationError,
+from quasiloc.multiscale import (ScaleConfigurationError,
                                  _annulus_candidates, telescoping_residual)
+
+
+def family_of(params):
+    """The default scale family of a chain's frequency, phase and x_hat."""
+    return q.ScaleFamily.build(params.omega_value, params.theta, params.x_hat,
+                               u=params.u, tau=params.omega.tau)
 
 
 @pytest.fixture(scope="module")
 def family():
-    return q.ScaleFamily.from_params(q.ModelParams(L=8, beta=8.0))
+    return family_of(q.ModelParams(L=8, beta=8.0))
 
 
 def test_family_defaults(family):
@@ -117,7 +123,7 @@ def test_grid_checks_match_loop_reference(family):
 def test_overlapping_supports_rejected():
     # nearly coincident singular points squeeze the disjointness bound below
     # any positive a; the family cannot even be constructed
-    fam = q.ScaleFamily.from_params(q.ModelParams(L=8, beta=8.0))
+    fam = family_of(q.ModelParams(L=8, beta=8.0))
     with pytest.raises(ScaleConfigurationError):
         q.ScaleFamily(omega=fam.omega, theta=fam.theta, x_hat=fam.x_hat,
                       u=fam.u, tau=fam.tau, gamma=fam.gamma,
@@ -130,14 +136,6 @@ def test_telescoping(family):
     ts = np.linspace(-4, 4, 17)
     k0s = np.linspace(-0.05, 0.05, 11)
     assert telescoping_residual(family, ts, k0s, -5) < 1e-12
-
-
-def test_scale_of(family):
-    assert q.scale_of(family, 100, 3.0) == SCALE_UV
-    assert q.scale_of(family, family.x_hat, 0.0) is None       # below h_min
-    h = q.scale_of(family, family.x_hat, family.a * family.gamma ** -4)
-    assert h == -3  # ceil(log_gamma(r / a)) at r = a gamma^-4 rounds up
-    assert q.scale_of(family, family.x_hat, family.a * 0.5) == 0
 
 
 def test_single_scale_zero_outside_support(family):

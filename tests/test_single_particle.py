@@ -4,6 +4,32 @@ import numpy as np
 import pytest
 
 import quasiloc as q
+from quasiloc.cutoffs import smooth_cutoff
+
+
+def dense_single_particle_matrix(params):
+    """Dense (L+1)x(L+1) one-body Hamiltonian: onsite energies on the
+    diagonal, -eps on nearest neighbors, open ends."""
+    off = -params.eps * np.ones(params.n_sites - 1)
+    return np.diag(q.onsite_energy(params, params.sites)) \
+        + np.diag(off, 1) + np.diag(off, -1)
+
+
+def matsubara_propagator_sum(params, x, t, M, cutoff_gamma=1.5):
+    """Truncated Matsubara sum for gbar(x, t) with a smooth frequency cutoff.
+
+    (1/beta) sum over fermionic k0 with chi(gamma^-M |k0|) > 0 of
+    exp(-i k0 t) / (-i k0 + delta); real by the k0 -> -k0 symmetry.
+    """
+    beta = params.beta
+    delta = float(q.onsite_energy(params, x) - params.mu)
+    k_max = cutoff_gamma ** (M + 1)
+    n_max = int(math.floor(k_max * beta / (2.0 * math.pi) - 0.5))
+    k0 = (2.0 * math.pi / beta) * (np.arange(0, n_max + 1) + 0.5)
+    chi = smooth_cutoff(k0 / cutoff_gamma ** M, cutoff_gamma)
+    terms = chi * (delta * np.cos(k0 * t) + k0 * np.sin(k0 * t)) \
+        / (k0 ** 2 + delta ** 2)
+    return (2.0 / beta) * float(np.sum(terms))
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +72,7 @@ def test_onsite_energy_matches_cosine(params):
 
 
 def test_spectrum_matches_dense_matrix(params):
-    h = q.build_single_particle_matrix(params)
+    h = dense_single_particle_matrix(params)
     evals, evecs = q.single_particle_spectrum(params)
     np.testing.assert_allclose(np.linalg.eigvalsh(h), evals, atol=1e-12)
     np.testing.assert_allclose(h @ evecs, evecs * evals, atol=1e-12)
@@ -96,7 +122,7 @@ def test_matsubara_sum_converges_to_closed_form():
     p = q.ModelParams(L=8, beta=4.0)
     for x, t in ((1, 0.7), (2, -1.1), (0, 1.9)):
         exact = q.free_propagator(p, x, t)
-        approx = q.matsubara_propagator_sum(p, x, t, M=26)
+        approx = matsubara_propagator_sum(p, x, t, M=26)
         assert approx == pytest.approx(exact, abs=5e-4)
 
 
@@ -106,15 +132,22 @@ def test_matsubara_sum_pins_equal_time_convention():
     p = q.ModelParams(L=8, beta=4.0)
     for x in (0, 1, -3):
         exact = q.free_propagator(p, x, 0.0)
-        approx = q.matsubara_propagator_sum(p, x, 0.0, M=26)
+        approx = matsubara_propagator_sum(p, x, 0.0, M=26)
         assert approx == pytest.approx(exact, abs=5e-4)
 
 
-def test_transfer_matrix_determinant():
-    m = q.transfer_matrix(0.3, 0.2, 1.0, q.GOLDEN_MEAN, 0.2377, 5)
-    assert np.linalg.det(m) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        q.transfer_matrix(0.3, 0.0, 1.0, q.GOLDEN_MEAN, 0.2377, 5)
+def test_lyapunov_matches_transfer_product():
+    # log ||T_(n-1) ... T_0 (1, 0)||_inf / n with the 2x2 matrices
+    # T_x = [[(phi_x - E)/eps, -1], [1, 0]] multiplied out in full; at
+    # eps = 0.4 the product over 1000 sites stays far from overflow
+    E, eps, u, theta, n = 0.3, 0.4, 1.0, 0.2377, 1000
+    psi = np.array([1.0, 0.0])
+    for x in range(n):
+        phi = u * math.cos(2.0 * math.pi * (q.GOLDEN_MEAN * x + theta))
+        psi = np.array([[(phi - E) / eps, -1.0], [1.0, 0.0]]) @ psi
+    expect = math.log(np.max(np.abs(psi))) / n
+    assert q.lyapunov_exponent(E, eps, u, q.GOLDEN_MEAN, theta, n) == \
+        pytest.approx(expect, rel=1e-10)
 
 
 def test_lyapunov_localized_value():
@@ -158,21 +191,14 @@ def test_localization_table_shape(params):
 
 def test_one_body_two_point_reduces_to_free_at_eps_zero():
     p = q.ModelParams(L=8, beta=6.0)
+    half = p.L // 2
     for t in (0.0, 1.3, -2.1):
+        m = q.one_body_correlation_matrix(p, t)
         for x in (-2, 0, 3):
-            assert q.one_body_two_point(p, x, x, t) == pytest.approx(
+            assert m[x + half, x + half] == pytest.approx(
                 q.free_propagator(p, x, t), abs=1e-12)
             # no hopping: strictly diagonal in space
-            assert q.one_body_two_point(p, x, x + 1, t) == pytest.approx(
-                0.0, abs=1e-12)
-
-
-def test_one_body_matrix_matches_scalar(params):
-    m = q.one_body_correlation_matrix(params, 1.7)
-    half = params.L // 2
-    for x, y in ((0, 0), (-2, 3), (1, -1)):
-        assert m[x + half, y + half] == pytest.approx(
-            q.one_body_two_point(params, x, y, 1.7), abs=1e-13)
+            assert m[x + half, x + 1 + half] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_free_density_monotone_in_mu(params):
