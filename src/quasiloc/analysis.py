@@ -26,6 +26,8 @@ _FIT_EXCLUSION = 2
 _SCAN_WINDOW = (1, 3)
 # transfer matrices per Lyapunov exponent in phase_scan
 _LYAPUNOV_STEPS = 20000
+# powers N of the time-decay constants fit_temporal_decay reports
+_TEMPORAL_POWERS = (1, 2, 3)
 
 
 class FitError(RuntimeError):
@@ -125,25 +127,26 @@ class TemporalDecay:
     tail_monotone: bool
 
 
-def fit_temporal_decay(corr, x, y, powers=(1, 2, 3), tau=None):
-    """Constants C_N = sup_t |S2(x, y; t)| (1 + (Delta |t|)^N).
+def fit_temporal_decay(corr, x, y):
+    """Constants C_N = sup_t |S2(x, y; t)| (1 + (Delta |t|)^N), N in
+    _TEMPORAL_POWERS.
 
-    Delta = (1 + min(|x|, |y|))^(-tau) is the small-divisor scale of the pair.
+    Delta = (1 + min(|x|, |y|))^(-tau) is the small-divisor scale of the pair,
+    with tau from corr.meta (1.5 where it is absent).
     tail_monotone reports whether |S2| is non-increasing on the sampled times
     in [0, beta/2]; by antiperiodicity the approach to t = -beta mirrors the
     approach to t = 0+, so |t| monotonicity holds only on that branch.
     """
     if corr.times.size < 5:
         raise FitError("need at least 5 sampled times")
-    if tau is None:
-        tau = float(corr.meta.get("tau", 1.5))
+    tau = float(corr.meta.get("tau", 1.5))
     L = corr.sites.size - 1
     vals = np.abs(corr.values[:, _site_index(L, x), _site_index(L, y)])
     times = corr.times
     delta = (1.0 + min(abs(x), abs(y))) ** (-tau)
     constants = {
         int(n): float(np.max(vals * (1.0 + (delta * np.abs(times)) ** n)))
-        for n in powers
+        for n in _TEMPORAL_POWERS
     }
     beta = float(corr.meta.get("beta", np.inf))
     sel = (times >= 0.0) & (times <= 0.5 * beta)

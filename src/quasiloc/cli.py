@@ -269,6 +269,7 @@ def _run_decay(args):
         "r_squared": fit.r_squared, "theorem_rate": fit.theorem_rate,
         "window": list(fit.window), "n_points": fit.n_points,
         "nu": params.nu, "discarded_weight": float(corr.discarded[0]),
+        "tail_certified": spectral.tail_certified,
     }
 
 

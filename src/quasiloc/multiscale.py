@@ -254,12 +254,17 @@ def _annulus_candidates(family, h, multiples=(1, 2, 3)):
     return out
 
 
-def scale_decay_constants(family, h, powers=(1, 2, 3), rho=1,
+# branch of the singular point scale_decay_constants surveys
+_SURVEY_RHO = 1
+
+
+def scale_decay_constants(family, h, powers=(1, 2, 3),
                           t_multipliers=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0)):
     """Empirical C_N = sup over sampled (x', t) of |g^(h)| (1 + (gamma^h |t|)^N).
 
     Times scale as gamma^(-h) so the sampled decade tracks the natural time
-    scale of the slice.  Returns (sup |g|, {N: C_N}).
+    scale of the slice; the survey samples the rho = _SURVEY_RHO branch.
+    Returns (sup |g|, {N: C_N}).
     """
     sup_g = 0.0
     cn = {int(n): 0.0 for n in powers}
@@ -267,7 +272,7 @@ def scale_decay_constants(family, h, powers=(1, 2, 3), rho=1,
     for x_prime, delta in _annulus_candidates(family, h):
         for m in t_multipliers:
             t = m * t_scale
-            g = abs(single_scale_propagator(family, rho, x_prime, t, h,
+            g = abs(single_scale_propagator(family, _SURVEY_RHO, x_prime, t, h,
                                             delta=delta))
             sup_g = max(sup_g, g)
             for n in powers:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from quasiloc import many_body
 from quasiloc.cli import main
 
 
@@ -73,10 +74,23 @@ def test_decay_reports_discarded_weight(capsys):
         ["decay", "--L", "8", "--beta", "24", "--eps", "0.1", "--U", "0.1",
          "--window", "1:4"], capsys)
     assert status == 0
-    weight = json.loads(out)["results"]["discarded_weight"]
+    results = json.loads(out)["results"]
+    weight = results["discarded_weight"]
     # thermal slabs drop weight at this temperature, and at most 1e-16 per
     # side, branch and sector pair
     assert 0.0 < weight <= 2 * 2 * 9 * 1e-16
+    assert results["tail_certified"] is True
+
+
+def test_decay_reports_uncertified_tail(monkeypatch, capsys):
+    # L = 12 keeps Lanczos blocks; with no sector small enough for the dense
+    # LDL^T that counts their eigenvalues, the output says so
+    monkeypatch.setattr(many_body, "_LDL_MAX", 0)
+    status, out, _ = run_cli(
+        ["decay", "--L", "12", "--beta", "24", "--eps", "0.1", "--U", "0.1",
+         "--window", "2:8"], capsys)
+    assert status == 0
+    assert json.loads(out)["results"]["tail_certified"] is False
 
 
 def test_density_output(capsys):

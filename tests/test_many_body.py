@@ -10,6 +10,24 @@ from hypothesis import given, settings, strategies as st
 import quasiloc as q
 from quasiloc import many_body
 from quasiloc.many_body import enumerate_sector, _occupancy
+from scipy.linalg import eigh
+
+
+def dense_diagonalize(params):
+    """Reference: dense eigh of every particle-number sector, every
+    eigenpair kept, so no floor and nothing to certify."""
+    sectors, energies, vectors, hamiltonians = [], [], [], []
+    for n in range(params.n_sites + 1):
+        sec = enumerate_sector(params.L, n)
+        h = q.build_hamiltonian(params, sec)
+        e, v = eigh(h.toarray(), driver="evd")
+        sectors.append(sec)
+        energies.append(e)
+        vectors.append(v)
+        hamiltonians.append(h)
+    return q.SpectralDecomposition(params=params, sectors=sectors,
+                                   energies=energies, vectors=vectors,
+                                   hamiltonians=hamiltonians)
 
 
 def index_of(sector):
@@ -119,6 +137,14 @@ def fock_correlation(p, times):
 def small():
     p = q.ModelParams(L=6, beta=5.0, eps=0.15, U=0.1)
     return p, q.diagonalize(p)
+
+
+@pytest.fixture(scope="module")
+def l12():
+    """Criterion 8's point, where the large sectors keep Lanczos blocks, and
+    its dense-ED oracle."""
+    p = q.ModelParams(L=12, beta=24.0, eps=0.1, U=0.1, theta=0.2377)
+    return p, dense_diagonalize(p)
 
 
 def test_sector_sizes():
@@ -234,6 +260,14 @@ def test_residual_norms(small):
     v = big.vectors[n]
     assert len(big.sectors[n]) == 462
     assert residual_norm(big, n) < 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-13
+    # the Lanczos block of the largest L = 12 sector
+    spd12 = q.diagonalize(q.ModelParams(L=12, beta=24.0, eps=0.1, U=0.1,
+                                        theta=0.2377))
+    n = max(range(spd12.n_sectors), key=lambda k: len(spd12.sectors[k]))
+    v = spd12.vectors[n]
+    assert len(spd12.sectors[n]) == 1716 and 0 < v.shape[1] < 1716
+    assert residual_norm(spd12, n) < 1e-12
     assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-13
 
 
@@ -459,3 +493,157 @@ def test_thermal_slabs_bound_their_error_property(chain, frac, sign):
     # KMS: t and t -/+ beta are cut to the same slabs
     np.testing.assert_allclose(corr.at_time(partner), -corr.at_time(t),
                                atol=1e-12)
+
+
+# ---- thermal blocks against the dense-ED oracle ----------------------------
+
+def truncated(spd):
+    """Sectors whose block leaves states out."""
+    return [n for n in range(spd.n_sectors)
+            if spd.energies[n].size < len(spd.sectors[n])]
+
+
+@pytest.mark.parametrize("L, beta", [(8, 24.0), (10, 24.0), (12, 24.0),
+                                     (8, 6.0)])
+def test_thermal_blocks_match_dense_oracle(L, beta):
+    p = q.ModelParams(L=L, beta=beta, eps=0.1, U=0.1, theta=0.2377)
+    spd, ref = q.diagonalize(p), dense_diagonalize(p)
+    assert spd.tail_certified
+    assert bool(truncated(spd)) == (L == 12)
+    # mu + 0.5 draws sectors the blocks at mu leave out into the thermal
+    # range, and a time near beta/2 needs more of every block
+    if L == 12:
+        assert spd.tail_bound(p.mu + 0.5, beta) > many_body._TAIL
+        assert spd.tail_bound(p.mu, 0.55 * beta) > many_body._TAIL
+    for mu in (p.mu, p.mu - 0.5, p.mu + 0.5):
+        assert spd.partition_function(mu) == pytest.approx(
+            ref.partition_function(mu), rel=1e-12, abs=0.0)
+        assert q.mean_particle_number(p, spd, mu) == pytest.approx(
+            q.mean_particle_number(p, ref, mu), rel=1e-12, abs=0.0)
+        bound = spd.tail_bound(mu, beta) / spd.partition_function(mu)
+        np.testing.assert_allclose(q.occupations(p, spd, mu),
+                                   q.occupations(p, ref, mu), rtol=0.0,
+                                   atol=bound + 1e-12)
+    times = [0.0, 1.0, 1.0 - beta, 0.45 * beta]
+    corr = q.compute_correlation(p, spd, times)
+    assert spd.tail_bound(p.mu, 0.55 * beta) <= many_body._TAIL
+    assert spd.tail_certified
+    expect = q.compute_correlation(p, ref, times).values
+    err = np.max(np.abs(corr.values - expect), axis=(1, 2))
+    assert np.all(err <= corr.discarded + 1e-12)
+
+
+def test_high_temperature_sectors_go_dense():
+    # at beta = 6 the thermal blocks would hold most of every sector, so the
+    # large sectors are diagonalized whole instead
+    p = q.ModelParams(L=12, beta=6.0, eps=0.1, U=0.1, theta=0.2377)
+    spd, ref = q.diagonalize(p), dense_diagonalize(p)
+    assert spd.tail_certified
+    assert len(truncated(spd)) < len(truncated(q.diagonalize(
+        replace(p, beta=24.0))))
+    assert spd.partition_function(p.mu) == pytest.approx(
+        ref.partition_function(p.mu), rel=1e-12, abs=0.0)
+    assert q.mean_particle_number(p, spd) == pytest.approx(
+        q.mean_particle_number(p, ref), rel=1e-12, abs=0.0)
+    bound = spd.tail_bound(p.mu, p.beta) / spd.partition_function(p.mu)
+    np.testing.assert_allclose(q.occupations(p, spd), q.occupations(p, ref),
+                               rtol=0.0, atol=bound + 1e-12)
+
+
+def test_free_fermion_oracle_with_thermal_blocks():
+    p = q.ModelParams(L=12, beta=24.0, eps=0.1, U=0.0, theta=0.2377)
+    spd = q.diagonalize(p)
+    assert truncated(spd) and spd.tail_certified
+    corr = q.compute_correlation(p, spd, [0.0, 1.0, -23.0])
+    for t, values, bound in zip(corr.times, corr.values, corr.discarded):
+        np.testing.assert_allclose(values, q.one_body_correlation_matrix(p, t),
+                                   rtol=0.0, atol=bound + 1e-12)
+
+
+def test_counterterm_matches_dense_route():
+    # brackets at +-0.8 around mu0 and bisects; every read is resolved first
+    p = q.ModelParams(L=12, beta=24.0, eps=0.2, U=0.2, theta=0.2377)
+    got = q.fix_counterterm(p)
+    expect = q.fix_counterterm(p, spectral=dense_diagonalize(p))
+    assert got.iterations == expect.iterations == 18
+    assert got.nu == pytest.approx(expect.nu, rel=0.0, abs=1e-12)
+    # every density the search read, brackets included
+    np.testing.assert_allclose(got.bracket_history, expect.bracket_history,
+                               rtol=0.0, atol=1e-12)
+
+
+def lossy_eigsh(monkeypatch):
+    """Make every Lanczos call miss the second-lowest eigenpair."""
+    real = many_body.eigsh
+
+    def eigsh(h, k, **kwargs):
+        e, v = real(h, k=k, **kwargs)
+        keep = np.delete(np.argsort(e), 1)
+        return e[keep], v[:, keep]
+
+    monkeypatch.setattr(many_body, "eigsh", eigsh)
+
+
+def lanczos_blocks(spd):
+    """Sectors that keep some but not all of their eigenpairs."""
+    return [n for n in truncated(spd) if spd.energies[n].size]
+
+
+def test_missed_eigenvalue_is_caught(monkeypatch, l12):
+    # the inertia count finds one eigenvalue more below every Lanczos floor
+    # than the block holds; each such sector is diagonalized whole instead
+    p, ref = l12
+    assert lanczos_blocks(q.diagonalize(p))
+    lossy_eigsh(monkeypatch)
+    spd = q.diagonalize(p)
+    assert not lanczos_blocks(spd) and spd.tail_certified
+    for n in range(spd.n_sectors):
+        if spd.energies[n].size:
+            np.testing.assert_allclose(spd.energies[n], ref.energies[n],
+                                       rtol=0.0, atol=1e-12)
+    assert spd.partition_function(p.mu) == pytest.approx(
+        ref.partition_function(p.mu), rel=1e-12, abs=0.0)
+    corr = q.compute_correlation(p, spd, [0.0, 1.0])
+    expect = q.compute_correlation(p, ref, [0.0, 1.0]).values
+    np.testing.assert_allclose(corr.values, expect, rtol=0.0, atol=1e-12)
+
+
+def test_uncounted_blocks_are_not_certified(monkeypatch, l12):
+    # without the dense LDL^T no block is counted; a block that missed an
+    # eigenvalue is then reported, never certified
+    p, _ = l12
+    monkeypatch.setattr(many_body, "_LDL_MAX", 0)
+    spd = q.diagonalize(p)
+    assert lanczos_blocks(spd) and not spd.tail_certified
+    assert all(spd.certified[n] is False for n in lanczos_blocks(spd))
+    lossy_eigsh(monkeypatch)
+    assert not q.diagonalize(p).tail_certified
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_inertia_count_matches_spectrum(n):
+    # h - sigma is indefinite, so its factors mix 1 x 1 and 2 x 2 pivots
+    p = q.ModelParams(L=8, beta=5.0, eps=0.3, U=0.2, theta=0.31)
+    h = q.build_hamiltonian(p, enumerate_sector(p.L, n))
+    e = np.linalg.eigvalsh(h.toarray())
+    for j in range(1, e.size, 7):
+        sigma = 0.5 * (e[j - 1] + e[j])
+        if e[j] - e[j - 1] > 1e-8:
+            assert many_body._count_below(h, sigma) == j
+
+
+@PROPERTY
+@given(chains(sizes=(2, 4, 6, 8)))
+def test_one_body_floor_bounds_every_sector_property(chain):
+    # the floor an empty block starts from lies below the sector's spectrum,
+    # and at U = 0 it is the free ground energy itself
+    p, spd = chain
+    levels = q.single_particle_spectrum(p)[0]
+    for n in range(spd.n_sectors):
+        floor = many_body._ground_floor(p, levels, n)
+        assert floor <= spd.energies[n][0]
+    free = replace(p, U=0.0)
+    ground = q.diagonalize(free).energies
+    for n in range(spd.n_sectors):
+        assert many_body._ground_floor(free, levels, n) == pytest.approx(
+            ground[n][0], abs=1e-7)
