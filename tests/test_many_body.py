@@ -5,12 +5,12 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from hypothesis import given, settings, strategies as st
 
 import quasiloc as q
 from quasiloc import many_body
 from quasiloc.many_body import enumerate_sector, _occupancy
-from scipy.linalg import eigh
 
 
 def dense_diagonalize(params):
