@@ -377,11 +377,13 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
     -w_j <j| a_y+ e^(-|tau| K) a_x |j> over those of sector n+1.  No
     eigenbasis of the other sector enters: at tau = 0, where each branch
     carries 1/2, completeness removes e^(-|tau| K), and otherwise
-    expm_multiply applies it.  The thermal side is cut to the slab `_slab`
-    leaves.  Every dropped term is at most its weight, since ||a_x|| = 1 and
-    ||e^(-|tau| K)|| <= 1 for K >= 0.  One stack of a_y+ |i> (or a_x |j>)
-    over all sites serves every time of a branch; it is built and propagated
-    in chunks of thermal states of at most _STACK_ELEMENTS entries.
+    expm_multiply applies e^(-|tau| K / 2) to either side, so each term is a
+    weighted Gram entry, symmetric in x and y, at half the propagation.  The
+    thermal side is cut to the slab `_slab` leaves.  Every dropped term is
+    at most its weight, since ||a_x|| = 1 and ||e^(-|tau| K / 2)|| <= 1 for
+    K >= 0.  One stack of a_y+ |i> (or a_x |j>) over all sites serves every
+    time of a branch; it is built and propagated in chunks of thermal states
+    of at most _STACK_ELEMENTS entries.
     """
     sec, sec1 = spectral.sectors[n], spectral.sectors[n + 1]
     ann = [annihilation_matrix(sec, sec1, x) for x in range(sec.n_sites)]
@@ -412,11 +414,10 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
                 part = stack[:, :, :w.size - i0]
                 if part.shape[2] == 0:
                     continue
-                moved = part if tau == 0.0 else _propagate(h, offset,
-                                                           abs(tau), part)
-                g = np.tensordot(part * w[i0:i0 + chunk], moved,
-                                 axes=([0, 2], [0, 2]))
-                s[tau] += g if sign > 0.0 else -g.T
+                if tau != 0.0:
+                    part = _propagate(h, offset, 0.5 * abs(tau), part)
+                s[tau] += sign * np.tensordot(part * w[i0:i0 + chunk], part,
+                                              axes=([0, 2], [0, 2]))
 
 
 def _lehmann(params, spectral, times, mu=None):
