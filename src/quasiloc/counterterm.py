@@ -3,8 +3,8 @@
 The interacting density at chemical potential mu0 + nu is matched to the
 density of the eps = U = 0 reference at mu0.  Since the Hamiltonian commutes
 with N, nu enters the grand-canonical weights only through mu, so one spectral
-decomposition serves the whole root search: each trial nu just reweights the
-stored sector spectra.
+decomposition serves the whole root search: each trial nu reweights the
+stored sector blocks, which grow where a trial nu needs more of them.
 """
 
 from dataclasses import dataclass, field, replace

@@ -411,9 +411,9 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
             stack = np.stack([a.T @ v if sign > 0.0 else a @ v for a in ann],
                              axis=1)
             for tau, w in terms:
-                part = stack[:, :, :w.size - i0]
-                if part.shape[2] == 0:
+                if w.size <= i0:
                     continue
+                part = stack[:, :, :w.size - i0]
                 if tau != 0.0:
                     part = _propagate(h, offset, 0.5 * abs(tau), part)
                 s[tau] += sign * np.tensordot(part * w[i0:i0 + chunk], part,

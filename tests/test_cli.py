@@ -77,7 +77,7 @@ def test_decay_reports_discarded_weight(capsys):
     results = json.loads(out)["results"]
     weight = results["discarded_weight"]
     # thermal slabs drop weight at this temperature, and at most 1e-16 per
-    # side, branch and sector pair
+    # branch and sector pair
     assert 0.0 < weight <= 2 * 2 * 9 * 1e-16
     assert results["tail_certified"] is True
 

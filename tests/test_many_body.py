@@ -488,7 +488,7 @@ def test_thermal_slabs_bound_their_error_property(chain, frac, sign):
     err = np.max(np.abs(corr.values - fock), axis=(1, 2))
     assert np.all(err <= corr.discarded + 1e-13)
     assert np.max(corr.discarded) > 0.0
-    # each side of each branch of each sector pair drops at most 1e-16; Z >= 1
+    # each branch of each sector pair drops at most 1e-16; Z >= 1
     assert np.all(corr.discarded <= 2 * 2 * p.n_sites * 1e-16)
     # KMS: t and t -/+ beta are cut to the same slabs
     np.testing.assert_allclose(corr.at_time(partner), -corr.at_time(t),
@@ -548,6 +548,21 @@ def test_high_temperature_sectors_go_dense():
     bound = spd.tail_bound(p.mu, p.beta) / spd.partition_function(p.mu)
     np.testing.assert_allclose(q.occupations(p, spd), q.occupations(p, ref),
                                rtol=0.0, atol=bound + 1e-12)
+
+
+def test_stack_chunks_sum_to_the_whole(monkeypatch):
+    # at beta = 20 the slabs of these times differ in length (4 to 20 states
+    # in the larger sectors), and chunks hold 4 to 20 thermal states; a chunk
+    # that starts past a short slab must add nothing to its time
+    p = q.ModelParams(L=6, beta=20.0, eps=0.15, U=0.1)
+    spd = q.diagonalize(p)
+    times = [0.0, 0.3, -1.2, 2.4, 9.0]
+    whole = q.compute_correlation(p, spd, times)
+    monkeypatch.setattr(many_body, "_STACK_ELEMENTS", 1000)
+    chunked = q.compute_correlation(p, spd, times)
+    np.testing.assert_allclose(chunked.values, whole.values, rtol=0.0,
+                               atol=1e-14)
+    np.testing.assert_array_equal(chunked.discarded, whole.discarded)
 
 
 def test_free_fermion_oracle_with_thermal_blocks():
