@@ -207,7 +207,7 @@ class SpectralDecomposition:
 
     @property
     def tail_certified(self):
-        """Whether every floor, and so every reported tail bound, is certified."""
+        """Whether every floor, so every reported tail bound, is certified."""
         return all(c is True for c in self.certified)
 
     def _require_compatible(self, params):
