@@ -365,7 +365,14 @@ def _propagate(h, offset, tau, stack):
     """e^(-tau (h - offset)) applied to every column of stack (d, sites, r)."""
     k = h - offset * sp.identity(h.shape[0], format="csr")
     d = stack.shape[0]
-    return expm_multiply(-tau * k, stack.reshape(d, -1)).reshape(stack.shape)
+    # its norm estimates draw from numpy's global random state; restoring it
+    # leaves a caller's np.random stream where the read found it
+    state = np.random.get_state()
+    try:
+        return expm_multiply(-tau * k, stack.reshape(d, -1)).reshape(
+            stack.shape)
+    finally:
+        np.random.set_state(state)
 
 
 def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):

@@ -565,6 +565,17 @@ def test_stack_chunks_sum_to_the_whole(monkeypatch):
     np.testing.assert_array_equal(chunked.discarded, whole.discarded)
 
 
+def test_kernel_reads_leave_global_random_state():
+    # expm_multiply's norm estimates draw from numpy's global random state
+    p = q.ModelParams(L=8, beta=8.0, eps=0.1, U=0.1)
+    spd = q.diagonalize(p)
+    np.random.seed(0)
+    expected = np.random.random()
+    np.random.seed(0)
+    q.correlation_matrix(p, spd, 3.0)
+    assert np.random.random() == expected
+
+
 def test_free_fermion_oracle_with_thermal_blocks():
     p = q.ModelParams(L=12, beta=24.0, eps=0.1, U=0.0, theta=0.2377)
     spd = q.diagonalize(p)
