@@ -4,7 +4,7 @@ from .diophantine import (GOLDEN_MEAN, SILVER_MEAN, DiophantineFrequency,
                           RationalFrequencyError, torus_norm,
                           continued_fraction, convergents,
                           frequency_diophantine_constant,
-                          phase_diophantine_constant, golden_frequency)
+                          phase_diophantine_constant, certified_frequency)
 from .cutoffs import smooth_cutoff, smooth_step
 from .single_particle import (ModelParams, onsite_potential, onsite_energy,
                               single_particle_spectrum, fermi_occupation,
@@ -13,9 +13,8 @@ from .single_particle import (ModelParams, onsite_potential, onsite_energy,
                               one_body_correlation_matrix, free_density)
 from .many_body import (FockSector, enumerate_sector, build_hamiltonian,
                         annihilation_matrix, SpectralDecomposition,
-                        diagonalize, two_point_function, correlation_matrix,
-                        equal_time_matrix, occupations, density,
-                        mean_particle_number,
+                        diagonalize, correlation_matrix, equal_time_matrix,
+                        occupations, density, mean_particle_number,
                         CorrelationFunction, compute_correlation,
                         IncompleteSpectralDataError)
 from .multiscale import (ScaleFamily, ScaleConfigurationError,

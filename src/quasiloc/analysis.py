@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diophantine import GOLDEN_MEAN
 from .single_particle import (ModelParams, _site_index, lyapunov_exponent,
-                              single_particle_spectrum,
-                              eigenstate_localization)
+                              single_particle_spectrum)
 from .many_body import diagonalize, equal_time_matrix
 from .counterterm import fix_counterterm
 
@@ -190,11 +190,11 @@ def _ipr_verdict(median_ipr):
     return "unresolved"
 
 
-def phase_scan(eps_values, U_values, L_list, beta, *, omega=None,
+def phase_scan(eps_values, U_values, L_list, beta, *, omega=GOLDEN_MEAN,
                theta=0.2377, x_hat=2, mb_L=8):
     """Coarse phase diagnostics over the (eps, U) grid.
 
-    Per point: single-particle mean IPR at each L in L_list, the Lyapunov
+    Per point: single-particle median IPR at each L in L_list, the Lyapunov
     exponent at a mid-spectrum energy, and (for the many-body indicator) the
     equal-time decay rate over distances _SCAN_WINDOW, all sites included, at
     size mb_L with the counterterm fixed.  eps = 0 has no transfer matrix and
@@ -225,21 +225,16 @@ def _scan_point(eps, U, L_list, beta, *, omega, theta, x_hat, mb_L):
         p = ModelParams(L=L, beta=beta, eps=eps, u=1.0, U=0.0, omega=omega,
                         theta=theta, x_hat=x_hat)
         evals, evecs = single_particle_spectrum(p)
-        iprs = [eigenstate_localization(evecs[:, k])[1]
-                for k in range(evecs.shape[1])]
-        median_ipr[L] = float(np.median(iprs))
+        median_ipr[L] = float(np.median(np.sum(evecs ** 4, axis=0)))
         mid_energy = float(np.median(evals))
-        omega = p.omega  # reuse the certified frequency for later sizes
 
-    ref = ModelParams(L=max(median_ipr), beta=beta, eps=eps, u=1.0, U=U,
-                      omega=omega, theta=theta, x_hat=x_hat)
     if eps == 0.0:
         lam = math.inf  # no hopping: every state is a single site
     else:
         # at a mid-spectrum eigenvalue: mu0 itself may sit in a gap of the
         # Cantor spectrum, where the exponent stays positive even in the
         # extended phase
-        lam = lyapunov_exponent(mid_energy, eps, 1.0, ref.omega_value, theta,
+        lam = lyapunov_exponent(mid_energy, eps, 1.0, p.omega_value, theta,
                                 _LYAPUNOV_STEPS)
 
     nu, rate = 0.0, math.inf

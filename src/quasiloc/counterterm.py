@@ -13,6 +13,10 @@ from .many_body import diagonalize, mean_particle_number
 from .single_particle import ModelParams, free_density
 
 
+# bisection steps after the bracket is found; each halves it
+_MAX_BISECTIONS = 200
+
+
 class BracketError(RuntimeError):
     """The density objective could not be bracketed around zero."""
 
@@ -45,7 +49,7 @@ def _reference_density(params):
     return free_density(replace(params, U=0.0, nu=0.0))
 
 
-def fix_counterterm(params, tolerance=1e-6, spectral=None, max_iter=200):
+def fix_counterterm(params, tolerance=1e-6, spectral=None):
     """Solve density(mu0 + nu) = density_free(mu0) for nu by bisection.
 
     The density is monotone increasing in mu (grand-canonical compressibility
@@ -60,8 +64,8 @@ def fix_counterterm(params, tolerance=1e-6, spectral=None, max_iter=200):
     n_sites = base.n_sites
 
     def objective(nu):
-        return mean_particle_number(base, spectral,
-                                    mu=base.mu0 + nu) / n_sites - target
+        return mean_particle_number(base.with_nu(nu), spectral) / n_sites \
+            - target
 
     history = []
     f0 = objective(0.0)
@@ -93,7 +97,7 @@ def fix_counterterm(params, tolerance=1e-6, spectral=None, max_iter=200):
     nu = 0.5 * (lo + hi)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_BISECTIONS + 1):
         nu = 0.5 * (lo + hi)
         f = objective(nu)
         history.append((nu, f))

@@ -200,10 +200,9 @@ def exact_convergent_denominators(omega, q_max):
 
 
 @functools.cache
-def golden_frequency(tau=1.5, q_max=10 ** 5, thetas=()):
-    """The certified golden mean, scanned once per argument set (thetas a tuple).
+def certified_frequency(omega):
+    """DiophantineFrequency.certify(omega) at its defaults, scanned once per value.
 
     Every caller shares the returned instance, so it must not be mutated.
     """
-    return DiophantineFrequency.certify(GOLDEN_MEAN, tau=tau, q_max=q_max,
-                                        thetas=thetas)
+    return DiophantineFrequency.certify(omega)

@@ -112,6 +112,11 @@ _SEED = 5065  # of the Lanczos start vectors
 _STACK_ELEMENTS = 1 << 22  # entries of one propagated stack chunk (32 MB)
 
 
+def _whole(h):
+    """The whole spectrum of a sector Hamiltonian h as a block with floor +inf."""
+    return (*eigh(h.toarray(), driver="evd"), math.inf)
+
+
 def _lowest_block(h, k, cut):
     """Lowest eigenpairs of a sparse sector Hamiltonian h and a floor of at
     least `cut` below every eigenvalue they leave out, as (energies, vectors,
@@ -146,8 +151,7 @@ def _lowest_block(h, k, cut):
             k = max(2 * k, math.ceil(1 + slope * (cut - e[0])))
         else:
             k *= 2
-    e, v = eigh(h.toarray(), driver="evd")
-    return e, v, math.inf
+    return _whole(h)
 
 
 def _count_below(h, sigma):
@@ -294,7 +298,7 @@ class SpectralDecomposition:
         elif count == self.energies[n].size:
             self.certified[n] = True
         else:
-            self._set_block(n, *eigh(h.toarray(), driver="evd"), math.inf)
+            self._set_block(n, *_whole(h))
 
 
 def _ground_floor(params, levels, n):
@@ -324,7 +328,7 @@ def diagonalize(params):
         sec = enumerate_sector(params.L, n)
         h = build_hamiltonian(params, sec)
         if len(sec) <= _DENSE_MAX:
-            blocks.append((*eigh(h.toarray(), driver="evd"), math.inf))
+            blocks.append(_whole(h))
         else:
             blocks.append((np.empty(0), np.empty((len(sec), 0)),
                            _ground_floor(params, levels, n)))
@@ -427,7 +431,7 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
                                               axes=([0, 2], [0, 2]))
 
 
-def _lehmann(params, spectral, times, mu=None):
+def _lehmann(params, spectral, times):
     """S2(x, y; t) for all site pairs, shape (n_times, n_sites, n_sites), and
     per time a bound on what the thermal blocks and slabs leave out.
 
@@ -442,9 +446,7 @@ def _lehmann(params, spectral, times, mu=None):
     if any(abs(t) >= params.beta for t in times):
         raise ValueError("time difference must satisfy |t| < beta")
     spectral._require_compatible(params)
-    if mu is None:
-        mu = params.mu
-    beta = params.beta
+    mu, beta = params.mu, params.beta
     reduced = [_kms_reduce(t, beta) for t in times]
     taus = sorted({tau for tau, _ in reduced})
     spectral._resolve(mu, beta - max(abs(tau) for tau in taus))
@@ -460,30 +462,20 @@ def _lehmann(params, spectral, times, mu=None):
     return values, np.array([bound[tau] for tau, _ in reduced]) / z
 
 
-def two_point_function(params, spectral, x, y, t, mu=None):
-    """Imaginary-time-ordered two-point function S2(x, y; t), Lehmann form.
-
-    At t = 0 the mean of the two one-sided limits is returned, matching the
-    regularized equal-time convention of the free propagator.
-    """
-    ix, iy = _site_index(params.L, x), _site_index(params.L, y)
-    s, _ = _lehmann(params, spectral, [t], mu)
-    return float(s[0, ix, iy])
-
-
-def equal_time_matrix(params, spectral, mu=None):
+def equal_time_matrix(params, spectral):
     """All-pairs S2(x, y; 0) in the mean-of-limits convention."""
-    s, _ = _lehmann(params, spectral, [0.0], mu)
+    s, _ = _lehmann(params, spectral, [0.0])
     return s[0]
 
 
-def correlation_matrix(params, spectral, t, mu=None):
-    """All-pairs S2(x, y; t) for one time difference."""
-    s, _ = _lehmann(params, spectral, [t], mu)
+def correlation_matrix(params, spectral, t):
+    """All-pairs S2(x, y; t) for one time difference; entry [x + L/2, y + L/2]
+    is the pair (x, y)."""
+    s, _ = _lehmann(params, spectral, [t])
     return s[0]
 
 
-def occupations(params, spectral, mu=None):
+def occupations(params, spectral):
     """Equal-time occupations <n_x> = sum_k w_k sum_m v_k(m)^2 n_x(m) / Z.
 
     Every term is non-negative, so where every sector is whole, occupations
@@ -493,9 +485,7 @@ def occupations(params, spectral, mu=None):
     tail_bound(mu, beta) / Z <= _TAIL, an absolute bound.
     """
     spectral._require_compatible(params)
-    if mu is None:
-        mu = params.mu
-    weights = spectral.sector_weights(mu)
+    weights = spectral.sector_weights(params.mu)
     z = sum(float(np.sum(w)) for w in weights)
     occ = np.zeros(params.n_sites)
     for w, v, sec in zip(weights, spectral.vectors, spectral.sectors):
@@ -503,17 +493,15 @@ def occupations(params, spectral, mu=None):
     return occ / z
 
 
-def density(params, spectral, mu=None):
+def density(params, spectral):
     """Mean filling <N> / (L+1), the quantity the counterterm search matches."""
-    return mean_particle_number(params, spectral, mu) / params.n_sites
+    return mean_particle_number(params, spectral) / params.n_sites
 
 
-def mean_particle_number(params, spectral, mu=None):
+def mean_particle_number(params, spectral):
     """<N> from sector weights alone; cheap objective for the counterterm search."""
     spectral._require_compatible(params)
-    if mu is None:
-        mu = params.mu
-    weights = spectral.sector_weights(mu)
+    weights = spectral.sector_weights(params.mu)
     z = sum(float(np.sum(w)) for w in weights)
     return sum(s.n_particles * float(np.sum(w))
                for s, w in zip(spectral.sectors, weights)) / z
@@ -542,9 +530,9 @@ class CorrelationFunction:
         return float(self.at_time(t)[_site_index(L, x), _site_index(L, y)])
 
 
-def compute_correlation(params, spectral, times, mu=None):
+def compute_correlation(params, spectral, times):
     """Sample the two-point function on a grid of time differences."""
     times = np.asarray(sorted(set(float(t) for t in times)))
-    values, discarded = _lehmann(params, spectral, times, mu)
+    values, discarded = _lehmann(params, spectral, times)
     return CorrelationFunction(times=times, sites=params.sites, values=values,
                                meta=params.to_dict(), discarded=discarded)

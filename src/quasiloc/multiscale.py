@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .cutoffs import smooth_cutoff
-from .diophantine import DiophantineFrequency, torus_norm
+from .diophantine import torus_norm
 
 
 class ScaleConfigurationError(ValueError):
@@ -64,10 +64,6 @@ class ScaleFamily:
 
         Default gamma = 2^(2 tau); a is the largest disjoint value times safety.
         """
-        if isinstance(omega, DiophantineFrequency):
-            if tau is None:
-                tau = omega.tau
-            omega = omega.omega
         if theta == 0.0 or x_hat == 0:
             raise ValueError("x_hat and theta must be non-vanishing")
         if gamma is None:

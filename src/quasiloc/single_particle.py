@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .diophantine import DiophantineFrequency, golden_frequency
+from .diophantine import (GOLDEN_MEAN, DiophantineFrequency,
+                          certified_frequency)
 
 # steps between renormalizations of the transfer-matrix iterate
 _RENORM_EVERY = 16
@@ -28,23 +29,23 @@ class ModelParams:
 
     The chemical potential mu = u cos 2 pi (omega x_hat + theta) + nu is always
     derived from (x_hat, nu), never stored, so the two cannot drift apart.
+    A float omega is replaced by its certified_frequency, shared by every
+    record with the same value.
     """
     L: int
     beta: float
     eps: float = 0.0
     u: float = 1.0
     U: float = 0.0
-    omega: DiophantineFrequency = None
+    omega: DiophantineFrequency = GOLDEN_MEAN
     theta: float = 0.2377
     x_hat: int = 2
     nu: float = 0.0
 
     def __post_init__(self):
-        if self.omega is None:
-            object.__setattr__(self, "omega", golden_frequency())
-        elif isinstance(self.omega, (int, float)):
-            object.__setattr__(
-                self, "omega", DiophantineFrequency.certify(float(self.omega)))
+        if not isinstance(self.omega, DiophantineFrequency):
+            object.__setattr__(self, "omega",
+                               certified_frequency(float(self.omega)))
         if self.L <= 0 or self.L % 2 != 0:
             raise ValueError("L must be a positive even integer")
         if self.beta <= 0.0:
@@ -99,8 +100,6 @@ class ModelParams:
 
 def onsite_potential(u, omega, theta, x):
     """u cos 2 pi (omega x + theta); standalone so arbitrary (u, theta) can be probed."""
-    if isinstance(omega, DiophantineFrequency):
-        omega = omega.omega
     return u * np.cos(2.0 * math.pi * (omega * np.asarray(x, dtype=float) + theta))
 
 
@@ -168,8 +167,6 @@ def lyapunov_exponent(E, eps, u, omega, theta, n_steps):
         raise ValueError("transfer matrix undefined at eps = 0")
     if n_steps < 10 ** 3:
         raise ValueError("n_steps must be >= 1000")
-    if isinstance(omega, DiophantineFrequency):
-        omega = omega.omega
     inv_eps = 1.0 / eps
     two_pi_omega = 2.0 * math.pi * omega
     two_pi_theta = 2.0 * math.pi * theta
@@ -237,9 +234,7 @@ def one_body_correlation_matrix(params, t):
     return (evecs * kern) @ evecs.T
 
 
-def free_density(params, mu=None):
-    """Mean filling of the U = 0 chain at chemical potential mu (default params.mu)."""
-    if mu is None:
-        mu = params.mu
+def free_density(params):
+    """Mean filling of the U = 0 chain at chemical potential params.mu."""
     evals, _ = single_particle_spectrum(params)
-    return float(np.mean(fermi_occupation(evals - mu, params.beta)))
+    return float(np.mean(fermi_occupation(evals - params.mu, params.beta)))

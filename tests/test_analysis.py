@@ -109,6 +109,34 @@ def test_phase_scan_captures_point_errors():
     assert "beta" in pt.error
 
 
+def test_phase_scan_certifies_once_and_fits_no_eigenvector(monkeypatch):
+    # every size and coupling shares one certified frequency, and the scan's
+    # IPRs come straight from the eigenvectors, without a per-state xi fit
+    from quasiloc import analysis, diophantine, single_particle
+
+    cls = diophantine.DiophantineFrequency
+    certify = cls.__dict__["certify"].__func__
+    calls = []
+
+    def counted(owner, *args, **kwargs):
+        calls.append(args)
+        return certify(owner, *args, **kwargs)
+
+    def refuse(eigvec):
+        raise AssertionError("phase_scan fitted a localization length")
+
+    monkeypatch.setattr(cls, "certify", classmethod(counted))
+    monkeypatch.setattr(single_particle, "eigenstate_localization", refuse)
+    # also where analysis would bind the name by importing it
+    monkeypatch.setattr(analysis, "eigenstate_localization", refuse,
+                        raising=False)
+    q.certified_frequency.cache_clear()
+    grid = q.phase_scan([0.0, 0.2], [0.0, 0.1], [40, 80], 6.0,
+                        omega=q.SILVER_MEAN, mb_L=4)
+    assert [pt.error for pt in grid.values()] == [None] * 4
+    assert calls == [(q.SILVER_MEAN,)]
+
+
 def coarse_rate(s, sites, window):
     """Reference log-slope of |S| over a short distance window, all sites
     included: the many-body decay rate phase_scan reports."""

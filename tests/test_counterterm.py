@@ -29,7 +29,7 @@ def test_interacting_point_matches_grid_scan_oracle():
     spd = q.diagonalize(p)
     target = r.target_density
     nus = np.arange(-1.5, 1.5, 1e-4)
-    dens = np.array([q.mean_particle_number(p, spd, mu=p.mu0 + nu) / p.n_sites
+    dens = np.array([q.mean_particle_number(p.with_nu(nu), spd) / p.n_sites
                      for nu in nus])
     k = int(np.argmin(np.abs(dens - target)))
     assert abs(r.nu - nus[k]) < 2e-4
@@ -40,7 +40,7 @@ def test_density_monotone_in_nu():
     p = q.ModelParams(L=6, beta=8.0, eps=0.1, U=0.2)
     spd = q.diagonalize(p)
     nus = np.linspace(-0.5, 0.5, 21)
-    dens = [q.mean_particle_number(p, spd, mu=p.mu0 + nu) for nu in nus]
+    dens = [q.mean_particle_number(p.with_nu(nu), spd) for nu in nus]
     assert all(b >= a - 1e-12 for a, b in zip(dens, dens[1:]))
 
 

@@ -278,7 +278,7 @@ def test_incomplete_spectral_data_rejected():
     spd.energies = spd.energies[:-1]
     spd.vectors = spd.vectors[:-1]
     with pytest.raises(q.IncompleteSpectralDataError):
-        q.two_point_function(p, spd, 0, 0, 1.0)
+        q.correlation_matrix(p, spd, 1.0)
 
 
 def test_mismatched_params_rejected():
@@ -306,17 +306,16 @@ def test_two_point_free_oracle():
 
 def test_two_point_kms(small):
     p, spd = small
-    for (x, y) in ((0, 0), (-1, 2), (3, -3)):
-        for t in (0.5, 1.7, 3.2, 4.9):
-            a = q.two_point_function(p, spd, x, y, t - p.beta)
-            b = q.two_point_function(p, spd, x, y, t)
-            assert a + b == pytest.approx(0.0, abs=1e-12)
+    for t in (0.5, 1.7, 3.2, 4.9):
+        a = q.correlation_matrix(p, spd, t - p.beta)
+        b = q.correlation_matrix(p, spd, t)
+        np.testing.assert_allclose(a + b, 0.0, atol=1e-12)
 
 
 def test_two_point_time_domain(small):
     p, spd = small
     with pytest.raises(ValueError):
-        q.two_point_function(p, spd, 0, 0, p.beta)
+        q.correlation_matrix(p, spd, p.beta)
     with pytest.raises(ValueError):
         q.correlation_matrix(p, spd, -p.beta)
 
@@ -378,16 +377,15 @@ def test_occupations_keep_relative_precision():
 
 @pytest.mark.parametrize("x, y", [(-4, 0), (0, 4)])
 @pytest.mark.parametrize("read", [
-    lambda p, spd, corr, x, y: q.two_point_function(p, spd, x, y, 1.0),
-    lambda p, spd, corr, x, y: corr.value(x, y, 1.0),
-    lambda p, spd, corr, x, y: q.fit_temporal_decay(corr, x, y),
-], ids=["two_point_function", "value", "fit_temporal_decay"])
+    lambda corr, x, y: corr.value(x, y, 1.0),
+    lambda corr, x, y: q.fit_temporal_decay(corr, x, y),
+], ids=["value", "fit_temporal_decay"])
 def test_site_outside_lattice_rejected(small, read, x, y):
     # L = 6 has sites -3..3; -4 must not wrap around to site 3
     p, spd = small
     corr = q.compute_correlation(p, spd, [-2.0, -1.0, 0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="site outside lattice"):
-        read(p, spd, corr, x, y)
+        read(corr, x, y)
 
 
 def test_compute_correlation_container(small):
@@ -396,8 +394,9 @@ def test_compute_correlation_container(small):
     assert corr.times.tolist() == [-1.0, 0.0, 1.0]
     assert corr.values.shape == (3, p.n_sites, p.n_sites)
     assert corr.discarded.shape == (3,) and np.all(corr.discarded >= 0.0)
+    half = p.L // 2
     assert corr.value(0, 1, 1.0) == pytest.approx(
-        q.two_point_function(p, spd, 0, 1, 1.0), abs=1e-12)
+        q.correlation_matrix(p, spd, 1.0)[half, half + 1], abs=1e-12)
     with pytest.raises(KeyError):
         corr.at_time(0.37)
 
@@ -515,14 +514,15 @@ def test_thermal_blocks_match_dense_oracle(L, beta):
     if L == 12:
         assert spd.tail_bound(p.mu + 0.5, beta) > many_body._TAIL
         assert spd.tail_bound(p.mu, 0.55 * beta) > many_body._TAIL
-    for mu in (p.mu, p.mu - 0.5, p.mu + 0.5):
+    for shifted in (p, p.with_nu(-0.5), p.with_nu(0.5)):
+        mu = shifted.mu
         assert spd.partition_function(mu) == pytest.approx(
             ref.partition_function(mu), rel=1e-12, abs=0.0)
-        assert q.mean_particle_number(p, spd, mu) == pytest.approx(
-            q.mean_particle_number(p, ref, mu), rel=1e-12, abs=0.0)
+        assert q.mean_particle_number(shifted, spd) == pytest.approx(
+            q.mean_particle_number(shifted, ref), rel=1e-12, abs=0.0)
         bound = spd.tail_bound(mu, beta) / spd.partition_function(mu)
-        np.testing.assert_allclose(q.occupations(p, spd, mu),
-                                   q.occupations(p, ref, mu), rtol=0.0,
+        np.testing.assert_allclose(q.occupations(shifted, spd),
+                                   q.occupations(shifted, ref), rtol=0.0,
                                    atol=bound + 1e-12)
     times = [0.0, 1.0, 1.0 - beta, 0.45 * beta]
     corr = q.compute_correlation(p, spd, times)

@@ -38,8 +38,14 @@ def params():
 
 
 def test_default_frequency_certified_once():
-    assert q.ModelParams(L=4, beta=1.0).omega is \
-        q.ModelParams(L=6, beta=2.0).omega
+    golden = q.ModelParams(L=4, beta=1.0).omega
+    assert q.ModelParams(L=6, beta=2.0).omega is golden
+    assert q.ModelParams(L=4, beta=1.0, omega=q.GOLDEN_MEAN).omega is golden
+    # a float omega is certified once per value, like the default
+    silver = q.ModelParams(L=4, beta=1.0, omega=q.SILVER_MEAN).omega
+    assert q.ModelParams(L=8, beta=3.0, eps=0.2,
+                         omega=q.SILVER_MEAN).omega is silver
+    assert silver.omega == q.SILVER_MEAN and silver is not golden
 
 
 def test_params_validation():
@@ -202,7 +208,7 @@ def test_one_body_two_point_reduces_to_free_at_eps_zero():
 
 
 def test_free_density_monotone_in_mu(params):
-    mus = np.linspace(params.mu0 - 1.0, params.mu0 + 1.0, 9)
-    dens = [q.free_density(params, m) for m in mus]
+    dens = [q.free_density(params.with_nu(nu))
+            for nu in np.linspace(-1.0, 1.0, 9)]
     assert all(b >= a for a, b in zip(dens, dens[1:]))
     assert 0.0 <= dens[0] <= dens[-1] <= 1.0
