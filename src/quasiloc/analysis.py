@@ -5,11 +5,11 @@ in |x - y| with a rate at least |log max(|eps|, |U|)| up to a power of a
 logarithmic correction; in time it decays faster than any power of
 Delta |t| with Delta = (1 + min(|x|, |y|))^(-tau).  The fits here extract
 those rates from sampled correlation data, and phase_scan combines
-single-particle indicators over a coupling grid.
+one-body and many-body indicators over a coupling grid.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,49 +194,72 @@ def phase_scan(eps_values, U_values, L_list, beta, *, omega=GOLDEN_MEAN,
                theta=0.2377, x_hat=2, mb_L=8):
     """Coarse phase diagnostics over the (eps, U) grid.
 
-    Per point: single-particle median IPR at each L in L_list, the Lyapunov
-    exponent at a mid-spectrum energy, and (for the many-body indicator) the
-    equal-time decay rate over distances _SCAN_WINDOW, all sites included, at
-    size mb_L with the counterterm fixed.  eps = 0 has no transfer matrix and
-    U = eps = 0 has exactly zero off-diagonal correlations; both get
-    infinite-rate sentinels, as does a decay rate with fewer than 2 resolved
-    distances.  Errors at one grid point are captured in its record instead
-    of aborting the scan.
+    Per eps, the one-body indicators at U = 0: the single-particle median IPR
+    at each L in L_list and the Lyapunov exponent at a mid-spectrum energy.
+    Per (eps, U), the many-body indicator: the equal-time decay rate over
+    distances _SCAN_WINDOW, all sites included, at size mb_L with the
+    counterterm fixed.  eps = 0 has no transfer matrix and U = eps = 0 has
+    exactly zero off-diagonal correlations; both get infinite-rate
+    sentinels, as does a decay rate with fewer than 2 resolved distances.
+    Errors are captured in the records instead of aborting the scan: one
+    at a point in its record, one in the one-body part of an eps in every
+    record of that eps.  An empty L_list raises ValueError.
     """
+    sizes = sorted(set(int(v) for v in L_list))
+    if not sizes:
+        raise ValueError("L_list must name at least one size")
+    U_grid = sorted(set(float(u) for u in U_values))
     grid = {}
     for eps in sorted(set(float(e) for e in eps_values)):
-        for U in sorted(set(float(u) for u in U_values)):
+        try:
+            median_ipr, lam = _one_body_point(eps, sizes, beta, omega=omega,
+                                              theta=theta, x_hat=x_hat)
+        except Exception as exc:  # keep scanning the other eps
+            error = f"{type(exc).__name__}: {exc}"
+            for U in U_grid:
+                grid[(eps, U)] = _error_point(eps, U, error)
+            continue
+        for U in U_grid:
             try:
                 grid[(eps, U)] = _scan_point(
-                    eps, U, L_list, beta, omega=omega, theta=theta,
+                    eps, U, median_ipr, lam, beta, omega=omega, theta=theta,
                     x_hat=x_hat, mb_L=mb_L)
             except Exception as exc:  # keep scanning the rest of the grid
-                grid[(eps, U)] = PhasePoint(
-                    eps=eps, U=U, median_ipr={}, lyapunov=math.nan,
-                    decay_rate=math.nan, nu=math.nan, verdict="error",
-                    error=f"{type(exc).__name__}: {exc}")
+                grid[(eps, U)] = _error_point(
+                    eps, U, f"{type(exc).__name__}: {exc}")
     return grid
 
 
-def _scan_point(eps, U, L_list, beta, *, omega, theta, x_hat, mb_L):
+def _error_point(eps, U, error):
+    return PhasePoint(eps=eps, U=U, median_ipr={}, lyapunov=math.nan,
+                      decay_rate=math.nan, nu=math.nan, verdict="error",
+                      error=error)
+
+
+def _one_body_point(eps, sizes, beta, *, omega, theta, x_hat):
+    """Median IPR per size and the Lyapunov exponent of one eps at U = 0."""
+    base = ModelParams(L=sizes[0], beta=beta, eps=eps, u=1.0, U=0.0,
+                       omega=omega, theta=theta, x_hat=x_hat)
     median_ipr = {}
     mid_energy = 0.0
-    for L in sorted(set(int(v) for v in L_list)):
-        p = ModelParams(L=L, beta=beta, eps=eps, u=1.0, U=0.0, omega=omega,
-                        theta=theta, x_hat=x_hat)
-        evals, evecs = single_particle_spectrum(p)
+    for L in sizes:
+        evals, evecs = single_particle_spectrum(replace(base, L=L))
         median_ipr[L] = float(np.median(np.sum(evecs ** 4, axis=0)))
         mid_energy = float(np.median(evals))
 
     if eps == 0.0:
-        lam = math.inf  # no hopping: every state is a single site
-    else:
-        # at a mid-spectrum eigenvalue: mu0 itself may sit in a gap of the
-        # Cantor spectrum, where the exponent stays positive even in the
-        # extended phase
-        lam = lyapunov_exponent(mid_energy, eps, 1.0, p.omega_value, theta,
-                                _LYAPUNOV_STEPS)
+        return median_ipr, math.inf  # no hopping: every state is a single site
+    # at a mid-spectrum eigenvalue: mu0 itself may sit in a gap of the
+    # Cantor spectrum, where the exponent stays positive even in the
+    # extended phase
+    return median_ipr, lyapunov_exponent(mid_energy, eps, 1.0,
+                                         base.omega_value, theta,
+                                         _LYAPUNOV_STEPS)
 
+
+def _scan_point(eps, U, median_ipr, lam, beta, *, omega, theta, x_hat, mb_L):
+    """The (eps, U) record: the many-body decay rate and nu, and the verdict
+    from the one-body indicators of eps."""
     nu, rate = 0.0, math.inf
     if eps != 0.0 or U != 0.0:
         mb = ModelParams(L=mb_L, beta=beta, eps=eps, u=1.0, U=U, omega=omega,
@@ -252,5 +275,5 @@ def _scan_point(eps, U, L_list, beta, *, omega, theta, x_hat, mb_L):
     finite_size_gap = 2.0 * math.pi / (max(median_ipr) + 1)
     if eps > 0.0 and abs(lam) < finite_size_gap and verdict == "localized":
         verdict = "unresolved"  # exponent below the finite-size resolution
-    return PhasePoint(eps=eps, U=U, median_ipr=median_ipr, lyapunov=lam,
+    return PhasePoint(eps=eps, U=U, median_ipr=dict(median_ipr), lyapunov=lam,
                       decay_rate=rate, nu=nu, verdict=verdict)

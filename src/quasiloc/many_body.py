@@ -87,19 +87,38 @@ def build_hamiltonian(params, sector):
                          shape=(dim, dim))
 
 
-def annihilation_matrix(sector_n, sector_np1, x_bit):
-    """Matrix of a_x from the (N+1)-sector to the N-sector, occupation basis.
+def _annihilators(sector_n, sector_np1):
+    """Every a_x from the (N+1)-sector to the N-sector, stacked site-minor.
+
+    Returns (up, down): up = vstack_x a_x^T of shape (d_{N+1} S, d_N) and
+    down = vstack_x a_x of shape (d_N S, d_{N+1}), S = n_sites, with row
+    j S + x holding row j of a_x^T (or a_x).  So up @ v reshaped to
+    (d_{N+1}, S, r) holds a_x+ v[:, i] at [:, x, i], and the rows x::S of
+    down are a_x.  Each a_x has at most one entry, +1 or -1, per row and per
+    column, so products with either stack are exact.
 
     Convention: removing (or adding) a particle at bit b carries the sign
     (-1)^(number of occupied bits below b).
     """
-    bit = 1 << x_bit
-    cols = np.flatnonzero(sector_np1.states & bit)
-    occupied = sector_np1.states[cols]
-    signs = 1.0 - 2.0 * (np.bitwise_count(occupied & (bit - 1)) & 1)
-    rows = np.searchsorted(sector_n.states, occupied ^ bit)
-    return sp.csr_matrix((signs, (rows, cols)),
-                         shape=(len(sector_n), len(sector_np1)))
+    n_sites = sector_np1.n_sites
+    occ = _occupancy(sector_np1)
+    j1, x = np.nonzero(occ)
+    below = np.cumsum(occ, axis=1) - occ
+    signs = 1.0 - 2.0 * (below[j1, x] & 1)
+    j0 = np.searchsorted(sector_n.states, sector_np1.states[j1] ^ (1 << x))
+    d0, d1 = len(sector_n), len(sector_np1)
+    up = sp.csr_matrix((signs, (j1 * n_sites + x, j0)),
+                       shape=(d1 * n_sites, d0))
+    down = sp.csr_matrix((signs, (j0 * n_sites + x, j1)),
+                         shape=(d0 * n_sites, d1))
+    return up, down
+
+
+def annihilation_matrix(sector_n, sector_np1, x_bit):
+    """Matrix of a_x from the (N+1)-sector to the N-sector, occupation basis:
+    the rows of _annihilators' down stack that belong to x_bit."""
+    down = _annihilators(sector_n, sector_np1)[1]
+    return down[x_bit::sector_n.n_sites]
 
 
 _DENSE_MAX = 500  # largest sector diagonalized densely and kept whole
@@ -393,12 +412,14 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
     thermal side is cut to the slab `_slab` leaves.  Every dropped term is
     at most its weight, since ||a_x|| = 1 and ||e^(-|tau| K / 2)|| <= 1 for
     K >= 0.  One stack of a_y+ |i> (or a_x |j>) over all sites serves every
-    time of a branch; it is built and propagated in chunks of thermal states
-    of at most _STACK_ELEMENTS entries.
+    time of a branch; it is one sparse product with the pair's stacked
+    annihilators, built and propagated in chunks of thermal states of at
+    most _STACK_ELEMENTS entries.
     """
     sec, sec1 = spectral.sectors[n], spectral.sectors[n + 1]
-    ann = [annihilation_matrix(sec, sec1, x) for x in range(sec.n_sites)]
-    for sign, thermal, other in ((1.0, n, n + 1), (-1.0, n + 1, n)):
+    up, down = _annihilators(sec, sec1)
+    for sign, thermal, other, ann in ((1.0, n, n + 1, up),
+                                      (-1.0, n + 1, n, down)):
         terms = []
         for tau in s:
             if sign * tau < 0.0:
@@ -419,8 +440,7 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
         for i0 in range(0, rows, chunk):
             v = spectral.vectors[thermal][:, i0:i0 + chunk]
             # stack[:, x, i] is a_x+ |i> in sector n+1, or a_x |i> in sector n
-            stack = np.stack([a.T @ v if sign > 0.0 else a @ v for a in ann],
-                             axis=1)
+            stack = (ann @ v).reshape(h.shape[0], sec.n_sites, -1)
             for tau, w in terms:
                 if w.size <= i0:
                     continue

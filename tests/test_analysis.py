@@ -109,6 +109,63 @@ def test_phase_scan_captures_point_errors():
     assert "beta" in pt.error
 
 
+def test_phase_scan_rejects_empty_sizes():
+    with pytest.raises(ValueError, match="L_list"):
+        q.phase_scan([0.0, 0.2], [0.0, 0.1], [], 8.0)
+
+
+def test_phase_scan_does_one_body_work_once_per_eps(monkeypatch):
+    # the IPRs and the Lyapunov exponent are U-independent: one spectrum per
+    # (eps, L) and one Lyapunov loop per nonzero eps, whatever the U grid
+    from quasiloc import analysis
+
+    spectra, loops = [], []
+
+    def spectrum(params):
+        spectra.append((params.eps, params.L))
+        return q.single_particle_spectrum(params)
+
+    def lyapunov(E, eps, *args):
+        loops.append(eps)
+        return q.lyapunov_exponent(E, eps, *args)
+
+    monkeypatch.setattr(analysis, "single_particle_spectrum", spectrum)
+    monkeypatch.setattr(analysis, "lyapunov_exponent", lyapunov)
+    grid = q.phase_scan([0.0, 0.2], [0.0, 0.1, 0.2], [40, 80], 6.0, mb_L=4)
+    assert len(grid) == 6
+    assert [pt.error for pt in grid.values()] == [None] * 6
+    assert sorted(spectra) == [(0.0, 40), (0.0, 80), (0.2, 40), (0.2, 80)]
+    assert loops == [0.2]
+
+
+def test_phase_scan_one_body_error_marks_every_U_of_its_eps(monkeypatch):
+    from quasiloc import analysis
+
+    diagonalized = []
+
+    def spectrum(params):
+        if params.eps == 0.2:
+            raise RuntimeError("injected")
+        return q.single_particle_spectrum(params)
+
+    def diagonalize(params):
+        diagonalized.append(params.eps)
+        return q.diagonalize(params)
+
+    monkeypatch.setattr(analysis, "single_particle_spectrum", spectrum)
+    monkeypatch.setattr(analysis, "diagonalize", diagonalize)
+    grid = q.phase_scan([0.0, 0.2], [0.0, 0.1, 0.2], [40], 6.0, mb_L=4)
+    for U in (0.0, 0.1, 0.2):
+        failed, clean = grid[(0.2, U)], grid[(0.0, U)]
+        assert failed.verdict == "error"
+        assert failed.error == "RuntimeError: injected"
+        assert math.isnan(failed.decay_rate) and math.isnan(failed.lyapunov)
+        assert clean.error is None and clean.verdict != "error"
+    assert 0.2 not in diagonalized
+    assert grid[(0.0, 0.1)].decay_rate == q.phase_scan(
+        [0.0], [0.1], [40], 6.0, mb_L=4)[(0.0, 0.1)].decay_rate
+
+
 def test_phase_scan_certifies_once_and_fits_no_eigenvector(monkeypatch):
     # every size and coupling shares one certified frequency, and the scan's
     # IPRs come straight from the eigenvectors, without a per-state xi fit

@@ -178,10 +178,15 @@ def test_fock_operators_match_loop_reference(L):
         h = q.build_hamiltonian(p, sec)
         assert abs(h - hamiltonian_loop(p, sec)).max() == 0.0
     for sec, sec1 in zip(secs, secs[1:]):
+        up, down = many_body._annihilators(sec, sec1)
+        assert up.shape == (len(sec1) * (L + 1), len(sec))
+        assert down.shape == (len(sec) * (L + 1), len(sec1))
         for x_bit in range(L + 1):
-            a = q.annihilation_matrix(sec, sec1, x_bit)
             ref = annihilation_loop(sec, sec1, x_bit)
-            assert a.nnz == ref.nnz and abs(a - ref).max() == 0.0
+            # rows x_bit::S of each stack are a_x^T and a_x
+            for a in (q.annihilation_matrix(sec, sec1, x_bit),
+                      down[x_bit::L + 1], up[x_bit::L + 1].T):
+                assert a.nnz == ref.nnz and abs(a - ref).max() == 0.0
 
 
 def test_hamiltonian_hermitian_and_number_conserving():
