@@ -6,25 +6,22 @@ from .diophantine import (GOLDEN_MEAN, SILVER_MEAN, DiophantineFrequency,
                           frequency_diophantine_constant,
                           phase_diophantine_constant, certified_frequency)
 from .cutoffs import smooth_cutoff, smooth_step
-from .single_particle import (ModelParams, onsite_potential, onsite_energy,
-                              single_particle_spectrum, fermi_occupation,
-                              free_propagator, lyapunov_exponent,
+from .single_particle import (ModelParams, onsite_energy,
+                              single_particle_spectrum, lyapunov_exponent,
                               eigenstate_localization, localization_table,
-                              one_body_correlation_matrix, free_density)
+                              free_density)
 from .many_body import (FockSector, enumerate_sector, build_hamiltonian,
-                        annihilation_matrix, SpectralDecomposition,
-                        diagonalize, correlation_matrix, equal_time_matrix,
-                        occupations, density, mean_particle_number,
+                        SpectralDecomposition, diagonalize,
+                        correlation_matrix, equal_time_matrix, occupations,
+                        density, mean_particle_number,
                         CorrelationFunction, compute_correlation,
                         IncompleteSpectralDataError)
 from .multiscale import (ScaleFamily, ScaleConfigurationError,
                          QuadratureError, ZeroDivisorError, chi_h, f_h,
-                         chi_ultraviolet, partition_of_unity_check,
-                         telescoping_residual,
                          single_scale_propagator, filtered_propagator,
                          scale_decay_constants, chain_graph_value)
 from .counterterm import (CountertermResult, BracketError, fix_counterterm,
-                          counterterm_grid, counterterm_flow_check)
+                          counterterm_grid)
 from .analysis import (DecayFit, TemporalDecay, PhasePoint, FitError,
                        fit_spatial_decay, fit_temporal_decay, phase_scan)
 

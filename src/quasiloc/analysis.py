@@ -9,7 +9,7 @@ one-body and many-body indicators over a coupling grid.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,8 +45,6 @@ class DecayFit:
     theorem_rate: float
     tau: float
     n_points: int
-    distances: np.ndarray = field(default=None, repr=False)
-    log_values: np.ndarray = field(default=None, repr=False)
 
 
 def _log_correction(x, y, tau):
@@ -114,7 +112,7 @@ def fit_spatial_decay(corr, t_fixed=0.0, window=(2, 8)):
     return DecayFit(rate=rate, xi_fit=1.0 / rate if rate > 0.0 else math.inf,
                     prefactor=float(np.exp(intercept)), r_squared=r2,
                     window=tuple(window), theorem_rate=theorem_rate, tau=tau,
-                    n_points=int(d_arr.size), distances=d_arr, log_values=logv)
+                    n_points=int(d_arr.size))
 
 
 @dataclass

@@ -173,13 +173,13 @@ def _params_from(args, beta=True, couplings=True):
 
 
 def _run_dioph(args):
+    if args.tau <= 1.0:  # as DiophantineFrequency.certify requires
+        raise ValueError("tau must exceed 1")
     omega = _parse_omega(args.omega)
     c0, arg = frequency_diophantine_constant(omega, args.tau, args.qmax,
                                              return_argmin=True)
     c0p, argp = phase_diophantine_constant(omega, args.theta, args.tau,
                                            args.qmax, return_argmin=True)
-    if args.tau <= 1.0:  # as DiophantineFrequency.certify requires
-        raise ValueError("tau must exceed 1")
     return "json", {
         "c0_freq": c0, "c0_phase": c0p,
         "argmin_x": {"freq": arg, "phase": argp},

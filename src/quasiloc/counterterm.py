@@ -126,43 +126,3 @@ def counterterm_grid(L, beta, eps_values, U_values, tolerance=1e-6, **kwargs):
             results[(eps, U)] = fix_counterterm(params, tolerance=tolerance)
     return results
 
-
-def counterterm_flow_check(results, ratio_bound=2.0, continuity_factor=0.5):
-    """Sanity report on a grid of CountertermResult values.
-
-    Checks that nu vanishes at (0, 0), that sup |nu| / max(|eps|, |U|) stays
-    below ratio_bound, and that nu moves by at most continuity_factor times
-    the larger coupling step between adjacent grid points.
-    """
-    report = {"zero_at_origin": None, "max_ratio": 0.0,
-              "ratio_ok": True, "continuity_ok": True,
-              "worst_jump": 0.0, "ratio_bound": ratio_bound}
-    eps_vals = sorted(set(k[0] for k in results))
-    u_vals = sorted(set(k[1] for k in results))
-    if (0.0, 0.0) in results:
-        report["zero_at_origin"] = results[(0.0, 0.0)].nu == 0.0
-    for (eps, U), res in results.items():
-        denom = max(abs(eps), abs(U))
-        if denom > 0.0:
-            ratio = abs(res.nu) / denom
-            report["max_ratio"] = max(report["max_ratio"], ratio)
-            if ratio > ratio_bound:
-                report["ratio_ok"] = False
-    for i, eps in enumerate(eps_vals):
-        for j, U in enumerate(u_vals):
-            here = results[(eps, U)].nu
-            if i + 1 < len(eps_vals):
-                step = eps_vals[i + 1] - eps
-                jump = abs(results[(eps_vals[i + 1], U)].nu - here)
-                report["worst_jump"] = max(report["worst_jump"], jump)
-                if jump > continuity_factor * step:
-                    report["continuity_ok"] = False
-            if j + 1 < len(u_vals):
-                step = u_vals[j + 1] - U
-                jump = abs(results[(eps, u_vals[j + 1])].nu - here)
-                report["worst_jump"] = max(report["worst_jump"], jump)
-                if jump > continuity_factor * step:
-                    report["continuity_ok"] = False
-    report["ok"] = bool(report["zero_at_origin"] and report["ratio_ok"]
-                        and report["continuity_ok"])
-    return report

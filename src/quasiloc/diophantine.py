@@ -14,7 +14,7 @@ empirical (finite q_max), not a number-theoretic proof.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,30 +135,24 @@ def phase_diophantine_constant(omega, theta, tau, q_max, return_argmin=False):
 
 @dataclass(frozen=True)
 class DiophantineFrequency:
-    """An irrational frequency with its continued-fraction prefix and certified constants.
+    """An irrational frequency with its continued-fraction prefix and certified constant.
 
-    c0_phase maps each certified phase theta to its constant; q_max is the
-    integer range the constants were scanned over.
+    q_max is the integer range c0_freq was scanned over.
     """
     omega: float
     partial_quotients: list
     tau: float
     c0_freq: float
     q_max: int
-    c0_phase: dict = field(default_factory=dict)
 
     @classmethod
-    def certify(cls, omega, tau=1.5, q_max=10 ** 5, depth=20, thetas=()):
+    def certify(cls, omega, tau=1.5, q_max=10 ** 5, depth=20):
         if tau <= 1.0:
             raise ValueError("tau must exceed 1")
         quotients = continued_fraction(omega, depth)
         c0 = frequency_diophantine_constant(omega, tau, q_max)
-        phases = {
-            float(th): phase_diophantine_constant(omega, th, tau, q_max)
-            for th in thetas
-        }
         return cls(omega=float(omega), partial_quotients=quotients, tau=tau,
-                   c0_freq=c0, q_max=q_max, c0_phase=phases)
+                   c0_freq=c0, q_max=q_max)
 
 
 def exact_fractional_part(omega, x):

@@ -25,8 +25,7 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.sparse.linalg import eigsh, expm_multiply
 
-from .single_particle import (_site_index, onsite_energy,
-                              single_particle_spectrum)
+from .single_particle import onsite_energy, single_particle_spectrum
 
 
 class IncompleteSpectralDataError(RuntimeError):
@@ -112,13 +111,6 @@ def _annihilators(sector_n, sector_np1):
     down = sp.csr_matrix((signs, (j0 * n_sites + x, j1)),
                          shape=(d0 * n_sites, d1))
     return up, down
-
-
-def annihilation_matrix(sector_n, sector_np1, x_bit):
-    """Matrix of a_x from the (N+1)-sector to the N-sector, occupation basis:
-    the rows of _annihilators' down stack that belong to x_bit."""
-    down = _annihilators(sector_n, sector_np1)[1]
-    return down[x_bit::sector_n.n_sites]
 
 
 _DENSE_MAX = 500  # largest sector diagonalized densely and kept whole
@@ -544,10 +536,6 @@ class CorrelationFunction:
         if not math.isclose(float(self.times[idx]), t, abs_tol=1e-12):
             raise KeyError(f"time {t} not sampled")
         return self.values[idx]
-
-    def value(self, x, y, t):
-        L = self.sites.size - 1
-        return float(self.at_time(t)[_site_index(L, x), _site_index(L, y)])
 
 
 def compute_correlation(params, spectral, times):

@@ -58,11 +58,10 @@ class ScaleFamily:
                 f"a = {self.a} violates support disjointness (need a < {0.5 * sep})")
 
     @classmethod
-    def build(cls, omega, theta, x_hat, u=1.0, tau=1.5, gamma=None, h_min=-10,
-              safety=0.5):
+    def build(cls, omega, theta, x_hat, u=1.0, tau=1.5, gamma=None, h_min=-10):
         """Derive v0, the singular pair and a disjointness-safe a from the model data.
 
-        Default gamma = 2^(2 tau); a is the largest disjoint value times safety.
+        Default gamma = 2^(2 tau); a is half the largest disjoint value.
         """
         if theta == 0.0 or x_hat == 0:
             raise ValueError("x_hat and theta must be non-vanishing")
@@ -79,15 +78,8 @@ class ScaleFamily:
             raise ScaleConfigurationError(
                 "singular points coincide on the torus (2 theta / omega integer)")
         return cls(omega=omega, theta=theta, x_hat=x_hat, u=u, tau=tau,
-                   gamma=gamma, a=safety * 0.5 * sep, v0=v0, h_min=h_min,
+                   gamma=gamma, a=0.25 * sep, v0=v0, h_min=h_min,
                    x_bar_plus=x_bar_plus, x_bar_minus=x_bar_minus)
-
-    @property
-    def mu0(self):
-        return self.u * math.cos(2.0 * math.pi * (self.omega * self.x_hat + self.theta))
-
-    def x_bar(self, rho):
-        return self.x_bar_plus if rho > 0 else self.x_bar_minus
 
     def radius(self, t, k0):
         return np.hypot(k0, self.v0 * torus_norm(t))
@@ -110,52 +102,12 @@ def f_h(family, t, k0, h):
     return chi_h(family, t, k0, h) - chi_h(family, t, k0, h - 1)
 
 
-def chi_ultraviolet(family, omega_x, k0):
-    """chi^(1) = 1 - chi_0 around x_bar_+ - chi_0 around x_bar_-, for x on the lattice.
-
-    omega_x is omega times the physical site x (not the shifted x').
-    """
-    cp = chi_h(family, omega_x - family.omega * family.x_bar_plus, k0, 0)
-    cm = chi_h(family, omega_x - family.omega * family.x_bar_minus, k0, 0)
-    return 1.0 - cp - cm
-
-
-def partition_of_unity_check(family, x_values, k0_values):
-    """Max residual of chi^(1) + chi_0(+) + chi_0(-) - 1 over the grid.
-
-    Also verifies the two infrared supports never overlap; overlapping supports
-    mean a is too large and raise ScaleConfigurationError.
-    """
-    x = np.asarray(x_values, dtype=float)[:, None]
-    k0 = np.asarray(k0_values, dtype=float)[None, :]
-    cp = chi_h(family, family.omega * (x - family.x_bar_plus), k0, 0)
-    cm = chi_h(family, family.omega * (x - family.x_bar_minus), k0, 0)
-    overlap = np.argwhere((cp > 0.0) & (cm > 0.0))
-    if overlap.size:
-        i, j = overlap[0]
-        raise ScaleConfigurationError(
-            f"chi_0 supports overlap at x = {x[i, 0]}, k0 = {k0[0, j]}")
-    c1 = chi_ultraviolet(family, family.omega * x, k0)
-    return float(np.max(np.abs(c1 + cp + cm - 1.0), initial=0.0))
-
-
-def telescoping_residual(family, t_values, k0_values, h_star):
-    """Max residual of sum_{h_star < h <= 0} f_h - (chi_0 - chi_{h_star})."""
-    t = np.asarray(t_values, dtype=float)[:, None]
-    k0 = np.asarray(k0_values, dtype=float)[None, :]
-    total = sum(f_h(family, t, k0, h) for h in range(h_star + 1, 1))
-    target = chi_h(family, t, k0, 0) - chi_h(family, t, k0, h_star)
-    return float(np.max(np.abs(total - target), initial=0.0))
-
-
-def _denominator(family, rho, delta, linearized):
-    """phi at x' + x_bar_rho minus mu0; optionally the linearized small divisor.
+def _denominator(family, rho, delta):
+    """phi at x' + x_bar_rho minus mu0.
 
     delta is the signed fractional part of omega x'; passing it exactly
     matters for very large x', where the float product has lost it.
     """
-    if linearized:
-        return family.v0 * (1.0 if rho > 0 else -1.0) * delta
     # cos A - cos B = -2 sin((A+B)/2) sin((A-B)/2), exact in the tiny delta
     z = family.omega * family.x_hat + family.theta
     if rho > 0:
@@ -183,8 +135,9 @@ def _gauss_legendre(integrand, edges, panels):
     return float(np.sum(half * _WEIGHTS * integrand(k0)))
 
 
-def _band(family, rho, x_prime, t, h_low, h_high, linearized, delta):
-    """The chi_{h_high} - chi_{h_low} filtered inverse of -i k0 + (phi - mu0).
+def filtered_propagator(family, rho, x_prime, t, h_low, h_high, delta=None):
+    """The chi_{h_high} - chi_{h_low} filtered inverse of -i k0 + (phi - mu0),
+    for h_low < h_high <= 0.
 
     Pairing k0 with -k0 leaves the real integrand
     2 (chi_{h_high} - chi_{h_low}) (d cos t k0 + k0 sin t k0) / (k0^2 + d^2)
@@ -194,15 +147,18 @@ def _band(family, rho, x_prime, t, h_low, h_high, linearized, delta):
     on twice the sub-panels estimates its error.  A band that misses the
     1e-6 gate (a time far beyond gamma^(-h)) goes to adaptive quad with the
     scale radii as breakpoints, and raises QuadratureError if that misses it
-    too.
+    too.  delta optionally supplies the exact signed fractional part of
+    omega x_prime.
     """
+    if not h_low < h_high <= 0:
+        raise ValueError("a band needs h_low < h_high <= 0")
     if delta is None:
         delta = family.omega * x_prime
         delta -= round(delta)
     q = family.v0 * abs(delta)
     if q >= family.a * family.gamma ** h_high:
         return 0.0
-    d = _denominator(family, rho, delta, linearized)
+    d = _denominator(family, rho, delta)
     radii = np.array([family.a * family.gamma ** j
                       for j in range(h_low - 1, h_high + 1)])
     # radii inside q map to k0 = 0; unique drops the empty intervals
@@ -228,25 +184,13 @@ def _band(family, rho, x_prime, t, h_low, h_high, linearized, delta):
     return total
 
 
-def single_scale_propagator(family, rho, x_prime, t, h, linearized=False,
-                            delta=None):
+def single_scale_propagator(family, rho, x_prime, t, h, delta=None):
     """g^(h)_rho(x', t): the f_h-filtered inverse of -i k0 + (phi - mu0) at beta = infinity.
 
-    The band (h - 1, h), since f_h = chi_h - chi_{h-1}.  Real by the joint
-    (t, k0) -> (-t, -k0) evenness of f_h.  delta optionally supplies the
-    exact signed fractional part of omega x_prime.
+    The band (h - 1, h), since f_h = chi_h - chi_{h-1}, so h <= 0.  Real by
+    the joint (t, k0) -> (-t, -k0) evenness of f_h.
     """
-    if h > 0:
-        raise ValueError("single-scale propagators carry h <= 0")
-    return _band(family, rho, x_prime, t, h - 1, h, linearized, delta)
-
-
-def filtered_propagator(family, rho, x_prime, t, h_low, h_high=0,
-                        linearized=False, delta=None):
-    """Propagator filtered with chi_{h_high} - chi_{h_low} (telescoped band)."""
-    if not h_low < h_high <= 0:
-        raise ValueError("a band needs h_low < h_high <= 0")
-    return _band(family, rho, x_prime, t, h_low, h_high, linearized, delta)
+    return filtered_propagator(family, rho, x_prime, t, h - 1, h, delta)
 
 
 def _annulus_candidates(family, h, multiples=(1, 2, 3)):

@@ -2,10 +2,10 @@
 
 The chain lives on sites x in {-L/2, ..., L/2} with open (Dirichlet) ends,
 on-site potential phi_x = u cos 2 pi (omega x + theta) and hopping -eps.  The
-free propagator gbar(x, t) is evaluated in closed form, and at U = 0 the
-two-point function comes from the one-body eigenpairs.  Truncated Matsubara
-sums, the dense one-body matrix and explicit transfer-matrix products are
-independent cross-checks that live in the tests.
+free propagator gbar(x, t) in closed form, the U = 0 two-point function from
+the one-body eigenpairs, truncated Matsubara sums, the dense one-body matrix
+and explicit transfer-matrix products are independent cross-checks that live
+in the tests.
 """
 
 import math
@@ -98,11 +98,6 @@ class ModelParams:
         }
 
 
-def onsite_potential(u, omega, theta, x):
-    """u cos 2 pi (omega x + theta); standalone so arbitrary (u, theta) can be probed."""
-    return u * np.cos(2.0 * math.pi * (omega * np.asarray(x, dtype=float) + theta))
-
-
 def _site_index(L, x):
     """Array index x + L/2 of site x; ValueError outside {-L/2, ..., L/2}."""
     half = L // 2
@@ -112,8 +107,10 @@ def _site_index(L, x):
 
 
 def onsite_energy(params, x):
+    """phi_x = u cos 2 pi (omega x + theta) at the lattice site(s) x."""
     _site_index(params.L, np.asarray(x))
-    return onsite_potential(params.u, params.omega_value, params.theta, x)
+    return params.u * np.cos(2.0 * math.pi * (
+        params.omega_value * np.asarray(x, dtype=float) + params.theta))
 
 
 def single_particle_spectrum(params):
@@ -126,33 +123,6 @@ def single_particle_spectrum(params):
 def fermi_occupation(delta, beta):
     """1 / (exp(beta * delta) + 1), evaluated stably for large |beta * delta|."""
     return 0.5 * (1.0 - np.tanh(0.5 * beta * np.asarray(delta, dtype=float)))
-
-
-def propagator_kernel(delta, beta, t):
-    """Time kernel of a single fermionic level at energy delta above mu.
-
-    exp(-delta t)(1 - n) for t > 0, -exp(-delta t) n for t < 0, and the mean of
-    the one-sided limits (1 - 2n)/2 at t = 0.  Written through logaddexp so no
-    intermediate exponential overflows.
-    """
-    delta = np.asarray(delta, dtype=float)
-    if t > 0.0:
-        return np.exp(-np.logaddexp(delta * t, -delta * (beta - t)))
-    if t < 0.0:
-        return -np.exp(-np.logaddexp(delta * (beta + t), delta * t))
-    return 0.5 * np.tanh(0.5 * beta * delta)
-
-
-def free_propagator(params, x, t):
-    """gbar(x, t) of the eps = U = 0 chain for |t| < beta.
-
-    The full two-point function carries an additional delta_{x,y}; the caller
-    is responsible for the off-diagonal zero.
-    """
-    if abs(t) >= params.beta:
-        raise ValueError("time difference must satisfy |t| < beta")
-    delta = onsite_energy(params, x) - params.mu
-    return propagator_kernel(delta, params.beta, t)
 
 
 def lyapunov_exponent(E, eps, u, omega, theta, n_steps):
@@ -219,19 +189,6 @@ def localization_table(params):
         xi, ipr = eigenstate_localization(evecs[:, k])
         rows.append((float(evals[k]), xi, ipr))
     return rows
-
-
-def one_body_correlation_matrix(params, t):
-    """Free-fermion S(x, y; t) for all pairs, from the one-body eigenpairs only.
-
-    Independent of the many-body machinery and exact at U = 0 for any eps;
-    entry [x + L/2, y + L/2] is the pair (x, y).
-    """
-    if abs(t) >= params.beta:
-        raise ValueError("time difference must satisfy |t| < beta")
-    evals, evecs = single_particle_spectrum(params)
-    kern = propagator_kernel(evals - params.mu, params.beta, t)
-    return (evecs * kern) @ evecs.T
 
 
 def free_density(params):

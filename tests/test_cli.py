@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from quasiloc import many_body
+from quasiloc import cli, many_body
 from quasiloc.cli import main
 
 
@@ -33,6 +33,18 @@ def test_dioph_json(capsys):
     assert doc["config"]["subcommand"] == "dioph"
     assert doc["results"]["c0_freq"] > 0.0
     assert doc["results"]["convergents"][0] == [1, 1]
+
+
+def test_dioph_rejects_tau_before_scanning(capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        raise RuntimeError("scanned before checking tau")
+
+    monkeypatch.setattr(cli, "frequency_diophantine_constant", scan)
+    monkeypatch.setattr(cli, "phase_diophantine_constant", scan)
+    status, _, err = run_cli(
+        ["dioph", "--tau", "0.5", "--qmax", "100000000"], capsys)
+    assert status == 2
+    assert "tau must exceed 1" in err
 
 
 def test_spectrum_csv(capsys):

@@ -76,12 +76,13 @@ def test_phase_constant_generic_positive():
 
 def test_certify_roundtrip():
     freq = q.DiophantineFrequency.certify(q.GOLDEN_MEAN, tau=1.5,
-                                          q_max=10 ** 4, thetas=(0.2377,))
+                                          q_max=10 ** 4)
     # every stored convergent obeys |omega - p/q| < 1/q^2
     for p, qd in q.convergents(freq.partial_quotients):
         assert abs(freq.omega - p / qd) < 1.0 / qd ** 2
     assert freq.c0_freq > 0.0
-    assert freq.c0_phase[0.2377] > 0.0
+    assert q.phase_diophantine_constant(freq.omega, 0.2377, freq.tau,
+                                        freq.q_max) > 0.0
     assert freq.tau == 1.5
 
 

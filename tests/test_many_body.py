@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import quasiloc as q
 from quasiloc import many_body
 from quasiloc.many_body import enumerate_sector, _occupancy
+from oracles import one_body_correlation_matrix
 
 
 def dense_diagonalize(params):
@@ -58,8 +59,15 @@ def hamiltonian_loop(params, sector):
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
+def annihilation_matrix(sector_n, sector_np1, x_bit):
+    """a_x from the (N+1)-sector to the N-sector: the rows x_bit::S of the
+    kernel's stacked annihilators."""
+    down = many_body._annihilators(sector_n, sector_np1)[1]
+    return down[x_bit::sector_n.n_sites]
+
+
 def annihilation_loop(sector_n, sector_np1, x_bit):
-    """Reference: the mask-by-mask loop annihilation_matrix used to run."""
+    """Reference: a_x built mask by mask in a Python loop."""
     bit = 1 << x_bit
     index = index_of(sector_n)
     rows, cols, vals = [], [], []
@@ -184,8 +192,7 @@ def test_fock_operators_match_loop_reference(L):
         for x_bit in range(L + 1):
             ref = annihilation_loop(sec, sec1, x_bit)
             # rows x_bit::S of each stack are a_x^T and a_x
-            for a in (q.annihilation_matrix(sec, sec1, x_bit),
-                      down[x_bit::L + 1], up[x_bit::L + 1].T):
+            for a in (down[x_bit::L + 1], up[x_bit::L + 1].T):
                 assert a.nnz == ref.nnz and abs(a - ref).max() == 0.0
 
 
@@ -219,10 +226,10 @@ def test_annihilation_algebra():
     n = 2
     for x in range(L + 1):
         for y in range(L + 1):
-            ax_n = q.annihilation_matrix(secs[n], secs[n + 1], x)
-            ay_n = q.annihilation_matrix(secs[n], secs[n + 1], y)
-            ax_dn = q.annihilation_matrix(secs[n - 1], secs[n], x)
-            ay_dn = q.annihilation_matrix(secs[n - 1], secs[n], y)
+            ax_n = annihilation_matrix(secs[n], secs[n + 1], x)
+            ay_n = annihilation_matrix(secs[n], secs[n + 1], y)
+            ax_dn = annihilation_matrix(secs[n - 1], secs[n], x)
+            ay_dn = annihilation_matrix(secs[n - 1], secs[n], y)
             anti = ax_n @ ay_n.T + ay_dn.T @ ax_dn
             expect = sp.identity(len(secs[n])) if x == y else 0 * anti
             assert abs(anti - expect).max() < 1e-14
@@ -305,7 +312,7 @@ def test_two_point_free_oracle():
     spd = q.diagonalize(p)
     for t in (0.0, 1.1, -2.3, 4.0):
         mb = q.correlation_matrix(p, spd, t)
-        ob = q.one_body_correlation_matrix(p, t)
+        ob = one_body_correlation_matrix(p, t)
         np.testing.assert_allclose(mb, ob, atol=1e-12)
 
 
@@ -382,9 +389,8 @@ def test_occupations_keep_relative_precision():
 
 @pytest.mark.parametrize("x, y", [(-4, 0), (0, 4)])
 @pytest.mark.parametrize("read", [
-    lambda corr, x, y: corr.value(x, y, 1.0),
     lambda corr, x, y: q.fit_temporal_decay(corr, x, y),
-], ids=["value", "fit_temporal_decay"])
+], ids=["fit_temporal_decay"])
 def test_site_outside_lattice_rejected(small, read, x, y):
     # L = 6 has sites -3..3; -4 must not wrap around to site 3
     p, spd = small
@@ -400,7 +406,7 @@ def test_compute_correlation_container(small):
     assert corr.values.shape == (3, p.n_sites, p.n_sites)
     assert corr.discarded.shape == (3,) and np.all(corr.discarded >= 0.0)
     half = p.L // 2
-    assert corr.value(0, 1, 1.0) == pytest.approx(
+    assert corr.at_time(1.0)[half, half + 1] == pytest.approx(
         q.correlation_matrix(p, spd, 1.0)[half, half + 1], abs=1e-12)
     with pytest.raises(KeyError):
         corr.at_time(0.37)
@@ -458,7 +464,7 @@ def test_free_fermion_oracle_property(chain, frac):
     p, spd = chain
     for t in (0.0, frac * p.beta):
         np.testing.assert_allclose(q.correlation_matrix(p, spd, t),
-                                   q.one_body_correlation_matrix(p, t),
+                                   one_body_correlation_matrix(p, t),
                                    atol=1e-12)
 
 
@@ -587,7 +593,7 @@ def test_free_fermion_oracle_with_thermal_blocks():
     assert truncated(spd) and spd.tail_certified
     corr = q.compute_correlation(p, spd, [0.0, 1.0, -23.0])
     for t, values, bound in zip(corr.times, corr.values, corr.discarded):
-        np.testing.assert_allclose(values, q.one_body_correlation_matrix(p, t),
+        np.testing.assert_allclose(values, one_body_correlation_matrix(p, t),
                                    rtol=0.0, atol=bound + 1e-12)
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from scipy.integrate import quad
 
 import quasiloc as q
 from quasiloc import multiscale
+from quasiloc.diophantine import exact_convergent_denominators
 from quasiloc.multiscale import (ScaleConfigurationError,
-                                 _annulus_candidates, telescoping_residual)
+                                 _annulus_candidates, _denominator)
+from oracles import (chi_ultraviolet, partition_of_unity_check,
+                     telescoping_residual)
 
 
 def family_of(params):
@@ -35,11 +39,11 @@ def test_family_defaults(family):
     assert family.a < 0.5 * sep
 
 
-def test_family_invariants_enforced():
+def test_family_invariants_enforced(family):
     with pytest.raises(ScaleConfigurationError):
         q.ScaleFamily.build(q.GOLDEN_MEAN, 0.2377, 2, gamma=1.5)  # gamma too small
     with pytest.raises(ScaleConfigurationError):
-        q.ScaleFamily.build(q.GOLDEN_MEAN, 0.2377, 2, safety=5.0)  # a too large
+        replace(family, a=10.0 * family.a)  # a too large
     with pytest.raises(ValueError):
         q.ScaleFamily.build(q.GOLDEN_MEAN, 0.0, 2)
 
@@ -80,7 +84,7 @@ def test_f_h_nonnegative_annulus(family):
 def test_partition_of_unity(family):
     xs = np.arange(-40, 41)
     k0s = np.linspace(-2.0, 2.0, 41)
-    assert q.partition_of_unity_check(family, xs, k0s) < 1e-12
+    assert partition_of_unity_check(family, xs, k0s) < 1e-12
 
 
 def loop_grid_checks(family, xs, k0s, ts, h_star):
@@ -93,7 +97,7 @@ def loop_grid_checks(family, xs, k0s, ts, h_star):
             cm = q.chi_h(family, family.omega * (x - family.x_bar_minus), k0, 0)
             if cp > 0.0 and cm > 0.0 and overlap is None:
                 overlap = (x, k0)
-            c1 = q.chi_ultraviolet(family, family.omega * x, k0)
+            c1 = chi_ultraviolet(family, family.omega * x, k0)
             worst = max(worst, abs(c1 + cp + cm - 1.0))
     tele = 0.0
     for t in ts:
@@ -109,7 +113,7 @@ def test_grid_checks_match_loop_reference(family):
     k0s = np.linspace(-0.3, 0.3, 13)
     ts = np.linspace(-4, 4, 9)
     partition, tele = loop_grid_checks(family, xs, k0s, ts, -4)
-    assert q.partition_of_unity_check(family, xs, k0s) == partition
+    assert partition_of_unity_check(family, xs, k0s) == partition
     assert telescoping_residual(family, ts, k0s, -4) == tele
     # a support constant past the disjointness bound (set behind the
     # constructor's guard) must be caught, naming the first offending point
@@ -118,7 +122,7 @@ def test_grid_checks_match_loop_reference(family):
     (x, k0), _ = loop_grid_checks(wide, xs, k0s, ts, -4)
     with pytest.raises(ScaleConfigurationError,
                        match=f"at x = {x}, k0 = {k0}$"):
-        q.partition_of_unity_check(wide, xs, k0s)
+        partition_of_unity_check(wide, xs, k0s)
 
 
 def test_overlapping_supports_rejected():
@@ -167,7 +171,7 @@ def test_telescoped_propagator_sum(family):
                 total = sum(q.single_scale_propagator(family, 1, x, t, h,
                                                       delta=dlt)
                             for h in range(h_star + 1, 1))
-                band = q.filtered_propagator(family, 1, x, t, h_star,
+                band = q.filtered_propagator(family, 1, x, t, h_star, 0,
                                              delta=dlt)
                 assert total == pytest.approx(band, abs=1e-12)
     assert band != 0.0
@@ -243,16 +247,24 @@ def test_resolved_band_skips_quad(family, monkeypatch):
 
 
 def test_linearized_mode_agrees_for_tiny_divisor(family):
-    # at a convergent denominator the exact and linearized denominators agree
-    cands = _annulus_candidates(family, -4)
-    x_prime, delta = next(c for c in cands if c[0] != 0)
-    ge = q.single_scale_propagator(family, 1, x_prime, 0.0, -4, delta=delta)
-    gl = q.single_scale_propagator(family, 1, x_prime, 0.0, -4,
-                                   linearized=True, delta=delta)
-    # the 2 pi between the exact cosine difference and the paper's
-    # linearization convention shows up here; only the scale must match
-    assert gl != 0.0
-    assert 0.05 < abs(ge / gl) < 20.0
+    # at the convergent denominators the exact divisor
+    # u (cos 2 pi (z + rho delta) - cos 2 pi z), z = omega x_hat + theta, is
+    # the paper's linearized v0 rho delta times -2 pi u sgn(sin 2 pi z), to
+    # first order in delta: the relative deviation is at most
+    # pi |delta| |cot 2 pi z| <= pi |delta| / v0, doubled for higher orders
+    z = family.omega * family.x_hat + family.theta
+    limit = -2.0 * math.pi * family.u * math.copysign(
+        1.0, math.sin(2.0 * math.pi * z))
+    deltas = [d for _, d in exact_convergent_denominators(family.omega,
+                                                          10 ** 15)
+              if 0.0 < abs(d) < 1e-2]
+    assert min(abs(d) for d in deltas) < 1e-14
+    for delta in deltas:
+        for rho in (1, -1):
+            ratio = _denominator(family, rho, delta) \
+                / (family.v0 * rho * delta)
+            assert ratio == pytest.approx(
+                limit, rel=2.0 * math.pi * abs(delta) / family.v0)
 
 
 def test_decay_constants_uniform(family):
@@ -265,13 +277,12 @@ def test_decay_constants_uniform(family):
     assert max(vals) / min(vals) < 2.0
 
 
-def gauss_legendre_propagator(family, rho, delta, t, h, linearized=False,
-                              panels=64, order=16):
+def gauss_legendre_propagator(family, rho, delta, t, h, panels=64, order=16):
     """g^(h)_rho by fixed-node composite Gauss-Legendre over the scale-h k0 window.
 
     The divisor is u (cos 2 pi (z + rho delta) - cos 2 pi z) with
     z = omega x_hat + theta, written as a product of sines so that tiny delta
-    keeps its relative precision; linearized, it is v0 rho delta.
+    keeps its relative precision.
     """
     qv = family.v0 * abs(delta)
     r_hi = family.a * family.gamma ** h
@@ -281,8 +292,6 @@ def gauss_legendre_propagator(family, rho, delta, t, h, linearized=False,
     z = family.omega * family.x_hat + family.theta
     d = -2.0 * family.u * math.sin(math.pi * (2.0 * z + rho * delta)) \
         * math.sin(math.pi * rho * delta)
-    if linearized:
-        d = family.v0 * rho * delta
     nodes, weights = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(math.sqrt(max(r_lo ** 2 - qv ** 2, 0.0)),
                         math.sqrt(r_hi ** 2 - qv ** 2), panels + 1)
@@ -300,11 +309,9 @@ def test_single_scale_matches_gauss_legendre_property(family, data):
     h = data.draw(st.integers(-6, 0))
     x_prime, delta = data.draw(st.sampled_from(_annulus_candidates(family, h)))
     rho = data.draw(st.sampled_from([1, -1]))
-    linearized = data.draw(st.booleans())
     t = data.draw(st.floats(0.0, 8.0)) * family.gamma ** (-h)
-    got = q.single_scale_propagator(family, rho, x_prime, t, h,
-                                    linearized=linearized, delta=delta)
-    ref = gauss_legendre_propagator(family, rho, delta, t, h, linearized)
+    got = q.single_scale_propagator(family, rho, x_prime, t, h, delta=delta)
+    ref = gauss_legendre_propagator(family, rho, delta, t, h)
     assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
 
 

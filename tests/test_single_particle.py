@@ -5,6 +5,8 @@ import pytest
 
 import quasiloc as q
 from quasiloc.cutoffs import smooth_cutoff
+from quasiloc.single_particle import fermi_occupation
+from oracles import free_propagator, one_body_correlation_matrix
 
 
 def dense_single_particle_matrix(params):
@@ -85,33 +87,33 @@ def test_spectrum_matches_dense_matrix(params):
 
 
 def test_fermi_occupation_limits():
-    assert q.fermi_occupation(0.0, 10.0) == pytest.approx(0.5)
-    assert q.fermi_occupation(500.0, 10.0) == pytest.approx(0.0, abs=1e-300)
-    assert q.fermi_occupation(-500.0, 10.0) == pytest.approx(1.0)
+    assert fermi_occupation(0.0, 10.0) == pytest.approx(0.5)
+    assert fermi_occupation(500.0, 10.0) == pytest.approx(0.0, abs=1e-300)
+    assert fermi_occupation(-500.0, 10.0) == pytest.approx(1.0)
     # no overflow for huge arguments
-    assert np.isfinite(q.fermi_occupation(1e6, 100.0))
+    assert np.isfinite(fermi_occupation(1e6, 100.0))
 
 
 def test_free_propagator_closed_form(params):
     beta = params.beta
     x = 1
     delta = q.onsite_energy(params, x) - params.mu
-    n = q.fermi_occupation(delta, beta)
-    assert q.free_propagator(params, x, 2.0) == pytest.approx(
+    n = fermi_occupation(delta, beta)
+    assert free_propagator(params, x, 2.0) == pytest.approx(
         math.exp(-delta * 2.0) * (1.0 - n))
-    assert q.free_propagator(params, x, -2.0) == pytest.approx(
+    assert free_propagator(params, x, -2.0) == pytest.approx(
         -math.exp(-delta * -2.0) * n)
-    assert q.free_propagator(params, x, 0.0) == pytest.approx(0.5 * (1 - 2 * n))
+    assert free_propagator(params, x, 0.0) == pytest.approx(0.5 * (1 - 2 * n))
     with pytest.raises(ValueError):
-        q.free_propagator(params, x, beta)
+        free_propagator(params, x, beta)
 
 
 def test_free_propagator_kms(params):
     beta = params.beta
     for x in (-2, 0, 2):
         for t in (1.0, 3.3, 7.0):
-            a = q.free_propagator(params, x, t - beta)
-            b = q.free_propagator(params, x, t)
+            a = free_propagator(params, x, t - beta)
+            b = free_propagator(params, x, t)
             assert a + b == pytest.approx(0.0, abs=1e-14)
 
 
@@ -119,7 +121,7 @@ def test_free_propagator_stable_at_large_beta_delta():
     p = q.ModelParams(L=8, beta=5000.0)
     for x in p.sites:
         for t in (0.0, 2000.0, -2000.0):
-            g = q.free_propagator(p, int(x), t)
+            g = free_propagator(p, int(x), t)
             assert np.isfinite(g)
             assert abs(g) <= 1.0
 
@@ -127,7 +129,7 @@ def test_free_propagator_stable_at_large_beta_delta():
 def test_matsubara_sum_converges_to_closed_form():
     p = q.ModelParams(L=8, beta=4.0)
     for x, t in ((1, 0.7), (2, -1.1), (0, 1.9)):
-        exact = q.free_propagator(p, x, t)
+        exact = free_propagator(p, x, t)
         approx = matsubara_propagator_sum(p, x, t, M=26)
         assert approx == pytest.approx(exact, abs=5e-4)
 
@@ -137,7 +139,7 @@ def test_matsubara_sum_pins_equal_time_convention():
     # limits at t = 0, the equal-time convention of the free propagator
     p = q.ModelParams(L=8, beta=4.0)
     for x in (0, 1, -3):
-        exact = q.free_propagator(p, x, 0.0)
+        exact = free_propagator(p, x, 0.0)
         approx = matsubara_propagator_sum(p, x, 0.0, M=26)
         assert approx == pytest.approx(exact, abs=5e-4)
 
@@ -199,10 +201,10 @@ def test_one_body_two_point_reduces_to_free_at_eps_zero():
     p = q.ModelParams(L=8, beta=6.0)
     half = p.L // 2
     for t in (0.0, 1.3, -2.1):
-        m = q.one_body_correlation_matrix(p, t)
+        m = one_body_correlation_matrix(p, t)
         for x in (-2, 0, 3):
             assert m[x + half, x + half] == pytest.approx(
-                q.free_propagator(p, x, t), abs=1e-12)
+                free_propagator(p, x, t), abs=1e-12)
             # no hopping: strictly diagonal in space
             assert m[x + half, x + 1 + half] == pytest.approx(0.0, abs=1e-12)
 
