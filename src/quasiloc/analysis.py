@@ -21,8 +21,10 @@ from .counterterm import fix_counterterm
 
 # fit_spatial_decay drops pairs this close to either open end
 _FIT_EXCLUSION = 2
-# phase_scan's many-body indicator: distances of its coarse decay rate, which
-# must resolve at least 2 of them (fit_spatial_decay asks for 4)
+# phase_scan's many-body indicator: the chain size, and the distances of its
+# coarse decay rate, which must resolve at least 2 of them (fit_spatial_decay
+# asks for 4)
+_SCAN_L = 8
 _SCAN_WINDOW = (1, 3)
 # transfer matrices per Lyapunov exponent in phase_scan
 _LYAPUNOV_STEPS = 20000
@@ -82,8 +84,8 @@ def _log_profile(s, sites, window, exclusion, tau=None):
     return d_arr, logv
 
 
-def fit_spatial_decay(corr, t_fixed=0.0, window=(2, 8)):
-    """Fit log |S2(x, y; t)| against |x - y| over the distance window.
+def fit_spatial_decay(corr, window=(2, 8)):
+    """Fit log |S2(x, y; 0)| against |x - y| over the distance window.
 
     The logarithmic correction factor (log(1 + m))^tau, with tau from the
     correlation metadata, is divided out before fitting.  Pairs within
@@ -91,12 +93,11 @@ def fit_spatial_decay(corr, t_fixed=0.0, window=(2, 8)):
     are averaged in log.  theorem_rate is |log max(|eps|, |U|)| with the
     couplings from the correlation metadata.
     """
-    tau = float(corr.meta.get("tau", 1.5))
-    cmax = max(abs(float(corr.meta.get("eps", 0.0))),
-               abs(float(corr.meta.get("U", 0.0))))
+    tau = float(corr.meta["tau"])
+    cmax = max(abs(float(corr.meta["eps"])), abs(float(corr.meta["U"])))
     theorem_rate = abs(math.log(cmax)) if 0.0 < cmax < 1.0 else math.inf
 
-    d_arr, logv = _log_profile(corr.at_time(t_fixed), corr.sites, window,
+    d_arr, logv = _log_profile(corr.at_time(0.0), corr.sites, window,
                                _FIT_EXCLUSION, tau)
     if d_arr.size == 0:
         raise FitError("off-diagonal identically zero in the fit window")
@@ -130,14 +131,14 @@ def fit_temporal_decay(corr, x, y):
     _TEMPORAL_POWERS.
 
     Delta = (1 + min(|x|, |y|))^(-tau) is the small-divisor scale of the pair,
-    with tau from corr.meta (1.5 where it is absent).
+    with tau from corr.meta.
     tail_monotone reports whether |S2| is non-increasing on the sampled times
     in [0, beta/2]; by antiperiodicity the approach to t = -beta mirrors the
     approach to t = 0+, so |t| monotonicity holds only on that branch.
     """
     if corr.times.size < 5:
         raise FitError("need at least 5 sampled times")
-    tau = float(corr.meta.get("tau", 1.5))
+    tau = float(corr.meta["tau"])
     L = corr.sites.size - 1
     vals = np.abs(corr.values[:, _site_index(L, x), _site_index(L, y)])
     times = corr.times
@@ -146,7 +147,7 @@ def fit_temporal_decay(corr, x, y):
         int(n): float(np.max(vals * (1.0 + (delta * np.abs(times)) ** n)))
         for n in _TEMPORAL_POWERS
     }
-    beta = float(corr.meta.get("beta", np.inf))
+    beta = float(corr.meta["beta"])
     sel = (times >= 0.0) & (times <= 0.5 * beta)
     v = vals[sel][np.argsort(times[sel])]
     v = v[v > 1e-13]
@@ -189,13 +190,13 @@ def _ipr_verdict(median_ipr):
 
 
 def phase_scan(eps_values, U_values, L_list, beta, *, omega=GOLDEN_MEAN,
-               theta=0.2377, x_hat=2, mb_L=8):
+               theta=0.2377, x_hat=2):
     """Coarse phase diagnostics over the (eps, U) grid.
 
     Per eps, the one-body indicators at U = 0: the single-particle median IPR
     at each L in L_list and the Lyapunov exponent at a mid-spectrum energy.
     Per (eps, U), the many-body indicator: the equal-time decay rate over
-    distances _SCAN_WINDOW, all sites included, at size mb_L with the
+    distances _SCAN_WINDOW, all sites included, at size _SCAN_L with the
     counterterm fixed.  eps = 0 has no transfer matrix and U = eps = 0 has
     exactly zero off-diagonal correlations; both get infinite-rate
     sentinels, as does a decay rate with fewer than 2 resolved distances.
@@ -221,7 +222,7 @@ def phase_scan(eps_values, U_values, L_list, beta, *, omega=GOLDEN_MEAN,
             try:
                 grid[(eps, U)] = _scan_point(
                     eps, U, median_ipr, lam, beta, omega=omega, theta=theta,
-                    x_hat=x_hat, mb_L=mb_L)
+                    x_hat=x_hat)
             except Exception as exc:  # keep scanning the rest of the grid
                 grid[(eps, U)] = _error_point(
                     eps, U, f"{type(exc).__name__}: {exc}")
@@ -255,13 +256,13 @@ def _one_body_point(eps, sizes, beta, *, omega, theta, x_hat):
                                          _LYAPUNOV_STEPS)
 
 
-def _scan_point(eps, U, median_ipr, lam, beta, *, omega, theta, x_hat, mb_L):
+def _scan_point(eps, U, median_ipr, lam, beta, *, omega, theta, x_hat):
     """The (eps, U) record: the many-body decay rate and nu, and the verdict
     from the one-body indicators of eps."""
     nu, rate = 0.0, math.inf
     if eps != 0.0 or U != 0.0:
-        mb = ModelParams(L=mb_L, beta=beta, eps=eps, u=1.0, U=U, omega=omega,
-                         theta=theta, x_hat=x_hat)
+        mb = ModelParams(L=_SCAN_L, beta=beta, eps=eps, u=1.0, U=U,
+                         omega=omega, theta=theta, x_hat=x_hat)
         spectral = diagonalize(mb)
         nu = fix_counterterm(mb, spectral=spectral).nu
         s = equal_time_matrix(mb.with_nu(nu), spectral)

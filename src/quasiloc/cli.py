@@ -9,7 +9,6 @@ bit-reproducible.  Exit status: 0 success, 1 runtime error, 2 invalid flags.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -22,17 +21,6 @@ from .many_body import diagonalize, compute_correlation, occupations, density
 from .multiscale import (ScaleFamily, scale_decay_constants, chain_graph_value)
 from .counterterm import fix_counterterm, counterterm_grid
 from .analysis import fit_spatial_decay, phase_scan
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    parameters: dict
-    output: str
-    format: str
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _fmt(v):
@@ -58,27 +46,15 @@ def _parse_grid(text):
 
 
 def _emit(config, payload, stream):
-    if config.format == "json":
-        json.dump({"config": config.to_dict(), "results": payload}, stream,
-                  indent=2, default=_json_default)
+    if config["format"] == "json":
+        json.dump({"config": config, "results": payload}, stream, indent=2)
         stream.write("\n")
     else:
         header, rows = payload
-        stream.write("# config: " + json.dumps(config.to_dict(),
-                                               default=_json_default) + "\n")
+        stream.write("# config: " + json.dumps(config) + "\n")
         stream.write(",".join(header) + "\n")
         for row in rows:
             stream.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def _model_flags(p, beta=True, couplings=True):
@@ -173,13 +149,12 @@ def _params_from(args, beta=True, couplings=True):
 
 
 def _run_dioph(args):
-    if args.tau <= 1.0:  # as DiophantineFrequency.certify requires
+    if args.tau <= 1.0:  # almost every omega is Diophantine only for tau > 1
         raise ValueError("tau must exceed 1")
     omega = _parse_omega(args.omega)
-    c0, arg = frequency_diophantine_constant(omega, args.tau, args.qmax,
-                                             return_argmin=True)
+    c0, arg = frequency_diophantine_constant(omega, args.tau, args.qmax)
     c0p, argp = phase_diophantine_constant(omega, args.theta, args.tau,
-                                           args.qmax, return_argmin=True)
+                                           args.qmax)
     return "json", {
         "c0_freq": c0, "c0_phase": c0p,
         "argmin_x": {"freq": arg, "phase": argp},
@@ -263,7 +238,7 @@ def _run_decay(args):
         params = params.with_nu(fix_counterterm(params, spectral=spectral).nu)
     corr = compute_correlation(params, spectral, [0.0])
     lo, hi = args.window.split(":")
-    fit = fit_spatial_decay(corr, 0.0, window=(int(lo), int(hi)))
+    fit = fit_spatial_decay(corr, window=(int(lo), int(hi)))
     return "json", {
         "rate": fit.rate, "xi_fit": fit.xi_fit, "prefactor": fit.prefactor,
         "r_squared": fit.r_squared, "theorem_rate": fit.theorem_rate,
@@ -296,14 +271,21 @@ def main(argv=None):
     parser = build_parser()
     pre, _ = parser.parse_known_args(argv)
     if pre.config:
-        with open(pre.config) as fh:
-            overrides = json.load(fh)
+        try:
+            with open(pre.config) as fh:
+                overrides = json.load(fh)
+            if not isinstance(overrides, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:  # JSONDecodeError included
+            print(f"invalid config: {exc}", file=sys.stderr)
+            return 2
         known = {a.dest for a in parser._actions}
         for sp in parser._subparsers._group_actions[0].choices.values():
             known |= {a.dest for a in sp._actions}
         bad = set(overrides) - known
         if bad:
-            print(f"unknown config keys: {sorted(bad)}", file=sys.stderr)
+            print(f"invalid config: unknown keys {sorted(bad)}",
+                  file=sys.stderr)
             return 2
         parser.set_defaults(**overrides)
         for sp in parser._subparsers._group_actions[0].choices.values():
@@ -325,12 +307,13 @@ def main(argv=None):
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    config = RunConfig(
-        subcommand=args.subcommand,
-        parameters={k: v for k, v in vars(args).items()
-                    if k not in ("config", "output", "subcommand")},
-        output=args.output or "-",
-        format=fmt)
+    config = {
+        "subcommand": args.subcommand,
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k not in ("config", "output", "subcommand")},
+        "output": args.output or "-",
+        "format": fmt,
+    }
     if args.output:
         with open(args.output, "w") as fh:
             _emit(config, payload, fh)

@@ -7,6 +7,7 @@ decomposition serves the whole root search: each trial nu reweights the
 stored sector blocks, which grow where a trial nu needs more of them.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .many_body import diagonalize, mean_particle_number
@@ -57,6 +58,8 @@ def fix_counterterm(params, tolerance=1e-6, spectral=None):
     starts at +-4 max(|eps|, |U|, 1e-3) and widens geometrically if needed.
     Returns a CountertermResult; params itself is never mutated.
     """
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError("tolerance must be finite and positive")
     base = params.with_nu(0.0) if params.nu != 0.0 else params
     target = _reference_density(base)
     if spectral is None:

@@ -27,6 +27,11 @@ MAX_PARTIAL_QUOTIENT = 10 ** 6
 
 _SCAN_CHUNK = 1 << 20
 
+# certify's exponent tau, scan range of c0_freq and continued-fraction depth
+_TAU = 1.5
+_Q_MAX = 10 ** 5
+_DEPTH = 20
+
 
 class RationalFrequencyError(ValueError):
     """The frequency is (numerically) rational; an irrational is required."""
@@ -98,22 +103,19 @@ def _scan_min(values_of, q_max):
     return best, arg
 
 
-def frequency_diophantine_constant(omega, tau, q_max, return_argmin=False):
-    """min over 0 < x <= q_max of |x|^tau * ||omega x||.
+def frequency_diophantine_constant(omega, tau, q_max):
+    """(min, argmin) over 0 < x <= q_max of |x|^tau * ||omega x||.
 
     By the symmetry ||omega(-x)|| = ||omega x|| only positive x are scanned.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    best, arg = _scan_min(
-        lambda x: x ** tau * torus_norm(omega * x), q_max)
-    if return_argmin:
-        return best, arg
-    return best
+    return _scan_min(lambda x: x ** tau * torus_norm(omega * x), q_max)
 
 
-def phase_diophantine_constant(omega, theta, tau, q_max, return_argmin=False):
-    """min over 0 < |x| <= q_max, both signs, of |x|^tau * ||omega x +- 2 theta||.
+def phase_diophantine_constant(omega, theta, tau, q_max):
+    """(min, argmin) over 0 < |x| <= q_max, both signs, of
+    |x|^tau * ||omega x +- 2 theta||.
 
     Returns (numerically) zero when 2 theta / omega is an integer within the
     scanned range: that is the spectral-gap case excluded by the localization
@@ -127,10 +129,7 @@ def phase_diophantine_constant(omega, theta, tau, q_max, return_argmin=False):
         b = torus_norm(omega * x - 2.0 * theta)
         return x ** tau * np.minimum(a, b)
 
-    best, arg = _scan_min(values, q_max)
-    if return_argmin:
-        return best, arg
-    return best
+    return _scan_min(values, q_max)
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,11 @@ class DiophantineFrequency:
     q_max: int
 
     @classmethod
-    def certify(cls, omega, tau=1.5, q_max=10 ** 5, depth=20):
-        if tau <= 1.0:
-            raise ValueError("tau must exceed 1")
-        quotients = continued_fraction(omega, depth)
-        c0 = frequency_diophantine_constant(omega, tau, q_max)
-        return cls(omega=float(omega), partial_quotients=quotients, tau=tau,
-                   c0_freq=c0, q_max=q_max)
+    def certify(cls, omega):
+        quotients = continued_fraction(omega, _DEPTH)
+        c0, _ = frequency_diophantine_constant(omega, _TAU, _Q_MAX)
+        return cls(omega=float(omega), partial_quotients=quotients, tau=_TAU,
+                   c0_freq=c0, q_max=_Q_MAX)
 
 
 def exact_fractional_part(omega, x):
@@ -195,7 +192,7 @@ def exact_convergent_denominators(omega, q_max):
 
 @functools.cache
 def certified_frequency(omega):
-    """DiophantineFrequency.certify(omega) at its defaults, scanned once per value.
+    """DiophantineFrequency.certify(omega), scanned once per value.
 
     Every caller shares the returned instance, so it must not be mutated.
     """

@@ -207,14 +207,8 @@ class SpectralDecomposition:
     energies: list
     vectors: list
     hamiltonians: list
-    floors: list = None
-    certified: list = None
-
-    def __post_init__(self):
-        if self.floors is None:
-            self.floors = [math.inf] * len(self.sectors)
-        if self.certified is None:
-            self.certified = [True] * len(self.sectors)
+    floors: list
+    certified: list
 
     @property
     def n_sectors(self):
@@ -348,7 +342,8 @@ def diagonalize(params):
     energies, vectors, floors = (list(x) for x in zip(*blocks))
     spectral = SpectralDecomposition(
         params=params, sectors=sectors, energies=energies, vectors=vectors,
-        hamiltonians=hamiltonians, floors=floors)
+        hamiltonians=hamiltonians, floors=floors,
+        certified=[True] * len(sectors))
     spectral._resolve(params.mu, params.beta)
     return spectral
 
@@ -455,7 +450,7 @@ def _lehmann(params, spectral, times):
     the one-sided limits.
     """
     times = [float(t) for t in times]
-    if any(abs(t) >= params.beta for t in times):
+    if not all(abs(t) < params.beta for t in times):  # false for NaN too
         raise ValueError("time difference must satisfy |t| < beta")
     spectral._require_compatible(params)
     mu, beta = params.mu, params.beta
@@ -526,10 +521,8 @@ class CorrelationFunction:
     sites: np.ndarray
     values: np.ndarray          # shape (n_times, n_sites, n_sites)
     meta: dict
-    convention: str = "equal-time mean of one-sided limits"
-    # per time, a bound on |values - exact| from the discarded Boltzmann
-    # weight; None for values that did not come from the Lehmann kernel
-    discarded: np.ndarray = None
+    # per time, a bound on |values - exact| from the discarded weight
+    discarded: np.ndarray
 
     def at_time(self, t):
         idx = int(np.argmin(np.abs(self.times - t)))

@@ -49,6 +49,8 @@ class ScaleFamily:
     x_bar_minus: float
 
     def __post_init__(self):
+        if self.h_min > 0:
+            raise ScaleConfigurationError("chi_h is defined only for h <= 0")
         if self.gamma ** (1.0 / self.tau) / 2.0 <= 1.0:
             raise ScaleConfigurationError(
                 "need gamma^(1/tau)/2 > 1 for the scale/path-length tradeoff")
@@ -58,10 +60,11 @@ class ScaleFamily:
                 f"a = {self.a} violates support disjointness (need a < {0.5 * sep})")
 
     @classmethod
-    def build(cls, omega, theta, x_hat, u=1.0, tau=1.5, gamma=None, h_min=-10):
+    def build(cls, omega, theta, x_hat, tau=1.5, gamma=None, h_min=-10):
         """Derive v0, the singular pair and a disjointness-safe a from the model data.
 
-        Default gamma = 2^(2 tau); a is half the largest disjoint value.
+        The potential amplitude u is 1.  Default gamma = 2^(2 tau); a is half
+        the largest disjoint value.
         """
         if theta == 0.0 or x_hat == 0:
             raise ValueError("x_hat and theta must be non-vanishing")
@@ -77,7 +80,7 @@ class ScaleFamily:
         if sep == 0.0:
             raise ScaleConfigurationError(
                 "singular points coincide on the torus (2 theta / omega integer)")
-        return cls(omega=omega, theta=theta, x_hat=x_hat, u=u, tau=tau,
+        return cls(omega=omega, theta=theta, x_hat=x_hat, u=1.0, tau=tau,
                    gamma=gamma, a=0.25 * sep, v0=v0, h_min=h_min,
                    x_bar_plus=x_bar_plus, x_bar_minus=x_bar_minus)
 
@@ -193,7 +196,14 @@ def single_scale_propagator(family, rho, x_prime, t, h, delta=None):
     return filtered_propagator(family, rho, x_prime, t, h - 1, h, delta)
 
 
-def _annulus_candidates(family, h, multiples=(1, 2, 3)):
+# the survey's multiples of each convergent denominator, its branch of the
+# singular point and the powers N of its constants C_N
+_MULTIPLES = (1, 2, 3)
+_SURVEY_RHO = 1
+_DECAY_POWERS = (1, 2, 3)
+
+
+def _annulus_candidates(family, h):
     """(x', signed fractional part of omega x') samples for the scale-h annulus.
 
     x' = 0 always qualifies (its k0 window is never empty).  Nonzero
@@ -212,7 +222,7 @@ def _annulus_candidates(family, h, multiples=(1, 2, 3)):
     for q, delta in exact_convergent_denominators(family.omega, 10 ** 15):
         if family.v0 * abs(delta) >= r_hi:
             continue
-        for m in multiples:
+        for m in _MULTIPLES:
             d = m * delta if abs(m * delta) < 0.4 \
                 else exact_fractional_part(family.omega, m * q)
             if r_floor <= family.v0 * abs(d) < r_hi:
@@ -222,20 +232,17 @@ def _annulus_candidates(family, h, multiples=(1, 2, 3)):
     return out
 
 
-# branch of the singular point scale_decay_constants surveys
-_SURVEY_RHO = 1
-
-
-def scale_decay_constants(family, h, powers=(1, 2, 3),
+def scale_decay_constants(family, h,
                           t_multipliers=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0)):
-    """Empirical C_N = sup over sampled (x', t) of |g^(h)| (1 + (gamma^h |t|)^N).
+    """Empirical C_N = sup over sampled (x', t) of |g^(h)| (1 + (gamma^h |t|)^N)
+    for N in _DECAY_POWERS.
 
     Times scale as gamma^(-h) so the sampled decade tracks the natural time
     scale of the slice; the survey samples the rho = _SURVEY_RHO branch.
     Returns (sup |g|, {N: C_N}).
     """
     sup_g = 0.0
-    cn = {int(n): 0.0 for n in powers}
+    cn = {n: 0.0 for n in _DECAY_POWERS}
     t_scale = family.gamma ** (-h)
     for x_prime, delta in _annulus_candidates(family, h):
         for m in t_multipliers:
@@ -243,9 +250,8 @@ def scale_decay_constants(family, h, powers=(1, 2, 3),
             g = abs(single_scale_propagator(family, _SURVEY_RHO, x_prime, t, h,
                                             delta=delta))
             sup_g = max(sup_g, g)
-            for n in powers:
-                cn[int(n)] = max(cn[int(n)],
-                                 g * (1.0 + (family.gamma ** h * t) ** n))
+            for n in _DECAY_POWERS:
+                cn[n] = max(cn[n], g * (1.0 + (family.gamma ** h * t) ** n))
     return sup_g, cn
 
 

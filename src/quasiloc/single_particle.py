@@ -48,8 +48,11 @@ class ModelParams:
                                certified_frequency(float(self.omega)))
         if self.L <= 0 or self.L % 2 != 0:
             raise ValueError("L must be a positive even integer")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if not all(map(math.isfinite,
+                       (self.eps, self.u, self.U, self.theta, self.nu))):
+            raise ValueError("eps, u, U, theta and nu must be finite")
         if self.theta == 0.0:
             raise ValueError("theta must be non-vanishing")
         if self.x_hat == 0:

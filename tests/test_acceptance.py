@@ -150,13 +150,13 @@ def test_criterion_5_single_scale_decay(family, report):
 
 
 def test_criterion_6_diophantine_constants(report):
-    c0 = q.frequency_diophantine_constant(q.GOLDEN_MEAN, 1.0, 10 ** 6)
+    c0, _ = q.frequency_diophantine_constant(q.GOLDEN_MEAN, 1.0, 10 ** 6)
     in_bracket = 0.38 <= c0 <= 0.48
     matches_oracle = abs(c0 - FREQ_CONSTANT_TAU1_QMAX1E6) < 1e-12
-    c_phase = q.phase_diophantine_constant(q.GOLDEN_MEAN, GOLDEN_THETA, 1.5,
-                                           10 ** 6)
-    c_gap = q.phase_diophantine_constant(q.GOLDEN_MEAN,
-                                         1.5 * q.GOLDEN_MEAN, 1.5, 10 ** 6)
+    c_phase, _ = q.phase_diophantine_constant(q.GOLDEN_MEAN, GOLDEN_THETA,
+                                              1.5, 10 ** 6)
+    c_gap, _ = q.phase_diophantine_constant(q.GOLDEN_MEAN,
+                                            1.5 * q.GOLDEN_MEAN, 1.5, 10 ** 6)
     ok = in_bracket and matches_oracle and c_phase > 0.0 and c_gap == 0.0
     report(6, ok, f"c0(tau=1) = {c0:.10f} in [0.38, 0.48] and frozen-oracle "
                   f"exact; phase const {c_phase:.4e} > 0; gap case {c_gap}")
@@ -183,7 +183,7 @@ def test_criterion_8_exponential_decay(counterterm_grid_results, report):
     # nu only shifts mu, so the same spectrum serves the correlation
     p = p.with_nu(q.fix_counterterm(p, tolerance=1e-6, spectral=spd).nu)
     corr = q.compute_correlation(p, spd, [0.0])
-    fit = q.fit_spatial_decay(corr, 0.0, window=(2, 8))
+    fit = q.fit_spatial_decay(corr, window=(2, 8))
     ok = fit.r_squared >= 0.9 and fit.rate >= 1.0
     report(8, ok, f"rate {fit.rate:.3f} >= 1.0, r^2 {fit.r_squared:.3f} >= "
                   f"0.9 (asymptotic reference {fit.theorem_rate:.3f})")
@@ -225,8 +225,8 @@ def test_criterion_10_chain_small_divisors(report):
     p = q.ModelParams(L=16, beta=8.0, theta=GOLDEN_THETA, x_hat=X_HAT)
     tau = p.omega.tau
     c_freq = p.omega.c0_freq
-    c_phase = q.phase_diophantine_constant(p.omega_value, p.theta, tau,
-                                           10 ** 5)
+    c_phase, _ = q.phase_diophantine_constant(p.omega_value, p.theta, tau,
+                                              10 ** 5)
     v0 = abs(p.v0)
 
     def lower_bound(x):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quasiloc as q
-from quasiloc.analysis import _log_correction
+from quasiloc.analysis import _SCAN_L, _log_correction
 
 
 def _synthetic_corr(rate, L=16, with_log_factor=False, tau=1.5):
@@ -19,12 +19,12 @@ def _synthetic_corr(rate, L=16, with_log_factor=False, tau=1.5):
             s[0, i, j] = v
     meta = {"eps": 0.1, "U": 0.0, "tau": tau}
     return q.CorrelationFunction(times=np.array([0.0]), sites=sites,
-                                 values=s, meta=meta)
+                                 values=s, meta=meta, discarded=np.zeros(1))
 
 
 def test_fit_exact_exponential():
     corr = _synthetic_corr(2.0, with_log_factor=True)
-    fit = q.fit_spatial_decay(corr, 0.0, window=(2, 8))
+    fit = q.fit_spatial_decay(corr, window=(2, 8))
     assert fit.rate == pytest.approx(2.0, abs=1e-6)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.xi_fit == pytest.approx(0.5, abs=1e-6)
@@ -33,7 +33,7 @@ def test_fit_exact_exponential():
 
 def test_fit_divides_out_log_factor():
     corr = _synthetic_corr(1.3, with_log_factor=True)
-    fit = q.fit_spatial_decay(corr, 0.0, window=(2, 8))
+    fit = q.fit_spatial_decay(corr, window=(2, 8))
     assert fit.rate == pytest.approx(1.3, abs=1e-6)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
 
@@ -43,13 +43,13 @@ def test_fit_rejects_ultralocal():
     spd = q.diagonalize(p)
     corr = q.compute_correlation(p, spd, [0.0])
     with pytest.raises(q.FitError):
-        q.fit_spatial_decay(corr, 0.0, window=(2, 8))
+        q.fit_spatial_decay(corr, window=(2, 8))
 
 
 def test_fit_window_too_narrow():
     corr = _synthetic_corr(1.0)
     with pytest.raises(q.FitError):
-        q.fit_spatial_decay(corr, 0.0, window=(2, 4))
+        q.fit_spatial_decay(corr, window=(2, 4))
 
 
 def test_temporal_decay_free_case():
@@ -84,7 +84,7 @@ def test_temporal_decay_interacting_bounded():
 
 
 def test_phase_scan_small_grid():
-    grid = q.phase_scan([0.0, 0.2], [0.0], [60, 120], 6.0, mb_L=6)
+    grid = q.phase_scan([0.0, 0.2], [0.0], [60, 120], 6.0)
     assert set(grid) == {(0.0, 0.0), (0.2, 0.0)}
     origin = grid[(0.0, 0.0)]
     assert origin.decay_rate == math.inf
@@ -95,7 +95,7 @@ def test_phase_scan_small_grid():
 
 
 def test_phase_scan_extended_side():
-    grid = q.phase_scan([0.6], [0.0], [100, 200], 6.0, mb_L=6)
+    grid = q.phase_scan([0.6], [0.0], [100, 200], 6.0)
     pt = grid[(0.6, 0.0)]
     assert pt.verdict == "extended"
     assert abs(pt.lyapunov) < 0.05
@@ -131,7 +131,7 @@ def test_phase_scan_does_one_body_work_once_per_eps(monkeypatch):
 
     monkeypatch.setattr(analysis, "single_particle_spectrum", spectrum)
     monkeypatch.setattr(analysis, "lyapunov_exponent", lyapunov)
-    grid = q.phase_scan([0.0, 0.2], [0.0, 0.1, 0.2], [40, 80], 6.0, mb_L=4)
+    grid = q.phase_scan([0.0, 0.2], [0.0, 0.1, 0.2], [40, 80], 6.0)
     assert len(grid) == 6
     assert [pt.error for pt in grid.values()] == [None] * 6
     assert sorted(spectra) == [(0.0, 40), (0.0, 80), (0.2, 40), (0.2, 80)]
@@ -154,7 +154,7 @@ def test_phase_scan_one_body_error_marks_every_U_of_its_eps(monkeypatch):
 
     monkeypatch.setattr(analysis, "single_particle_spectrum", spectrum)
     monkeypatch.setattr(analysis, "diagonalize", diagonalize)
-    grid = q.phase_scan([0.0, 0.2], [0.0, 0.1, 0.2], [40], 6.0, mb_L=4)
+    grid = q.phase_scan([0.0, 0.2], [0.0, 0.1, 0.2], [40], 6.0)
     for U in (0.0, 0.1, 0.2):
         failed, clean = grid[(0.2, U)], grid[(0.0, U)]
         assert failed.verdict == "error"
@@ -163,7 +163,7 @@ def test_phase_scan_one_body_error_marks_every_U_of_its_eps(monkeypatch):
         assert clean.error is None and clean.verdict != "error"
     assert 0.2 not in diagonalized
     assert grid[(0.0, 0.1)].decay_rate == q.phase_scan(
-        [0.0], [0.1], [40], 6.0, mb_L=4)[(0.0, 0.1)].decay_rate
+        [0.0], [0.1], [40], 6.0)[(0.0, 0.1)].decay_rate
 
 
 def test_phase_scan_certifies_once_and_fits_no_eigenvector(monkeypatch):
@@ -189,7 +189,7 @@ def test_phase_scan_certifies_once_and_fits_no_eigenvector(monkeypatch):
                         raising=False)
     q.certified_frequency.cache_clear()
     grid = q.phase_scan([0.0, 0.2], [0.0, 0.1], [40, 80], 6.0,
-                        omega=q.SILVER_MEAN, mb_L=4)
+                        omega=q.SILVER_MEAN)
     assert [pt.error for pt in grid.values()] == [None] * 4
     assert calls == [(q.SILVER_MEAN,)]
 
@@ -215,9 +215,9 @@ def coarse_rate(s, sites, window):
 
 @pytest.mark.parametrize("eps, U", [(0.2, 0.1), (0.4, 0.0)])
 def test_phase_scan_rate_matches_coarse_reference(eps, U):
-    pt = q.phase_scan([eps], [U], [40], 6.0, mb_L=6)[(eps, U)]
+    pt = q.phase_scan([eps], [U], [40], 6.0)[(eps, U)]
     assert pt.error is None
-    mb = q.ModelParams(L=6, beta=6.0, eps=eps, U=U)
+    mb = q.ModelParams(L=_SCAN_L, beta=6.0, eps=eps, U=U)
     spectral = q.diagonalize(mb)
     s = q.equal_time_matrix(mb.with_nu(pt.nu), spectral)
     ref = coarse_rate(s, mb.sites, (1, 3))
@@ -226,8 +226,8 @@ def test_phase_scan_rate_matches_coarse_reference(eps, U):
 
 
 def test_phase_scan_order_invariant():
-    a = q.phase_scan([0.0, 0.2], [0.0], [60], 6.0, mb_L=6)
-    b = q.phase_scan([0.2, 0.0], [0.0], [60], 6.0, mb_L=6)
+    a = q.phase_scan([0.0, 0.2], [0.0], [60], 6.0)
+    b = q.phase_scan([0.2, 0.0], [0.0], [60], 6.0)
     for key in a:
         assert a[key].decay_rate == b[key].decay_rate
         assert a[key].median_ipr == b[key].median_ipr

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -183,6 +184,45 @@ def test_config_file_unknown_key(tmp_path, capsys):
     status, _, err = run_cli(["--config", str(cfg), "dioph"], capsys)
     assert status == 2
     assert "not_a_flag" in err
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_config_file_errors_exit_2(tmp_path, capsys, content):
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content)
+    status, out, err = run_cli(["--config", str(cfg), "dioph"], capsys)
+    assert status == 2 and out == ""
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["density", "--L", "4", "--beta", "nan"],
+    ["correlate", "--L", "4", "--beta", "inf"],
+    ["correlate", "--L", "4", "--times", "nan"],
+    ["correlate", "--L", "4", "--eps", "nan"],
+    ["correlate", "--L", "4", "--nu", "inf"],
+    ["counterterm", "--L", "4", "--beta", "2", "--tol", "-1"],
+    ["counterterm", "--L", "4", "--beta", "2", "--grid", "0:0.1:2",
+     "--tol", "nan"],
+    ["scales", "--hmin", "3"],
+])
+def test_non_finite_and_out_of_range_inputs_exit_2(args, capsys,
+                                                   monkeypatch):
+    # the tail loop never returns from a non-finite mu or exponent; here it
+    # raises, which would exit 1
+    resolve = many_body.SpectralDecomposition._resolve
+
+    def finite_only(self, mu, b):
+        if not (math.isfinite(mu) and math.isfinite(b)):
+            raise RuntimeError("non-finite input reached the tail loop")
+        return resolve(self, mu, b)
+
+    monkeypatch.setattr(many_body.SpectralDecomposition, "_resolve",
+                        finite_only)
+    status, out, err = run_cli(args, capsys)
+    assert status == 2 and out == ""
+    assert err.startswith("invalid parameters: ")
 
 
 def test_csv_full_precision(capsys):

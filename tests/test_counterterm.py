@@ -37,6 +37,12 @@ def test_interacting_point_matches_grid_scan_oracle():
     assert abs(r.achieved_density - target) <= 1e-9
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        q.fix_counterterm(q.ModelParams(L=4, beta=2.0, eps=0.1), tolerance=tol)
+
+
 def test_density_monotone_in_nu():
     p = q.ModelParams(L=6, beta=8.0, eps=0.1, U=0.2)
     spd = q.diagonalize(p)

@@ -52,12 +52,11 @@ def test_convergents_are_fibonacci_for_golden():
 
 def test_frequency_constant_positive_and_stable():
     # enlarging the scan range can only decrease the minimum
-    c_small = q.frequency_diophantine_constant(q.GOLDEN_MEAN, 1.5, 10 ** 3)
-    c_large = q.frequency_diophantine_constant(q.GOLDEN_MEAN, 1.5, 10 ** 5)
+    c_small, _ = q.frequency_diophantine_constant(q.GOLDEN_MEAN, 1.5, 10 ** 3)
+    c_large, _ = q.frequency_diophantine_constant(q.GOLDEN_MEAN, 1.5, 10 ** 5)
     assert 0.0 < c_large <= c_small
     # tau = 1.5 > 1: golden minimum is attained at x = 1
-    c, arg = q.frequency_diophantine_constant(q.GOLDEN_MEAN, 1.5, 10 ** 4,
-                                              return_argmin=True)
+    c, arg = q.frequency_diophantine_constant(q.GOLDEN_MEAN, 1.5, 10 ** 4)
     assert arg == 1
     assert c == pytest.approx(q.torus_norm(q.GOLDEN_MEAN), rel=1e-12)
 
@@ -65,30 +64,26 @@ def test_frequency_constant_positive_and_stable():
 def test_phase_constant_gap_case_vanishes():
     # 2 theta = 3 omega makes ||omega x - 2 theta|| hit zero at x = 3
     theta = 1.5 * q.GOLDEN_MEAN
-    c = q.phase_diophantine_constant(q.GOLDEN_MEAN, theta, 1.5, 100)
+    c, arg = q.phase_diophantine_constant(q.GOLDEN_MEAN, theta, 1.5, 100)
     assert c == pytest.approx(0.0, abs=1e-12)
+    assert arg == 3
 
 
 def test_phase_constant_generic_positive():
-    c = q.phase_diophantine_constant(q.GOLDEN_MEAN, 0.2377, 1.5, 10 ** 4)
+    c, _ = q.phase_diophantine_constant(q.GOLDEN_MEAN, 0.2377, 1.5, 10 ** 4)
     assert c > 0.0
 
 
 def test_certify_roundtrip():
-    freq = q.DiophantineFrequency.certify(q.GOLDEN_MEAN, tau=1.5,
-                                          q_max=10 ** 4)
+    freq = q.DiophantineFrequency.certify(q.GOLDEN_MEAN)
     # every stored convergent obeys |omega - p/q| < 1/q^2
     for p, qd in q.convergents(freq.partial_quotients):
         assert abs(freq.omega - p / qd) < 1.0 / qd ** 2
     assert freq.c0_freq > 0.0
     assert q.phase_diophantine_constant(freq.omega, 0.2377, freq.tau,
-                                        freq.q_max) > 0.0
-    assert freq.tau == 1.5
-
-
-def test_certify_rejects_tau_at_most_one():
-    with pytest.raises(ValueError):
-        q.DiophantineFrequency.certify(q.GOLDEN_MEAN, tau=1.0)
+                                        freq.q_max)[0] > 0.0
+    assert (freq.tau, freq.q_max, len(freq.partial_quotients)) \
+        == (1.5, 10 ** 5, 20)
 
 
 def test_exact_fractional_part_matches_float_for_small_x():

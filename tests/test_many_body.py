@@ -28,7 +28,9 @@ def dense_diagonalize(params):
         hamiltonians.append(h)
     return q.SpectralDecomposition(params=params, sectors=sectors,
                                    energies=energies, vectors=vectors,
-                                   hamiltonians=hamiltonians)
+                                   hamiltonians=hamiltonians,
+                                   floors=[math.inf] * len(sectors),
+                                   certified=[True] * len(sectors))
 
 
 def index_of(sector):
@@ -330,6 +332,19 @@ def test_two_point_time_domain(small):
         q.correlation_matrix(p, spd, p.beta)
     with pytest.raises(ValueError):
         q.correlation_matrix(p, spd, -p.beta)
+
+
+def test_non_finite_time_rejected_before_the_tail_loop(small, monkeypatch):
+    # a NaN time made the kernel's block extension loop forever
+    p, spd = small
+
+    def spin(*args):
+        raise AssertionError("reached the tail loop")
+
+    monkeypatch.setattr(q.SpectralDecomposition, "_resolve", spin)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="beta"):
+            q.compute_correlation(p, spd, [0.0, t])
 
 
 def test_equal_time_matrix_consistency(small):

@@ -19,7 +19,7 @@ from oracles import (chi_ultraviolet, partition_of_unity_check,
 def family_of(params):
     """The default scale family of a chain's frequency, phase and x_hat."""
     return q.ScaleFamily.build(params.omega_value, params.theta, params.x_hat,
-                               u=params.u, tau=params.omega.tau)
+                               tau=params.omega.tau)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,8 @@ def test_family_invariants_enforced(family):
         replace(family, a=10.0 * family.a)  # a too large
     with pytest.raises(ValueError):
         q.ScaleFamily.build(q.GOLDEN_MEAN, 0.0, 2)
+    with pytest.raises(ScaleConfigurationError, match="h <= 0"):
+        q.ScaleFamily.build(q.GOLDEN_MEAN, 0.2377, 2, h_min=1)
 
 
 def test_chi_h_plateau_and_support(family):
@@ -270,7 +272,7 @@ def test_linearized_mode_agrees_for_tiny_divisor(family):
 def test_decay_constants_uniform(family):
     cs = {}
     for h in (0, -2, -4):
-        _, cn = q.scale_decay_constants(family, h, powers=(1,),
+        _, cn = q.scale_decay_constants(family, h,
                                         t_multipliers=(0.0, 1.0, 4.0))
         cs[h] = cn[1]
     vals = list(cs.values())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import quasiloc as q
 from quasiloc.cutoffs import smooth_cutoff
@@ -61,6 +62,14 @@ def test_params_validation():
         q.ModelParams(L=8, beta=1.0, x_hat=0)
     with pytest.raises(ValueError):
         q.ModelParams(L=8, beta=1.0, x_hat=9)
+
+
+@given(st.sampled_from(["beta", "eps", "u", "U", "theta", "nu"]),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_params_reject_non_finite(field, value):
+    # a NaN beta read as a Boltzmann exponent made the tail loop spin forever
+    with pytest.raises(ValueError, match="finite"):
+        q.ModelParams(**{"L": 4, "beta": 1.0, field: value})
 
 
 def test_mu_derived_not_stored(params):
