@@ -8,6 +8,7 @@ bit-reproducible.  Exit status: 0 success, 1 runtime error, 2 invalid flags.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -149,8 +150,9 @@ def _params_from(args, beta=True, couplings=True):
 
 
 def _run_dioph(args):
-    if args.tau <= 1.0:  # almost every omega is Diophantine only for tau > 1
-        raise ValueError("tau must exceed 1")
+    # almost every omega is Diophantine only for tau > 1; NaN fails too
+    if not 1.0 < args.tau < math.inf:
+        raise ValueError("tau must exceed 1 and be finite")
     omega = _parse_omega(args.omega)
     c0, arg = frequency_diophantine_constant(omega, args.tau, args.qmax)
     c0p, argp = phase_diophantine_constant(omega, args.theta, args.tau,
@@ -249,6 +251,10 @@ def _run_decay(args):
 
 
 def _run_scan(args):
+    # phase_scan reports a bad beta at every grid point; as a flag it is
+    # one invalid input
+    if not 0.0 < args.beta < math.inf:  # false for NaN too
+        raise ValueError("beta must be positive and finite")
     grid = phase_scan(_parse_grid(args.eps_grid), _parse_grid(args.U_grid),
                       [int(v) for v in args.L_list.split(",")], args.beta,
                       omega=_parse_omega(args.omega), theta=args.theta,

@@ -5,15 +5,18 @@ number keeps a thermal block: its lowest eigenpairs, below a floor that
 bounds every eigenvalue it leaves out.  Sectors of at most _DENSE_MAX states
 are diagonalized densely and kept whole.  Larger ones start empty below a
 one-body lower bound and take a Lanczos (eigsh) block where that floor is
-too low; an inertia count of the LDL^T factors of H - floor certifies that
-no eigenvalue below the new floor was missed.  The states a block
-leaves out weigh at most (d - k) e^(-b (floor - mu n - K0)) at exponent b; a
-read whose summed bound exceeds _TAIL first extends the blocks it needs, so
-no read answers from an unresolved spectrum.  The Lehmann kernel needs only
-thermal eigenstates: completeness at t = 0, and otherwise KMS to bring t into
-|t| <= beta/2 and expm_multiply for the non-thermal side.  Energies entering
-any exponential are shifted by the global ground value K0 of E - mu N, which
-leaves all observables invariant and keeps every weight in (0, 1].
+too low; the inertia of sparse LDL^T factors of H - floor, counted at two
+shifts and guarded against pivoting and tiny pivots, certifies that no
+eigenvalue below the new floor was missed.  The states a block leaves out
+weigh at most (d - k) e^(-b (floor - mu n - K0)) at exponent b; a read whose
+summed bound exceeds _TAIL first extends the blocks it needs, so no read
+answers from an unresolved spectrum.  The Lehmann kernel needs only thermal
+eigenstates: completeness at t = 0, and otherwise KMS to bring t into
+|t| <= beta/2 and a Chebyshev series of e^(-tau K) for the non-thermal side,
+cut where its left-out coefficients bound the error below _TAIL.  Energies
+entering any exponential are shifted by the global ground value K0 of
+E - mu N, which leaves all observables invariant and keeps every weight in
+(0, 1].
 """
 
 import math
@@ -22,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork
-from scipy.sparse.linalg import eigsh, expm_multiply
+from scipy.sparse.linalg import eigsh, splu
+from scipy.special import ive
 
 from .single_particle import onsite_energy, single_particle_spectrum
 
@@ -116,7 +119,10 @@ def _annihilators(sector_n, sector_np1):
 _DENSE_MAX = 500  # largest sector diagonalized densely and kept whole
 _K_START = 8  # Ritz pairs of a large sector's first Lanczos block
 _LANCZOS_FRACTION = 0.05  # a block needing more of its sector goes dense
-_LDL_MAX = 10_000  # largest sector whose inertia a dense LDL^T counts (800 MB)
+# largest sector whose inertia a sparse LDL^T counts: the factors fill as
+# about d^2, 27M entries and 0.8 GB peak at 19,448 states (L = 16)
+_COUNT_MAX = 25_000
+_PIVOT_FRACTION = 1e-3  # smallest |pivot| of a trusted count, per Ritz spacing
 _GAP = 1e-8  # smallest spacing of Ritz values a floor may sit in
 _TAIL = 1e-16  # largest summed Boltzmann factor a read may leave out
 _SEED = 5065  # of the Lanczos start vectors
@@ -165,26 +171,48 @@ def _lowest_block(h, k, cut):
     return _whole(h)
 
 
-def _count_below(h, sigma):
-    """Number of eigenvalues of h below sigma; None above _LDL_MAX states.
+def _inertia(h, sigma):
+    """(number of negative pivots, smallest |pivot|) of a symmetric LDL^T
+    factorization of h - sigma, or None where it pivoted off the diagonal or
+    found h - sigma singular.
 
-    Sylvester's law of inertia: h - sigma has as many negative eigenvalues as
-    the block-diagonal factor D of its Bunch-Kaufman factorization L D L^T.
-    A 1 x 1 block counts when negative.  Bunch-Kaufman takes a 2 x 2 block
-    only where its determinant is negative, so each has exactly one negative
-    eigenvalue; LAPACK marks both of its rows with a negative pivot index.
+    SuperLU in symmetric mode with no threshold pivoting factors
+    P^T (h - sigma) P = L U with U = D L^T when perm_r equals perm_c, so by
+    Sylvester's law of inertia the negative diagonal entries of U count the
+    eigenvalues of h below sigma.
     """
-    d = h.shape[0]
-    if d > _LDL_MAX:
+    a = (h - sigma * sp.identity(h.shape[0], format="csr")).tocsc()
+    try:
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # "Factor is exactly singular"
         return None
-    a = h.toarray()
-    a[np.diag_indices(d)] -= sigma
-    lwork, _ = dsytrf_lwork(d, lower=1)
-    # a is symmetric: its transpose is the same matrix in Fortran order
-    ldu, ipiv, _ = dsytrf(a.T, lower=1, lwork=int(lwork), overwrite_a=1)
-    single = ipiv > 0
-    return (int(np.count_nonzero(np.diag(ldu)[single] < 0.0))
-            + int(np.count_nonzero(~single)) // 2)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    pivots = lu.U.diagonal()
+    return int(np.count_nonzero(pivots < 0.0)), float(np.min(np.abs(pivots)))
+
+
+def _count_below(h, sigma, spacing):
+    """Number of eigenvalues of h below sigma, the midpoint of a spacing
+    between Ritz values; None where no count can be trusted.
+
+    Without pivoting the factorization of an indefinite matrix is not
+    backward stable, and a tiny pivot can flip a sign.  So the count is
+    trusted only when the sector has at most _COUNT_MAX states, both
+    factorizations keep their pivots on the diagonal, no pivot is smaller
+    than _PIVOT_FRACTION of the spacing, and a second count at
+    sigma - spacing / 4, inside the same spacing, agrees.
+    """
+    if h.shape[0] > _COUNT_MAX:
+        return None
+    counts = set()
+    for shift in (sigma, sigma - 0.25 * spacing):
+        inertia = _inertia(h, shift)
+        if inertia is None or inertia[1] < _PIVOT_FRACTION * spacing:
+            return None
+        counts.add(inertia[0])
+    return counts.pop() if len(counts) == 1 else None
 
 
 @dataclass
@@ -196,11 +224,11 @@ class SpectralDecomposition:
     Every eigenvalue the block leaves out is at least floors[n] (+inf when
     the block is the whole sector).  certified[n] is True when the block is
     whole, empty below the one-body bound of _ground_floor, or confirmed by
-    an inertia count; False when the sector is too large to count; and None
-    until it is counted.  Eigenvalues are stored raw (no chemical potential);
-    everything mu-dependent is assembled on demand so the counterterm search
-    can reweight one decomposition instead of rediagonalizing, and blocks
-    grow when a read needs more of them.
+    an inertia count; False when no count can be trusted (see
+    _count_below); and None until it is counted.  Eigenvalues are stored raw
+    (no chemical potential); everything mu-dependent is assembled on demand
+    so the counterterm search can reweight one decomposition instead of
+    rediagonalizing, and blocks grow when a read needs more of them.
     """
     params: object
     sectors: list
@@ -296,8 +324,9 @@ class SpectralDecomposition:
         """Count the eigenvalues below the floor of block n.  Any other count
         than the block's size means Lanczos missed one, and the sector is
         diagonalized densely instead."""
-        h = self.hamiltonians[n]
-        count = _count_below(h, self.floors[n])
+        h, floor = self.hamiltonians[n], self.floors[n]
+        # the floor is the midpoint of the spacing above the highest kept value
+        count = _count_below(h, floor, 2.0 * (floor - self.energies[n][-1]))
         if count is None:
             self.certified[n] = False
         elif count == self.energies[n].size:
@@ -371,37 +400,91 @@ def _kms_reduce(t, beta):
     return t, 1.0
 
 
-def _propagate(h, offset, tau, stack):
-    """e^(-tau (h - offset)) applied to every column of stack (d, sites, r)."""
-    k = h - offset * sp.identity(h.shape[0], format="csr")
-    d = stack.shape[0]
-    # its norm estimates draw from numpy's global random state; restoring it
-    # leaves a caller's np.random stream where the read found it
-    state = np.random.get_state()
-    try:
-        return expm_multiply(-tau * k, stack.reshape(d, -1)).reshape(
-            stack.shape)
-    finally:
-        np.random.set_state(state)
+def _chebyshev(tau, lo, hi, tol):
+    """Chebyshev series of e^(-tau x) on [lo, hi], as (coefficients, bound).
+
+    With x = c + r y, c = (lo + hi) / 2 and r = (hi - lo) / 2,
+    e^(-tau x) = sum_k c_k T_k(y), c_k = e^(-tau lo) 2 (-1)^k ive(k, tau r)
+    and half that at k = 0.  |T_k| <= 1 on the interval, so the coefficients
+    a series leaves out bound its error there.  The power series of I_k gives
+    I_(k+1)(z) <= z / (2 (k + 1)) I_k(z) term by term, so beyond degree m,
+    once m + 2 > z / 2, they sum to at most |c_(m+1)| / (1 - z / (2 (m + 2))).
+    The series is cut at the first degree where that bound is at most tol.
+    With lo >= 0 the coefficients sum to at most 1 in magnitude, so rounding
+    in the recurrence is not amplified either.
+    """
+    scale = math.exp(-tau * lo)
+    z = 0.5 * tau * max(hi - lo, 0.0)
+    size = math.ceil(z + 10.0 * math.sqrt(z) + 32.0)
+    while True:
+        k = np.arange(size)
+        c = 2.0 * scale * ive(k, z)
+        c[0] *= 0.5
+        c[1::2] *= -1.0
+        ratio = z / (2.0 * (k[:-1] + 2.0))
+        rest = np.where(ratio < 1.0, np.abs(c[1:]) / (1.0 - ratio), math.inf)
+        fits = np.flatnonzero(rest <= tol)
+        if fits.size:
+            m = int(fits[0])
+            return c[:m + 1], float(rest[m])
+        size *= 2
+
+
+def _propagate(y2, coefficients, stack):
+    """sum_k coefficients[k] T_k(y) applied to every column of stack
+    (d, sites, r), for y2 = 2 y.
+
+    Clenshaw's recurrence b_k = c_k x + 2 y b_(k+1) - b_(k+2), down from the
+    highest degree, with the sum c_0 x + y b_1 - b_2: four blocks of the
+    stack's size are live at a time.
+    """
+    x = stack.reshape(stack.shape[0], -1)
+    if coefficients.size == 1:
+        return (coefficients[0] * x).reshape(stack.shape)
+    b1, b2 = coefficients[-1] * x, np.zeros_like(x)
+    for c in coefficients[-2:0:-1]:
+        b0 = y2 @ b1
+        b0 -= b2
+        np.multiply(x, c, out=b2)
+        b0 += b2
+        b1, b2 = b0, b1
+    out = y2 @ b1
+    out *= 0.5
+    out -= b2
+    np.multiply(x, coefficients[0], out=b2)
+    out += b2
+    return out.reshape(stack.shape)
+
+
+def _gershgorin_top(h):
+    """Upper end of the Gershgorin discs of a sparse symmetric h."""
+    diag = h.diagonal()
+    return float(np.max(abs(h).sum(axis=1).A1 - np.abs(diag) + diag))
 
 
 def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
-    """Add the (n, n+1) sector pair's Lehmann terms into s[tau], and the
-    weight their thermal slabs leave out into bound[tau].
+    """Add the (n, n+1) sector pair's Lehmann terms into s[tau], and a bound
+    on what they leave out or get wrong into bound[tau].
 
     Branch tau >= 0 sums w_i <i| a_x e^(-tau K) a_y+ |i> over the thermal
     states i of sector n, w = e^(-(beta - tau) K); branch tau <= 0 sums
     -w_j <j| a_y+ e^(-|tau| K) a_x |j> over those of sector n+1.  No
     eigenbasis of the other sector enters: at tau = 0, where each branch
-    carries 1/2, completeness removes e^(-|tau| K), and otherwise
-    expm_multiply applies e^(-|tau| K / 2) to either side, so each term is a
-    weighted Gram entry, symmetric in x and y, at half the propagation.  The
-    thermal side is cut to the slab `_slab` leaves.  Every dropped term is
-    at most its weight, since ||a_x|| = 1 and ||e^(-|tau| K / 2)|| <= 1 for
-    K >= 0.  One stack of a_y+ |i> (or a_x |j>) over all sites serves every
-    time of a branch; it is one sparse product with the pair's stacked
-    annihilators, built and propagated in chunks of thermal states of at
-    most _STACK_ELEMENTS entries.
+    carries 1/2, completeness removes e^(-|tau| K), and otherwise a
+    polynomial p(K) approximates e^(-|tau| K / 2) on either side, so each
+    term is a weighted Gram entry, symmetric in x and y, at half the
+    propagation.  p is the Chebyshev series of _chebyshev on [lo, hi]: lo
+    is the other sector's lowest eigenvalue (its lowest kept value, or its
+    floor when it keeps none) less the offset, at least 0 since K0 is the
+    global ground value, and hi the Gershgorin upper end of K.  Its error
+    delta bounds ||p(K) - e^(-|tau| K / 2)||, so ||p(K)|| <= 1 + delta and
+    each kept term is off by at most w (2 delta + delta^2), since
+    ||a_x|| = 1; the series is cut where that sums to at most _TAIL over the
+    slab.  The thermal side is cut to the slab `_slab` leaves, and every
+    dropped term is at most its weight.  One stack of a_y+ |i> (or a_x |j>)
+    over all sites serves every time of a branch; it is one sparse product
+    with the pair's stacked annihilators, built and propagated in chunks of
+    thermal states of at most _STACK_ELEMENTS entries.
     """
     sec, sec1 = spectral.sectors[n], spectral.sectors[n + 1]
     up, down = _annihilators(sec, sec1)
@@ -421,7 +504,22 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
         if not terms:
             continue
         h = spectral.hamiltonians[other]
-        offset = mu * spectral.sectors[other].n_particles + k0
+        series = {}
+        if any(tau != 0.0 for tau, _ in terms):
+            offset = mu * spectral.sectors[other].n_particles + k0
+            kept = spectral.energies[other]
+            lowest = kept[0] if kept.size else spectral.floors[other]
+            lo = max(float(lowest) - offset, 0.0)
+            r = 0.5 * max(_gershgorin_top(h) - offset - lo, 0.0)
+            # 2 y, where y = (K - lo - r) / r maps [lo, lo + 2 r] onto [-1, 1]
+            y2 = (h - (offset + lo + r) * sp.identity(h.shape[0], format="csr")
+                  ) * (2.0 / r) if r > 0.0 else None
+            for tau, w in terms:
+                if tau != 0.0:
+                    total = float(np.sum(w))
+                    series[tau], delta = _chebyshev(
+                        0.5 * abs(tau), lo, lo + 2.0 * r, _TAIL / (3.0 * total))
+                    bound[tau] += (2.0 + delta) * delta * total
         rows = max(w.size for _, w in terms)
         chunk = max(1, _STACK_ELEMENTS // (h.shape[0] * sec.n_sites))
         for i0 in range(0, rows, chunk):
@@ -432,8 +530,8 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
                 if w.size <= i0:
                     continue
                 part = stack[:, :, :w.size - i0]
-                if tau != 0.0:
-                    part = _propagate(h, offset, 0.5 * abs(tau), part)
+                if tau in series:
+                    part = _propagate(y2, series[tau], part)
                 s[tau] += sign * np.tensordot(part * w[i0:i0 + chunk], part,
                                               axes=([0, 2], [0, 2]))
 
@@ -445,9 +543,9 @@ def _lehmann(params, spectral, times):
     The one Lehmann sum of the package.  KMS maps t and t - beta to the same
     tau with |tau| <= beta/2, so they share one propagation; the blocks are
     first extended until their tail at exponent beta - max |tau| is
-    resolved.  The bound adds the dropped slab weight, the tail at
-    beta - |tau| and the tail of Z, divided by Z.  t = 0 means the mean of
-    the one-sided limits.
+    resolved.  The bound adds the dropped slab weight, the error of the
+    Chebyshev propagation, the tail at beta - |tau| and the tail of Z,
+    divided by Z.  t = 0 means the mean of the one-sided limits.
     """
     times = [float(t) for t in times]
     if not all(abs(t) < params.beta for t in times):  # false for NaN too

@@ -51,6 +51,8 @@ class ScaleFamily:
     def __post_init__(self):
         if self.h_min > 0:
             raise ScaleConfigurationError("chi_h is defined only for h <= 0")
+        if not (math.isfinite(self.gamma) and math.isfinite(self.tau)):
+            raise ScaleConfigurationError("gamma and tau must be finite")
         if self.gamma ** (1.0 / self.tau) / 2.0 <= 1.0:
             raise ScaleConfigurationError(
                 "need gamma^(1/tau)/2 > 1 for the scale/path-length tradeoff")
@@ -262,6 +264,8 @@ def chain_graph_value(params, alphas, x1, k0):
     product over the visited sites of 1 / (-i k0 + phi_x - mu) starting at
     x1 + alphas[0].  Returns (complex value, list of divisor magnitudes).
     """
+    if not math.isfinite(k0):
+        raise ValueError("k0 must be finite")
     half = params.L // 2
     mu = params.mu
     value = complex(1.0, 0.0)

@@ -136,6 +136,8 @@ def lyapunov_exponent(E, eps, u, omega, theta, n_steps):
     vector is renormalized every _RENORM_EVERY steps to avoid overflow; the
     accumulated log norms divided by n_steps estimate the exponent.
     """
+    if not all(map(math.isfinite, (E, eps, u, omega, theta))):
+        raise ValueError("E, eps, u, omega and theta must be finite")
     if eps == 0.0:
         raise ValueError("transfer matrix undefined at eps = 0")
     if n_steps < 10 ** 3:

@@ -1,13 +1,15 @@
 """Reference routes that several test files compare the package against.
 
 The free propagator in closed form and the U = 0 two-point matrix from the
-one-body eigenpairs (oracles of the Lehmann kernel), the partition-of-unity
-and telescoping residuals of the scale decomposition, and the smallness and
-continuity report of a counterterm grid.  None of them has a caller in the
+one-body eigenpairs (oracles of the Lehmann kernel), the dense inertia
+count (oracle of the sparse one that certifies thermal blocks), the
+partition-of-unity and telescoping residuals of the scale decomposition, and
+the smallness and continuity report of a counterterm grid.  None of them has a caller in the
 package.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 
 from quasiloc.multiscale import ScaleConfigurationError, chi_h, f_h
 from quasiloc.single_particle import onsite_energy, single_particle_spectrum
@@ -51,6 +53,26 @@ def one_body_correlation_matrix(params, t):
     evals, evecs = single_particle_spectrum(params)
     kern = propagator_kernel(evals - params.mu, params.beta, t)
     return (evecs * kern) @ evecs.T
+
+
+def dense_count_below(h, sigma):
+    """Number of eigenvalues of a sparse symmetric h below sigma.
+
+    Sylvester's law of inertia: h - sigma has as many negative eigenvalues as
+    the block-diagonal factor D of its Bunch-Kaufman factorization L D L^T.
+    A 1 x 1 block counts when negative.  Bunch-Kaufman takes a 2 x 2 block
+    only where its determinant is negative, so each has exactly one negative
+    eigenvalue; LAPACK marks both of its rows with a negative pivot index.
+    """
+    d = h.shape[0]
+    a = h.toarray()
+    a[np.diag_indices(d)] -= sigma
+    lwork, _ = dsytrf_lwork(d, lower=1)
+    # a is symmetric: its transpose is the same matrix in Fortran order
+    ldu, ipiv, _ = dsytrf(a.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    single = ipiv > 0
+    return (int(np.count_nonzero(np.diag(ldu)[single] < 0.0))
+            + int(np.count_nonzero(~single)) // 2)
 
 
 def chi_ultraviolet(family, omega_x, k0):

@@ -96,9 +96,9 @@ def test_decay_reports_discarded_weight(capsys):
 
 
 def test_decay_reports_uncertified_tail(monkeypatch, capsys):
-    # L = 12 keeps Lanczos blocks; with no sector small enough for the dense
-    # LDL^T that counts their eigenvalues, the output says so
-    monkeypatch.setattr(many_body, "_LDL_MAX", 0)
+    # L = 12 keeps Lanczos blocks; with no sector under the size cap of the
+    # sparse LDL^T that counts their eigenvalues, the output says so
+    monkeypatch.setattr(many_body, "_COUNT_MAX", 0)
     status, out, _ = run_cli(
         ["decay", "--L", "12", "--beta", "24", "--eps", "0.1", "--U", "0.1",
          "--window", "2:8"], capsys)
@@ -206,6 +206,15 @@ def test_config_file_errors_exit_2(tmp_path, capsys, content):
     ["counterterm", "--L", "4", "--beta", "2", "--grid", "0:0.1:2",
      "--tol", "nan"],
     ["scales", "--hmin", "3"],
+    ["scales", "--gamma", "nan", "--hmin", "-1"],
+    ["scales", "--tau", "nan", "--hmin", "-1"],
+    ["lyapunov", "--E", "0", "--eps", "nan", "--steps", "1000"],
+    ["chain", "--alphas", "1", "--k0", "nan"],
+    ["dioph", "--tau", "nan", "--qmax", "100"],
+    ["scan", "--beta", "nan", "--L-list", "20,40", "--eps-grid", "0:0.2:2",
+     "--U-grid", "0:0.1:1"],
+    ["scan", "--beta", "0", "--L-list", "20,40", "--eps-grid", "0:0.2:2",
+     "--U-grid", "0:0.1:1"],
 ])
 def test_non_finite_and_out_of_range_inputs_exit_2(args, capsys,
                                                    monkeypatch):

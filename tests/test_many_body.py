@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import quasiloc as q
 from quasiloc import many_body
 from quasiloc.many_body import enumerate_sector, _occupancy
-from oracles import one_body_correlation_matrix
+from oracles import dense_count_below, one_body_correlation_matrix
 
 
 def dense_diagonalize(params):
@@ -592,7 +592,9 @@ def test_stack_chunks_sum_to_the_whole(monkeypatch):
 
 
 def test_kernel_reads_leave_global_random_state():
-    # expm_multiply's norm estimates draw from numpy's global random state
+    # a read draws from no global random stream: the Lanczos start vectors
+    # come from a seeded generator of their own, and neither the Chebyshev
+    # propagation nor the inertia counts draw at all
     p = q.ModelParams(L=8, beta=8.0, eps=0.1, U=0.1)
     spd = q.diagonalize(p)
     np.random.seed(0)
@@ -661,10 +663,10 @@ def test_missed_eigenvalue_is_caught(monkeypatch, l12):
 
 
 def test_uncounted_blocks_are_not_certified(monkeypatch, l12):
-    # without the dense LDL^T no block is counted; a block that missed an
-    # eigenvalue is then reported, never certified
+    # above the size cap of the sparse LDL^T no block is counted; a block
+    # that missed an eigenvalue is then reported, never certified
     p, _ = l12
-    monkeypatch.setattr(many_body, "_LDL_MAX", 0)
+    monkeypatch.setattr(many_body, "_COUNT_MAX", 0)
     spd = q.diagonalize(p)
     assert lanczos_blocks(spd) and not spd.tail_certified
     assert all(spd.certified[n] is False for n in lanczos_blocks(spd))
@@ -674,14 +676,164 @@ def test_uncounted_blocks_are_not_certified(monkeypatch, l12):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_inertia_count_matches_spectrum(n):
-    # h - sigma is indefinite, so its factors mix 1 x 1 and 2 x 2 pivots
+    # h - sigma is indefinite, so the count depends on the signs of pivots
+    # taken without pivoting; every guard must pass at these spacings
     p = q.ModelParams(L=8, beta=5.0, eps=0.3, U=0.2, theta=0.31)
     h = q.build_hamiltonian(p, enumerate_sector(p.L, n))
     e = np.linalg.eigvalsh(h.toarray())
     for j in range(1, e.size, 7):
         sigma = 0.5 * (e[j - 1] + e[j])
         if e[j] - e[j - 1] > 1e-8:
-            assert many_body._count_below(h, sigma) == j
+            assert many_body._count_below(h, sigma, e[j] - e[j - 1]) == j
+            assert dense_count_below(h, sigma) == j
+
+
+@st.composite
+def sector_gaps(draw):
+    """A random sector Hamiltonian at L <= 12, its spectrum, and the indices
+    j of the spacings e[j - 1] < e[j] of at least 1e-6."""
+    L = draw(st.sampled_from([4, 6, 8, 10, 12]))
+    n = draw(st.integers(1, L))
+    p = q.ModelParams(L=L, beta=1.0, eps=draw(st.floats(-0.6, 0.6)),
+                      U=draw(st.floats(-0.6, 0.6)),
+                      theta=draw(st.floats(0.05, 0.95)))
+    h = q.build_hamiltonian(p, enumerate_sector(L, n))
+    e = np.linalg.eigvalsh(h.toarray())
+    wide = np.flatnonzero(np.diff(e) >= 1e-6) + 1
+    assume(wide.size)
+    return h, e, wide, draw(st.integers(0, wide.size - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sector_gaps(), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+def test_sparse_inertia_matches_dense_oracle_property(gap, below, above):
+    # one shift inside the spacing e[j - 1] < e[j] and one past e[j], inside
+    # the next such spacing or above the spectrum: the sparse LDL^T count
+    # equals the dense Bunch-Kaufman oracle on both sides
+    h, e, wide, i = gap
+    j = wide[i]
+    inside = e[j - 1] + below * (e[j] - e[j - 1])
+    if i + 1 < wide.size:
+        k = wide[i + 1]
+        past = e[k - 1] + above * (e[k] - e[k - 1])
+    else:
+        past = e[-1] + above
+    for sigma in (inside, past):
+        count = dense_count_below(h, sigma)
+        assert count == np.count_nonzero(e < sigma)
+        inertia = many_body._inertia(h, sigma)
+        assert inertia is not None and inertia[0] == count
+    # the guarded count at the midpoint is the oracle's, or no count at all
+    mid = 0.5 * (e[j - 1] + e[j])
+    assert many_body._count_below(h, mid, e[j] - e[j - 1]) in (j, None)
+
+
+def test_count_guards_reject_an_untrusted_factorization(monkeypatch):
+    # each guard alone turns a count that would agree into no count
+    p = q.ModelParams(L=8, beta=5.0, eps=0.3, U=0.2, theta=0.31)
+    h = q.build_hamiltonian(p, enumerate_sector(p.L, 4))
+    e = np.linalg.eigvalsh(h.toarray())
+    j = int(np.argmax(np.diff(e[:20]))) + 1
+    sigma, spacing = 0.5 * (e[j - 1] + e[j]), e[j] - e[j - 1]
+    assert many_body._count_below(h, sigma, spacing) == j
+    # a count past the size cap
+    monkeypatch.setattr(many_body, "_COUNT_MAX", h.shape[0] - 1)
+    assert many_body._count_below(h, sigma, spacing) is None
+    monkeypatch.undo()
+    # a pivot below the stated fraction of the spacing
+    monkeypatch.setattr(many_body, "_PIVOT_FRACTION", 1e6)
+    assert many_body._count_below(h, sigma, spacing) is None
+    monkeypatch.undo()
+    # SuperLU leaves the diagonal at a zero pivot; U_ii = 1, 1 would count
+    # no eigenvalue below 0 where there is one
+    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert many_body._inertia(swap, 0.0) is None
+    # and gives up where no pivot is left: a shift onto an eigenvalue
+    assert many_body._inertia(sp.csr_matrix(np.diag([1.0, 2.0])), 2.0) is None
+    # a factorization that left the diagonal
+    real = many_body._inertia
+    monkeypatch.setattr(many_body, "_inertia", lambda h, s: None)
+    assert many_body._count_below(h, sigma, spacing) is None
+    # a second count that disagrees: the shift sigma - spacing / 4 is then
+    # moved below e[j - 1]
+    monkeypatch.setattr(many_body, "_inertia",
+                        lambda h, s: real(h, s if s == sigma else e[j - 1]
+                                          - 0.25 * spacing))
+    assert many_body._count_below(h, sigma, spacing) is None
+
+
+def test_failed_count_guard_leaves_block_uncertified(monkeypatch, l12):
+    # a guard that fails reports the block, never certifies it
+    p, _ = l12
+    monkeypatch.setattr(many_body, "_PIVOT_FRACTION", 1e6)
+    spd = q.diagonalize(p)
+    assert lanczos_blocks(spd) and not spd.tail_certified
+    assert all(spd.certified[n] is False for n in lanczos_blocks(spd))
+
+
+# ---- Chebyshev propagation --------------------------------------------------
+
+def chebyshev_values(coefficients, lo, hi, x):
+    """sum_k c_k T_k(y(x)) in closed form, T_k(y) = cos(k arccos y)."""
+    if coefficients.size == 1:
+        return np.full_like(x, coefficients[0])
+    y = np.clip((2.0 * x - lo - hi) / (hi - lo), -1.0, 1.0)
+    k = np.arange(coefficients.size)
+    return np.cos(np.outer(np.arccos(y), k)) @ coefficients
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 40.0), st.floats(0.0, 3.0), st.floats(0.0, 30.0),
+       st.sampled_from([1e-2, 1e-8, 1e-16, 1e-20]))
+def test_chebyshev_series_bounds_its_error_property(tau, lo, width, tol):
+    hi = lo + width
+    c, delta = many_body._chebyshev(tau, lo, hi, tol)
+    assert 0.0 <= delta <= tol
+    # lo >= 0: the coefficients sum to at most e^(-tau lo) <= 1, so rounding
+    # in the recurrence is not amplified
+    assert np.sum(np.abs(c)) <= math.exp(-tau * lo) * (1.0 + 1e-12)
+    x = np.linspace(lo, hi, 201)
+    err = np.abs(chebyshev_values(c, lo, hi, x) - np.exp(-tau * x))
+    assert np.all(err <= delta + 1e-14)
+
+
+def test_one_state_interval_is_exact():
+    # a 1-state sector has hi = lo, so r = 0: the series is the constant
+    # e^(-tau lo) with no error, and _propagate applies no operator (the
+    # kernel builds none, as it would divide by r)
+    c, delta = many_body._chebyshev(3.0, 0.25, 0.25, 1e-16)
+    assert c.tolist() == [math.exp(-0.75)] and delta == 0.0
+    stack = np.arange(6.0).reshape(2, 3, 1)
+    np.testing.assert_array_equal(many_body._propagate(None, c, stack),
+                                  math.exp(-0.75) * stack)
+
+
+def test_propagation_interval_starts_at_the_lower_bound_of_K():
+    # the Gershgorin discs of K reach below 0 here; a series on them would
+    # sum coefficients of size e^(tau |lo|) and lose 2e-7 to rounding at
+    # tau = 0.49 beta, where the series on [lower bound of K >= 0, top] keeps
+    # the Fock oracle's 1e-12
+    p = q.ModelParams(L=4, beta=80.0, eps=0.6, U=0.3, theta=0.1, x_hat=-1)
+    spd = q.diagonalize(p)
+    t = 0.49 * p.beta
+    corr = q.compute_correlation(p, spd, [-t, t])
+    np.testing.assert_allclose(corr.values, fock_correlation(p, corr.times),
+                               rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(chains(sizes=(2, 4, 6), betas=(0.5, 60.0)), st.floats(0.01, 0.5),
+       st.sampled_from([-1.0, 1.0]), st.sampled_from([1e-3, 1e-6, 1e-10]))
+def test_propagation_bound_covers_its_error_property(chain, frac, sign, tail):
+    # at a coarse tail the series is cut far above rounding, so the bound
+    # the kernel reports is tested against errors it must actually cover
+    p, spd = chain
+    times = [sign * frac * p.beta]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(many_body, "_TAIL", tail)
+        corr = q.compute_correlation(p, spd, times)
+    err = np.max(np.abs(corr.values - fock_correlation(p, corr.times)))
+    assert err <= corr.discarded[0] + 1e-13
 
 
 @PROPERTY

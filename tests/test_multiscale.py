@@ -48,6 +48,11 @@ def test_family_invariants_enforced(family):
         q.ScaleFamily.build(q.GOLDEN_MEAN, 0.0, 2)
     with pytest.raises(ScaleConfigurationError, match="h <= 0"):
         q.ScaleFamily.build(q.GOLDEN_MEAN, 0.2377, 2, h_min=1)
+    # NaN fails the gamma^(1/tau)/2 > 1 comparison silently
+    for gamma, tau in ((math.nan, 1.5), (math.inf, 1.5), (None, math.nan)):
+        with pytest.raises(ScaleConfigurationError, match="finite"):
+            q.ScaleFamily.build(q.GOLDEN_MEAN, 0.2377, 2, tau=tau,
+                                gamma=gamma)
 
 
 def test_chi_h_plateau_and_support(family):
