@@ -202,17 +202,22 @@ def phase_scan(eps_values, U_values, L_list, beta, *, omega=GOLDEN_MEAN,
     sentinels, as does a decay rate with fewer than 2 resolved distances.
     Errors are captured in the records instead of aborting the scan: one
     at a point in its record, one in the one-body part of an eps in every
-    record of that eps.  An empty L_list raises ValueError.
+    record of that eps.  An empty L_list, or a shared input (beta, omega,
+    theta, x_hat or a size of L_list) that ModelParams rejects, raises
+    ValueError before any point is computed.
     """
     sizes = sorted(set(int(v) for v in L_list))
     if not sizes:
         raise ValueError("L_list must name at least one size")
+    base = ModelParams(L=_SCAN_L, beta=beta, omega=omega, theta=theta,
+                       x_hat=x_hat)
+    for L in sizes:
+        replace(base, L=L)  # x_hat must lie in every lattice of L_list too
     U_grid = sorted(set(float(u) for u in U_values))
     grid = {}
     for eps in sorted(set(float(e) for e in eps_values)):
         try:
-            median_ipr, lam = _one_body_point(eps, sizes, beta, omega=omega,
-                                              theta=theta, x_hat=x_hat)
+            median_ipr, lam = _one_body_point(replace(base, eps=eps), sizes)
         except Exception as exc:  # keep scanning the other eps
             error = f"{type(exc).__name__}: {exc}"
             for U in U_grid:
@@ -220,9 +225,8 @@ def phase_scan(eps_values, U_values, L_list, beta, *, omega=GOLDEN_MEAN,
             continue
         for U in U_grid:
             try:
-                grid[(eps, U)] = _scan_point(
-                    eps, U, median_ipr, lam, beta, omega=omega, theta=theta,
-                    x_hat=x_hat)
+                grid[(eps, U)] = _scan_point(replace(base, eps=eps, U=U),
+                                             median_ipr, lam)
             except Exception as exc:  # keep scanning the rest of the grid
                 grid[(eps, U)] = _error_point(
                     eps, U, f"{type(exc).__name__}: {exc}")
@@ -235,34 +239,31 @@ def _error_point(eps, U, error):
                       error=error)
 
 
-def _one_body_point(eps, sizes, beta, *, omega, theta, x_hat):
-    """Median IPR per size and the Lyapunov exponent of one eps at U = 0."""
-    base = ModelParams(L=sizes[0], beta=beta, eps=eps, u=1.0, U=0.0,
-                       omega=omega, theta=theta, x_hat=x_hat)
+def _one_body_point(params, sizes):
+    """Median IPR per size and the Lyapunov exponent of params.eps at U = 0."""
     median_ipr = {}
     mid_energy = 0.0
     for L in sizes:
-        evals, evecs = single_particle_spectrum(replace(base, L=L))
+        evals, evecs = single_particle_spectrum(replace(params, L=L))
         median_ipr[L] = float(np.median(np.sum(evecs ** 4, axis=0)))
         mid_energy = float(np.median(evals))
 
-    if eps == 0.0:
+    if params.eps == 0.0:
         return median_ipr, math.inf  # no hopping: every state is a single site
     # at a mid-spectrum eigenvalue: mu0 itself may sit in a gap of the
     # Cantor spectrum, where the exponent stays positive even in the
     # extended phase
-    return median_ipr, lyapunov_exponent(mid_energy, eps, 1.0,
-                                         base.omega_value, theta,
+    return median_ipr, lyapunov_exponent(mid_energy, params.eps, params.u,
+                                         params.omega_value, params.theta,
                                          _LYAPUNOV_STEPS)
 
 
-def _scan_point(eps, U, median_ipr, lam, beta, *, omega, theta, x_hat):
-    """The (eps, U) record: the many-body decay rate and nu, and the verdict
-    from the one-body indicators of eps."""
+def _scan_point(mb, median_ipr, lam):
+    """The (eps, U) record of mb: the many-body decay rate and nu, and the
+    verdict from the one-body indicators of its eps."""
+    eps, U = mb.eps, mb.U
     nu, rate = 0.0, math.inf
     if eps != 0.0 or U != 0.0:
-        mb = ModelParams(L=_SCAN_L, beta=beta, eps=eps, u=1.0, U=U,
-                         omega=omega, theta=theta, x_hat=x_hat)
         spectral = diagonalize(mb)
         nu = fix_counterterm(mb, spectral=spectral).nu
         s = equal_time_matrix(mb.with_nu(nu), spectral)

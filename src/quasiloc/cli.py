@@ -108,7 +108,8 @@ def build_parser():
     p = sub.add_parser("counterterm", help="fix nu by density matching")
     _model_flags(p)
     p.add_argument("--grid", help="a:b:n grid over both eps and U")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="absolute tolerance on nu")
 
     p = sub.add_parser("scales", help="single-scale propagator decay survey")
     p.add_argument("--gamma", type=float, default=None)
@@ -200,14 +201,11 @@ def _run_density(args):
 
 
 def _run_counterterm(args):
+    params = _params_from(args)
     if args.grid:
         values = _parse_grid(args.grid)
-        results = counterterm_grid(
-            args.L, args.beta, values, values, tolerance=args.tol,
-            u=args.u, omega=_parse_omega(args.omega), theta=args.theta,
-            x_hat=args.xhat)
+        results = counterterm_grid(params, values, values, tolerance=args.tol)
         return "json", [r.to_dict() for r in results.values()]
-    params = _params_from(args)
     return "json", [fix_counterterm(params, tolerance=args.tol).to_dict()]
 
 
@@ -251,10 +249,6 @@ def _run_decay(args):
 
 
 def _run_scan(args):
-    # phase_scan reports a bad beta at every grid point; as a flag it is
-    # one invalid input
-    if not 0.0 < args.beta < math.inf:  # false for NaN too
-        raise ValueError("beta must be positive and finite")
     grid = phase_scan(_parse_grid(args.eps_grid), _parse_grid(args.U_grid),
                       [int(v) for v in args.L_list.split(",")], args.beta,
                       omega=_parse_omega(args.omega), theta=args.theta,

@@ -10,12 +10,10 @@ stored sector blocks, which grow where a trial nu needs more of them.
 import math
 from dataclasses import dataclass, field, replace
 
+from scipy.optimize import brentq
+
 from .many_body import diagonalize, mean_particle_number
-from .single_particle import ModelParams, free_density
-
-
-# bisection steps after the bracket is found; each halves it
-_MAX_BISECTIONS = 200
+from .single_particle import free_density
 
 
 class BracketError(RuntimeError):
@@ -50,13 +48,18 @@ def _reference_density(params):
     return free_density(replace(params, U=0.0, nu=0.0))
 
 
-def fix_counterterm(params, tolerance=1e-6, spectral=None):
-    """Solve density(mu0 + nu) = density_free(mu0) for nu by bisection.
+def fix_counterterm(params, tolerance=1e-10, spectral=None):
+    """Solve density(mu0 + nu) = density_free(mu0) for nu to within
+    `tolerance` on nu (brentq's xtol).
 
-    The density is monotone increasing in mu (grand-canonical compressibility
-    is a variance), so a sign change brackets the unique root.  The bracket
-    starts at +-4 max(|eps|, |U|, 1e-3) and widens geometrically if needed.
-    Returns a CountertermResult; params itself is never mutated.
+    U = 0 returns nu = 0.0 without iterating: the free chain is its own
+    reference.  Otherwise the density is monotone increasing in mu
+    (grand-canonical compressibility is a variance), so the sign of the
+    objective at nu = 0 says on which side the unique root lies.  The bracket
+    [0, end] starts at |end| = tolerance and grows by factors of 4 until the
+    objective changes sign, so every read lands within about 4 |nu| of mu0;
+    BracketError once |end| reaches 64 max(|eps|, |U|, 1e-3).  Returns a
+    CountertermResult; params itself is never mutated.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError("tolerance must be finite and positive")
@@ -65,67 +68,43 @@ def fix_counterterm(params, tolerance=1e-6, spectral=None):
     if spectral is None:
         spectral = diagonalize(base)
     n_sites = base.n_sites
+    history = []
 
     def objective(nu):
-        return mean_particle_number(base.with_nu(nu), spectral) / n_sites \
-            - target
-
-    history = []
-    f0 = objective(0.0)
-    history.append((0.0, f0))
-    if abs(f0) <= tolerance:
-        # eps = U = 0 (or an accidental exact match): nu = 0 by construction
-        return CountertermResult(
-            eps=base.eps, U=base.U, nu=0.0, target_density=target,
-            achieved_density=target + f0, iterations=0, converged=True,
-            L=base.L, beta=base.beta, bracket_history=history)
-
-    width = 4.0 * max(abs(base.eps), abs(base.U), 1e-3)
-    lo, hi = -width, width
-    flo, fhi = objective(lo), objective(hi)
-    history.extend([(lo, flo), (hi, fhi)])
-    widenings = 0
-    while flo * fhi > 0.0 and widenings < 4:
-        lo *= 2.0
-        hi *= 2.0
-        flo, fhi = objective(lo), objective(hi)
-        history.extend([(lo, flo), (hi, fhi)])
-        widenings += 1
-    if flo * fhi > 0.0:
-        raise BracketError(
-            f"no sign change of the density objective in [{lo}, {hi}]")
-
-    # density tolerance converted to a nu tolerance through bisection alone;
-    # iterate until the objective itself is inside tolerance
-    nu = 0.5 * (lo + hi)
-    converged = False
-    it = 0
-    for it in range(1, _MAX_BISECTIONS + 1):
-        nu = 0.5 * (lo + hi)
-        f = objective(nu)
+        f = mean_particle_number(base.with_nu(nu), spectral) / n_sites - target
         history.append((nu, f))
-        if abs(f) <= tolerance:
-            converged = True
-            break
-        if flo * f < 0.0:
-            hi, fhi = nu, f
-        else:
-            lo, flo = nu, f
-        if hi - lo < 1e-15 * max(1.0, abs(nu)):
-            break
-    achieved = target + history[-1][1]
-    return CountertermResult(
-        eps=base.eps, U=base.U, nu=float(nu), target_density=target,
-        achieved_density=achieved, iterations=it, converged=converged,
-        L=base.L, beta=base.beta, bracket_history=history)
+        return f
+
+    def result(nu, iterations, converged):
+        # every nu returned here has been read
+        return CountertermResult(
+            eps=base.eps, U=base.U, nu=float(nu), target_density=target,
+            achieved_density=target + dict(history)[nu],
+            iterations=iterations, converged=converged, L=base.L,
+            beta=base.beta, bracket_history=history)
+
+    f0 = objective(0.0)
+    if base.U == 0.0:
+        return result(0.0, 0, True)
+
+    limit = 64.0 * max(abs(base.eps), abs(base.U), 1e-3)
+    end = math.copysign(tolerance, -f0)
+    while f0 * objective(end) > 0.0:
+        if abs(end) >= limit:
+            raise BracketError(
+                f"no sign change of the density objective in [0, {end}]")
+        end = math.copysign(min(4.0 * abs(end), limit), end)
+    nu, info = brentq(objective, 0.0, end, xtol=tolerance, full_output=True,
+                      disp=False)
+    return result(nu, info.iterations, info.converged)
 
 
-def counterterm_grid(L, beta, eps_values, U_values, tolerance=1e-6, **kwargs):
-    """fix_counterterm over the (eps, U) product grid; one diagonalization each."""
+def counterterm_grid(params, eps_values, U_values, tolerance=1e-10):
+    """fix_counterterm at every (eps, U) of the product grid, the other
+    parameters from params; one diagonalization each."""
     results = {}
     for eps in sorted(set(float(e) for e in eps_values)):
         for U in sorted(set(float(u) for u in U_values)):
-            params = ModelParams(L=L, beta=beta, eps=eps, U=U, **kwargs)
-            results[(eps, U)] = fix_counterterm(params, tolerance=tolerance)
+            results[(eps, U)] = fix_counterterm(
+                replace(params, eps=eps, U=U), tolerance=tolerance)
     return results
-

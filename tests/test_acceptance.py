@@ -63,8 +63,8 @@ def family():
 @pytest.fixture(scope="module")
 def counterterm_grid_results():
     values = (0.0, 0.05, 0.1)
-    return q.counterterm_grid(10, 20.0, values, values, tolerance=1e-6,
-                              theta=GOLDEN_THETA, x_hat=X_HAT)
+    base = q.ModelParams(L=10, beta=20.0, theta=GOLDEN_THETA, x_hat=X_HAT)
+    return q.counterterm_grid(base, values, values, tolerance=1e-10)
 
 
 def test_criterion_1_free_theory_oracle(report):
@@ -171,7 +171,7 @@ def test_criterion_7_counterterm_grid(counterterm_grid_results, report):
     ok = all_converged and report_dict["ok"]
     report(7, ok, f"9/9 converged: {all_converged}, nu(0,0) = 0: "
                   f"{report_dict['zero_at_origin']}, sup ratio "
-                  f"{report_dict['max_ratio']:.3f} <= 2, continuity ok: "
+                  f"{report_dict['max_ratio']:.3e} <= 2, continuity ok: "
                   f"{report_dict['continuity_ok']}")
     assert ok
 
@@ -181,7 +181,7 @@ def test_criterion_8_exponential_decay(counterterm_grid_results, report):
                       x_hat=X_HAT)
     spd = q.diagonalize(p)
     # nu only shifts mu, so the same spectrum serves the correlation
-    p = p.with_nu(q.fix_counterterm(p, tolerance=1e-6, spectral=spd).nu)
+    p = p.with_nu(q.fix_counterterm(p, tolerance=1e-10, spectral=spd).nu)
     corr = q.compute_correlation(p, spd, [0.0])
     fit = q.fit_spatial_decay(corr, window=(2, 8))
     ok = fit.r_squared >= 0.9 and fit.rate >= 1.0

@@ -101,12 +101,41 @@ def test_phase_scan_extended_side():
     assert abs(pt.lyapunov) < 0.05
 
 
-def test_phase_scan_captures_point_errors():
-    # beta <= 0 is rejected per point, not fatally
-    grid = q.phase_scan([0.1], [0.0], [40], -1.0)
-    pt = grid[(0.1, 0.0)]
-    assert pt.verdict == "error"
-    assert "beta" in pt.error
+@pytest.mark.parametrize("beta, kwargs, match", [
+    (-1.0, {}, "beta"),
+    (math.nan, {}, "beta"),
+    (6.0, {"theta": math.nan}, "theta"),
+    (6.0, {"omega": math.nan}, "omega"),
+    (6.0, {"x_hat": 0}, "x_hat"),
+    (6.0, {"x_hat": 11}, "x_hat"),
+])
+def test_phase_scan_rejects_bad_shared_inputs(beta, kwargs, match,
+                                              monkeypatch):
+    # inputs every point shares are one ValueError, before any point runs
+    from quasiloc import analysis
+
+    def refuse(*args):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(analysis, "single_particle_spectrum", refuse)
+    with pytest.raises(ValueError, match=match):
+        q.phase_scan([0.1], [0.0], [20, 40], beta, **kwargs)
+
+
+def test_phase_scan_captures_point_errors(monkeypatch):
+    from quasiloc import analysis
+
+    def fix(params, **kwargs):
+        if (params.eps, params.U) == (0.2, 0.1):
+            raise RuntimeError("injected")
+        return q.fix_counterterm(params, **kwargs)
+
+    monkeypatch.setattr(analysis, "fix_counterterm", fix)
+    grid = q.phase_scan([0.2], [0.0, 0.1, 0.2], [40], 6.0)
+    failed = grid.pop((0.2, 0.1))
+    assert failed.verdict == "error"
+    assert failed.error == "RuntimeError: injected"
+    assert [pt.error for pt in grid.values()] == [None, None]
 
 
 def test_phase_scan_rejects_empty_sizes():

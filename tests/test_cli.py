@@ -215,6 +215,12 @@ def test_config_file_errors_exit_2(tmp_path, capsys, content):
      "--U-grid", "0:0.1:1"],
     ["scan", "--beta", "0", "--L-list", "20,40", "--eps-grid", "0:0.2:2",
      "--U-grid", "0:0.1:1"],
+    ["scan", "--theta", "nan", "--L-list", "20", "--eps-grid", "0:0.2:2",
+     "--U-grid", "0:0.1:1"],
+    ["scan", "--omega", "nan", "--L-list", "20", "--eps-grid", "0:0.2:2",
+     "--U-grid", "0:0.1:1"],
+    ["scan", "--xhat", "0", "--L-list", "20", "--eps-grid", "0:0.2:2",
+     "--U-grid", "0:0.1:1"],
 ])
 def test_non_finite_and_out_of_range_inputs_exit_2(args, capsys,
                                                    monkeypatch):

@@ -615,11 +615,11 @@ def test_free_fermion_oracle_with_thermal_blocks():
 
 
 def test_counterterm_matches_dense_route():
-    # brackets at +-0.8 around mu0 and bisects; every read is resolved first
+    # the thermal blocks and dense ED give the root search the same reads
     p = q.ModelParams(L=12, beta=24.0, eps=0.2, U=0.2, theta=0.2377)
     got = q.fix_counterterm(p)
     expect = q.fix_counterterm(p, spectral=dense_diagonalize(p))
-    assert got.iterations == expect.iterations == 18
+    assert got.iterations == expect.iterations > 0
     assert got.nu == pytest.approx(expect.nu, rel=0.0, abs=1e-12)
     # every density the search read, brackets included
     np.testing.assert_allclose(got.bracket_history, expect.bracket_history,
