@@ -45,7 +45,6 @@ class DecayFit:
     r_squared: float
     window: tuple
     theorem_rate: float
-    tau: float
     n_points: int
 
 
@@ -87,18 +86,18 @@ def _log_profile(s, sites, window, exclusion, tau=None):
 def fit_spatial_decay(corr, window=(2, 8)):
     """Fit log |S2(x, y; 0)| against |x - y| over the distance window.
 
-    The logarithmic correction factor (log(1 + m))^tau, with tau from the
-    correlation metadata, is divided out before fitting.  Pairs within
-    _FIT_EXCLUSION sites of either open end are dropped; values per distance
-    are averaged in log.  theorem_rate is |log max(|eps|, |U|)| with the
-    couplings from the correlation metadata.
+    The logarithmic correction factor (log(1 + m))^tau, with tau the
+    Diophantine exponent of corr.params.omega, is divided out before
+    fitting.  Pairs within _FIT_EXCLUSION sites of either open end are
+    dropped; values per distance are averaged in log.  theorem_rate is
+    |log max(|eps|, |U|)| with the couplings of corr.params.
     """
-    tau = float(corr.meta["tau"])
-    cmax = max(abs(float(corr.meta["eps"])), abs(float(corr.meta["U"])))
+    p = corr.params
+    cmax = max(abs(p.eps), abs(p.U))
     theorem_rate = abs(math.log(cmax)) if 0.0 < cmax < 1.0 else math.inf
 
-    d_arr, logv = _log_profile(corr.at_time(0.0), corr.sites, window,
-                               _FIT_EXCLUSION, tau)
+    d_arr, logv = _log_profile(corr.at_time(0.0), p.sites, window,
+                               _FIT_EXCLUSION, p.omega.tau)
     if d_arr.size == 0:
         raise FitError("off-diagonal identically zero in the fit window")
     if d_arr.size < 4:
@@ -112,7 +111,7 @@ def fit_spatial_decay(corr, window=(2, 8)):
     rate = -float(slope)
     return DecayFit(rate=rate, xi_fit=1.0 / rate if rate > 0.0 else math.inf,
                     prefactor=float(np.exp(intercept)), r_squared=r2,
-                    window=tuple(window), theorem_rate=theorem_rate, tau=tau,
+                    window=tuple(window), theorem_rate=theorem_rate,
                     n_points=int(d_arr.size))
 
 
@@ -131,24 +130,22 @@ def fit_temporal_decay(corr, x, y):
     _TEMPORAL_POWERS.
 
     Delta = (1 + min(|x|, |y|))^(-tau) is the small-divisor scale of the pair,
-    with tau from corr.meta.
+    with tau the Diophantine exponent of corr.params.omega.
     tail_monotone reports whether |S2| is non-increasing on the sampled times
     in [0, beta/2]; by antiperiodicity the approach to t = -beta mirrors the
     approach to t = 0+, so |t| monotonicity holds only on that branch.
     """
     if corr.times.size < 5:
         raise FitError("need at least 5 sampled times")
-    tau = float(corr.meta["tau"])
-    L = corr.sites.size - 1
-    vals = np.abs(corr.values[:, _site_index(L, x), _site_index(L, y)])
+    p = corr.params
+    vals = np.abs(corr.values[:, _site_index(p.L, x), _site_index(p.L, y)])
     times = corr.times
-    delta = (1.0 + min(abs(x), abs(y))) ** (-tau)
+    delta = (1.0 + min(abs(x), abs(y))) ** (-p.omega.tau)
     constants = {
         int(n): float(np.max(vals * (1.0 + (delta * np.abs(times)) ** n)))
         for n in _TEMPORAL_POWERS
     }
-    beta = float(corr.meta["beta"])
-    sel = (times >= 0.0) & (times <= 0.5 * beta)
+    sel = (times >= 0.0) & (times <= 0.5 * p.beta)
     v = vals[sel][np.argsort(times[sel])]
     v = v[v > 1e-13]
     monotone = not (v.size >= 2 and np.any(np.diff(v) > 1e-10))

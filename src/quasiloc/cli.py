@@ -184,8 +184,8 @@ def _run_correlate(args):
     corr = compute_correlation(params, spectral, times)
     rows = []
     for it, t in enumerate(corr.times):
-        for ix, x in enumerate(corr.sites):
-            for iy, y in enumerate(corr.sites):
+        for ix, x in enumerate(params.sites):
+            for iy, y in enumerate(params.sites):
                 rows.append((int(x), int(y), float(t),
                              float(corr.values[it, ix, iy])))
     return "csv", (("x", "y", "t", "value"), rows)

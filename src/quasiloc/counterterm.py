@@ -8,7 +8,7 @@ stored sector blocks, which grow where a trial nu needs more of them.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from scipy.optimize import brentq
 
@@ -34,13 +34,9 @@ class CountertermResult:
     bracket_history: list = field(default_factory=list, repr=False)
 
     def to_dict(self):
-        return {
-            "eps": self.eps, "U": self.U, "nu": self.nu,
-            "target_density": self.target_density,
-            "achieved_density": self.achieved_density,
-            "iterations": self.iterations, "converged": self.converged,
-            "L": self.L, "beta": self.beta,
-        }
+        """Every field but bracket_history, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "bracket_history"}
 
 
 def _reference_density(params):

@@ -256,27 +256,25 @@ class SpectralDecomposition:
             raise ValueError("params differ from those of the spectral "
                              "decomposition")
 
-    def grand_energies(self, mu):
-        return [e - mu * s.n_particles
-                for e, s in zip(self.energies, self.sectors)]
-
     def ground_shift(self, mu):
         """Global minimum of E - mu N, subtracted before any exponential."""
-        return min(float(k[0]) for k in self.grand_energies(mu) if k.size)
+        return min(float(e[0]) - mu * s.n_particles
+                   for e, s in zip(self.energies, self.sectors) if e.size)
 
     def shifted_energies(self, mu):
+        """Kept E - mu N less the ground shift, per sector."""
         k0 = self.ground_shift(mu)
-        return [k - k0 for k in self.grand_energies(mu)]
+        return [e - mu * s.n_particles - k0
+                for e, s in zip(self.energies, self.sectors)]
 
-    def sector_weights(self, mu):
-        """Boltzmann factors of the kept states, once the tail at (mu, beta)
-        is resolved."""
-        beta = self.params.beta
+    def thermal_weights(self, params):
+        """(Boltzmann factors of the kept states per sector, Z) at
+        (params.mu, params.beta), once the tail there is resolved."""
+        self._require_compatible(params)
+        mu, beta = params.mu, params.beta
         self._resolve(mu, beta)
-        return [np.exp(-beta * k) for k in self.shifted_energies(mu)]
-
-    def partition_function(self, mu):
-        return sum(float(np.sum(w)) for w in self.sector_weights(mu))
+        weights = [np.exp(-beta * k) for k in self.shifted_energies(mu)]
+        return weights, sum(float(np.sum(w)) for w in weights)
 
     def tail_bound(self, mu, b):
         """Bound on the summed e^(-b (K - K0)) of the states no block holds."""
@@ -523,7 +521,7 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
         rows = max(w.size for _, w in terms)
         chunk = max(1, _STACK_ELEMENTS // (h.shape[0] * sec.n_sites))
         for i0 in range(0, rows, chunk):
-            v = spectral.vectors[thermal][:, i0:i0 + chunk]
+            v = spectral.vectors[thermal][:, i0:min(i0 + chunk, rows)]
             # stack[:, x, i] is a_x+ |i> in sector n+1, or a_x |i> in sector n
             stack = (ann @ v).reshape(h.shape[0], sec.n_sites, -1)
             for tau, w in terms:
@@ -543,26 +541,28 @@ def _lehmann(params, spectral, times):
     The one Lehmann sum of the package.  KMS maps t and t - beta to the same
     tau with |tau| <= beta/2, so they share one propagation; the blocks are
     first extended until their tail at exponent beta - max |tau| is
-    resolved.  The bound adds the dropped slab weight, the error of the
-    Chebyshev propagation, the tail at beta - |tau| and the tail of Z,
-    divided by Z.  t = 0 means the mean of the one-sided limits.
+    resolved, which also resolves the tail of Z at beta.  The bound adds the
+    dropped slab weight, the error of the Chebyshev propagation, the tail at
+    beta - |tau| and the tail of Z, divided by Z.  t = 0 means the mean of
+    the one-sided limits.
     """
     times = [float(t) for t in times]
     if not all(abs(t) < params.beta for t in times):  # false for NaN too
         raise ValueError("time difference must satisfy |t| < beta")
-    spectral._require_compatible(params)
+    spectral._require_compatible(params)  # before any block is extended
     mu, beta = params.mu, params.beta
     reduced = [_kms_reduce(t, beta) for t in times]
     taus = sorted({tau for tau, _ in reduced})
     spectral._resolve(mu, beta - max(abs(tau) for tau in taus))
+    _, z = spectral.thermal_weights(params)
+    z_tail = spectral.tail_bound(mu, beta)
     s = {tau: np.zeros((params.n_sites, params.n_sites)) for tau in taus}
-    bound = {tau: spectral.tail_bound(mu, beta - abs(tau))
-             + spectral.tail_bound(mu, beta) for tau in taus}
+    bound = {tau: spectral.tail_bound(mu, beta - abs(tau)) + z_tail
+             for tau in taus}
     shifted = spectral.shifted_energies(mu)
     k0 = spectral.ground_shift(mu)
     for n in range(spectral.n_sectors - 1):
         _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta)
-    z = spectral.partition_function(mu)
     values = np.array([sign * s[tau] for tau, sign in reduced]) / z
     return values, np.array([bound[tau] for tau, _ in reduced]) / z
 
@@ -589,9 +589,7 @@ def occupations(params, spectral):
     block, the states left out shift an occupation by at most
     tail_bound(mu, beta) / Z <= _TAIL, an absolute bound.
     """
-    spectral._require_compatible(params)
-    weights = spectral.sector_weights(params.mu)
-    z = sum(float(np.sum(w)) for w in weights)
+    weights, z = spectral.thermal_weights(params)
     occ = np.zeros(params.n_sites)
     for w, v, sec in zip(weights, spectral.vectors, spectral.sectors):
         occ += ((v ** 2) @ w) @ _occupancy(sec)
@@ -605,9 +603,7 @@ def density(params, spectral):
 
 def mean_particle_number(params, spectral):
     """<N> from sector weights alone; cheap objective for the counterterm search."""
-    spectral._require_compatible(params)
-    weights = spectral.sector_weights(params.mu)
-    z = sum(float(np.sum(w)) for w in weights)
+    weights, z = spectral.thermal_weights(params)
     return sum(s.n_particles * float(np.sum(w))
                for s, w in zip(spectral.sectors, weights)) / z
 
@@ -616,11 +612,10 @@ def mean_particle_number(params, spectral):
 class CorrelationFunction:
     """Sampled S2 values on a (time, x, y) grid with the generating parameters."""
     times: np.ndarray
-    sites: np.ndarray
     values: np.ndarray          # shape (n_times, n_sites, n_sites)
-    meta: dict
     # per time, a bound on |values - exact| from the discarded weight
     discarded: np.ndarray
+    params: object              # the ModelParams the values were computed at
 
     def at_time(self, t):
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -633,5 +628,5 @@ def compute_correlation(params, spectral, times):
     """Sample the two-point function on a grid of time differences."""
     times = np.asarray(sorted(set(float(t) for t in times)))
     values, discarded = _lehmann(params, spectral, times)
-    return CorrelationFunction(times=times, sites=params.sites, values=values,
-                               meta=params.to_dict(), discarded=discarded)
+    return CorrelationFunction(times=times, values=values, discarded=discarded,
+                               params=params)

@@ -92,14 +92,6 @@ class ModelParams:
     def with_nu(self, nu):
         return replace(self, nu=nu)
 
-    def to_dict(self):
-        """JSON-friendly snapshot used in output headers and metadata."""
-        return {
-            "L": self.L, "beta": self.beta, "eps": self.eps, "u": self.u,
-            "U": self.U, "omega": self.omega_value, "tau": self.omega.tau,
-            "theta": self.theta, "x_hat": self.x_hat, "nu": self.nu,
-        }
-
 
 def _site_index(L, x):
     """Array index x + L/2 of site x; ValueError outside {-L/2, ..., L/2}."""

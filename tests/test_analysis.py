@@ -7,19 +7,18 @@ import quasiloc as q
 from quasiloc.analysis import _SCAN_L, _log_correction
 
 
-def _synthetic_corr(rate, L=16, with_log_factor=False, tau=1.5):
-    sites = np.arange(-L // 2, L // 2 + 1)
-    n = sites.size
+def _synthetic_corr(rate, with_log_factor=False):
+    p = q.ModelParams(L=16, beta=1.0, eps=0.1)
+    n = p.n_sites
     s = np.zeros((1, n, n))
-    for i, x in enumerate(sites):
-        for j, y in enumerate(sites):
+    for i, x in enumerate(p.sites):
+        for j, y in enumerate(p.sites):
             v = math.exp(-rate * abs(x - y))
             if with_log_factor:
-                v *= _log_correction(x, y, tau)
+                v *= _log_correction(x, y, p.omega.tau)
             s[0, i, j] = v
-    meta = {"eps": 0.1, "U": 0.0, "tau": tau}
-    return q.CorrelationFunction(times=np.array([0.0]), sites=sites,
-                                 values=s, meta=meta, discarded=np.zeros(1))
+    return q.CorrelationFunction(times=np.array([0.0]), values=s,
+                                 discarded=np.zeros(1), params=p)
 
 
 def test_fit_exact_exponential():

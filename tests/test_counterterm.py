@@ -62,6 +62,9 @@ def test_result_records_inputs():
     assert len(r.bracket_history) >= 1
     d = r.to_dict()
     assert set(d) >= {"nu", "target_density", "achieved_density", "converged"}
+    # the key order of the counterterm command's JSON
+    assert list(d) == ["eps", "U", "nu", "target_density", "achieved_density",
+                       "iterations", "converged", "L", "beta"]
 
 
 def test_nu_bound_small_couplings():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import quasiloc as q
 from quasiloc import many_body
@@ -87,7 +87,10 @@ def fock_system(p):
     eigenpairs of H - mu N, energies shifted to a zero ground value.
 
     Jordan-Wigner annihilators from np.kron: bit b of the basis index is site
-    b - L/2, sign (-1)^(occupied bits below b).
+    b - L/2, sign (-1)^(occupied bits below b).  H - mu N is diagonalized
+    block by block in the particle number N: one eigh over all of Fock space
+    would mix nearly degenerate levels of different N, and the traces would
+    lose ~1e-13 to it.
     """
     ns = p.n_sites
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])   # |0><1|
@@ -101,8 +104,14 @@ def fock_system(p):
     h = h + sum(2.0 * p.U * n_op[b] @ n_op[b + 1]
                 - p.eps * (c[b].T @ c[b + 1] + c[b + 1].T @ c[b])
                 for b in range(ns - 1))
-    e, v = np.linalg.eigh(h - p.mu * sum(n_op))
-    return c, n_op, e - e[0], v
+    count = np.rint(np.diag(sum(n_op))).astype(int)
+    e, v = np.zeros(count.size), np.zeros_like(h)
+    for n in range(ns + 1):
+        block = np.flatnonzero(count == n)
+        energies, v[np.ix_(block, block)] = np.linalg.eigh(
+            h[np.ix_(block, block)])
+        e[block] = energies - p.mu * n
+    return c, n_op, e - e.min(), v
 
 
 def fock_occupations(p):
@@ -249,10 +258,9 @@ def test_fermionic_sign_adjacent_hop():
 
 def test_partition_function_and_weights(small):
     p, spd = small
-    z = spd.partition_function(p.mu)
+    weights, z = spd.thermal_weights(p)
     assert z >= 1.0  # the shifted ground state contributes exactly 1
-    probs = np.array([float(np.sum(w)) / z
-                      for w in spd.sector_weights(p.mu)])
+    probs = np.array([float(np.sum(w)) / z for w in weights])
     assert probs.sum() == pytest.approx(1.0)
     assert np.all(probs >= 0.0)
 
@@ -303,6 +311,8 @@ def test_mismatched_params_rejected():
             q.correlation_matrix(other, spd, 1.0)
         with pytest.raises(ValueError, match="spectral decomposition"):
             q.mean_particle_number(other, spd)
+        with pytest.raises(ValueError, match="spectral decomposition"):
+            q.occupations(other, spd)
     # nu only shifts mu, so one decomposition serves every nu
     shifted = p.with_nu(0.05)
     assert q.mean_particle_number(shifted, spd) != q.mean_particle_number(p, spd)
@@ -498,9 +508,16 @@ def test_slab_bound_holds_at_coarse_tails(monkeypatch, tail, beta):
     assert np.all(err <= corr.discarded)
 
 
+# near-degenerate ground states of N = 4 and 5 (0.0077 apart) that an eigh
+# over all of Fock space mixed, putting the oracle 1e-13 off at t = 0
+SLAB_DRAW = q.ModelParams(L=6, beta=61.0, eps=0.044003459853854454, U=0.001,
+                          theta=0.7443148765376097, x_hat=-1)
+
+
 @PROPERTY
 @given(chains(sizes=(4, 6), betas=(20.0, 80.0)), st.floats(0.01, 0.99),
        st.sampled_from([-1.0, 1.0]))
+@example((SLAB_DRAW, q.diagonalize(SLAB_DRAW)), 0.5, -1.0)
 def test_thermal_slabs_bound_their_error_property(chain, frac, sign):
     # at low temperature the slabs drop weight; the reported bound must
     # cover the difference from the Fock oracle, t = 0 included
@@ -541,12 +558,12 @@ def test_thermal_blocks_match_dense_oracle(L, beta):
         assert spd.tail_bound(p.mu + 0.5, beta) > many_body._TAIL
         assert spd.tail_bound(p.mu, 0.55 * beta) > many_body._TAIL
     for shifted in (p, p.with_nu(-0.5), p.with_nu(0.5)):
-        mu = shifted.mu
-        assert spd.partition_function(mu) == pytest.approx(
-            ref.partition_function(mu), rel=1e-12, abs=0.0)
+        z = spd.thermal_weights(shifted)[1]
+        assert z == pytest.approx(ref.thermal_weights(shifted)[1], rel=1e-12,
+                                  abs=0.0)
         assert q.mean_particle_number(shifted, spd) == pytest.approx(
             q.mean_particle_number(shifted, ref), rel=1e-12, abs=0.0)
-        bound = spd.tail_bound(mu, beta) / spd.partition_function(mu)
+        bound = spd.tail_bound(shifted.mu, beta) / z
         np.testing.assert_allclose(q.occupations(shifted, spd),
                                    q.occupations(shifted, ref), rtol=0.0,
                                    atol=bound + 1e-12)
@@ -567,11 +584,11 @@ def test_high_temperature_sectors_go_dense():
     assert spd.tail_certified
     assert len(truncated(spd)) < len(truncated(q.diagonalize(
         replace(p, beta=24.0))))
-    assert spd.partition_function(p.mu) == pytest.approx(
-        ref.partition_function(p.mu), rel=1e-12, abs=0.0)
+    z = spd.thermal_weights(p)[1]
+    assert z == pytest.approx(ref.thermal_weights(p)[1], rel=1e-12, abs=0.0)
     assert q.mean_particle_number(p, spd) == pytest.approx(
         q.mean_particle_number(p, ref), rel=1e-12, abs=0.0)
-    bound = spd.tail_bound(p.mu, p.beta) / spd.partition_function(p.mu)
+    bound = spd.tail_bound(p.mu, p.beta) / z
     np.testing.assert_allclose(q.occupations(p, spd), q.occupations(p, ref),
                                rtol=0.0, atol=bound + 1e-12)
 
@@ -579,16 +596,20 @@ def test_high_temperature_sectors_go_dense():
 def test_stack_chunks_sum_to_the_whole(monkeypatch):
     # at beta = 20 the slabs of these times differ in length (4 to 20 states
     # in the larger sectors), and chunks hold 4 to 20 thermal states; a chunk
-    # that starts past a short slab must add nothing to its time
+    # that starts past a short slab must add nothing to its time.  The
+    # longest slab of a branch is often no multiple of the chunk (18 states
+    # of 21 in chunks of 4, or 20 of 35 in chunks of 8), so its last chunk
+    # ends inside the block, at the slab's end
     p = q.ModelParams(L=6, beta=20.0, eps=0.15, U=0.1)
     spd = q.diagonalize(p)
     times = [0.0, 0.3, -1.2, 2.4, 9.0]
     whole = q.compute_correlation(p, spd, times)
-    monkeypatch.setattr(many_body, "_STACK_ELEMENTS", 1000)
-    chunked = q.compute_correlation(p, spd, times)
-    np.testing.assert_allclose(chunked.values, whole.values, rtol=0.0,
-                               atol=1e-14)
-    np.testing.assert_array_equal(chunked.discarded, whole.discarded)
+    for elements in (1000, 2000):
+        monkeypatch.setattr(many_body, "_STACK_ELEMENTS", elements)
+        chunked = q.compute_correlation(p, spd, times)
+        np.testing.assert_allclose(chunked.values, whole.values, rtol=0.0,
+                                   atol=1e-14)
+        np.testing.assert_array_equal(chunked.discarded, whole.discarded)
 
 
 def test_kernel_reads_leave_global_random_state():
@@ -655,8 +676,8 @@ def test_missed_eigenvalue_is_caught(monkeypatch, l12):
         if spd.energies[n].size:
             np.testing.assert_allclose(spd.energies[n], ref.energies[n],
                                        rtol=0.0, atol=1e-12)
-    assert spd.partition_function(p.mu) == pytest.approx(
-        ref.partition_function(p.mu), rel=1e-12, abs=0.0)
+    assert spd.thermal_weights(p)[1] == pytest.approx(
+        ref.thermal_weights(p)[1], rel=1e-12, abs=0.0)
     corr = q.compute_correlation(p, spd, [0.0, 1.0])
     expect = q.compute_correlation(p, ref, [0.0, 1.0]).values
     np.testing.assert_allclose(corr.values, expect, rtol=0.0, atol=1e-12)
