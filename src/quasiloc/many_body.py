@@ -420,7 +420,9 @@ def _chebyshev(tau, lo, hi, tol):
         c[0] *= 0.5
         c[1::2] *= -1.0
         ratio = z / (2.0 * (k[:-1] + 2.0))
-        rest = np.where(ratio < 1.0, np.abs(c[1:]) / (1.0 - ratio), math.inf)
+        rest = np.divide(np.abs(c[1:]), 1.0 - ratio,
+                         out=np.full(ratio.shape, math.inf),
+                         where=ratio < 1.0)
         fits = np.flatnonzero(rest <= tol)
         if fits.size:
             m = int(fits[0])
@@ -485,9 +487,9 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
     thermal states of at most _STACK_ELEMENTS entries.
     """
     sec, sec1 = spectral.sectors[n], spectral.sectors[n + 1]
-    up, down = _annihilators(sec, sec1)
-    for sign, thermal, other, ann in ((1.0, n, n + 1, up),
-                                      (-1.0, n + 1, n, down)):
+    stacks = None  # (up, down), built once a branch keeps a term
+    for sign, thermal, other, side in ((1.0, n, n + 1, 0),
+                                       (-1.0, n + 1, n, 1)):
         terms = []
         for tau in s:
             if sign * tau < 0.0:
@@ -501,6 +503,9 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
                 terms.append((tau, w[:keep]))
         if not terms:
             continue
+        if stacks is None:
+            stacks = _annihilators(sec, sec1)
+        ann = stacks[side]
         h = spectral.hamiltonians[other]
         series = {}
         if any(tau != 0.0 for tau, _ in terms):

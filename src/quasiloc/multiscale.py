@@ -131,61 +131,108 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 
 
 def _gauss_legendre(integrand, edges, panels):
-    """Composite Gauss-Legendre with `panels` equal sub-panels per interval."""
-    cuts = edges[:-1, None] + np.diff(edges)[:, None] \
+    """Composite Gauss-Legendre with `panels` equal sub-panels per interval.
+
+    edges holds one row of interval ends per site, shape (sites, ends).
+    integrand takes the k0 nodes, shape (sites, nodes, _ORDER), and may put
+    leading axes (the sample times) in front of them; the sum runs over the
+    two node axes only, so the result has shape (..., sites).
+    """
+    cuts = edges[:, :-1, None] + np.diff(edges)[:, :, None] \
         * np.linspace(0.0, 1.0, panels + 1)
-    lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-    half = 0.5 * (hi - lo)[:, None]
-    k0 = 0.5 * (lo + hi)[:, None] + half * _NODES
-    return float(np.sum(half * _WEIGHTS * integrand(k0)))
+    lo = cuts[:, :, :-1].reshape(len(edges), -1)
+    hi = cuts[:, :, 1:].reshape(len(edges), -1)
+    half = 0.5 * (hi - lo)[:, :, None]
+    k0 = 0.5 * (lo + hi)[:, :, None] + half * _NODES
+    terms = half * _WEIGHTS * integrand(k0)
+    return np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
 
 
 def filtered_propagator(family, rho, x_prime, t, h_low, h_high, delta=None):
     """The chi_{h_high} - chi_{h_low} filtered inverse of -i k0 + (phi - mu0),
-    for h_low < h_high <= 0.
+    for h_low < h_high <= 0, at each site x_prime and each time t.
 
     Pairing k0 with -k0 leaves the real integrand
     2 (chi_{h_high} - chi_{h_low}) (d cos t k0 + k0 sin t k0) / (k0^2 + d^2)
     on the k0 window of the band, and 0 when omega x' lies outside the band.
     The window splits at the scale radii a gamma^j, j = h_low - 1 .. h_high,
     and each scale takes a fixed composite Gauss-Legendre rule; the same rule
-    on twice the sub-panels estimates its error.  A band that misses the
-    1e-6 gate (a time far beyond gamma^(-h)) goes to adaptive quad with the
-    scale radii as breakpoints, and raises QuadratureError if that misses it
-    too.  delta optionally supplies the exact signed fractional part of
-    omega x_prime.
+    on twice the sub-panels estimates its error.  The nodes, the divisor d
+    and the cutoff weight depend only on the site, and only cos t k0 and
+    sin t k0 on the time, so one node array serves all times and every site
+    whose window splits at the same radii.  A value that misses the 1e-6
+    gate (a time far beyond gamma^(-h)) goes to adaptive quad with the scale
+    radii as breakpoints, one call per such (site, time), and raises
+    QuadratureError if that misses it too.  x_prime and t are each a scalar
+    or a 1-D array, and delta optionally supplies the exact signed
+    fractional part of omega x_prime, with the shape of x_prime.  The result
+    has shape x_prime.shape + t.shape, a float when both are scalars.
     """
     if not h_low < h_high <= 0:
         raise ValueError("a band needs h_low < h_high <= 0")
+    times = np.asarray(t, dtype=float)
     if delta is None:
-        delta = family.omega * x_prime
-        delta -= round(delta)
-    q = family.v0 * abs(delta)
-    if q >= family.a * family.gamma ** h_high:
-        return 0.0
-    d = _denominator(family, rho, delta)
+        delta = family.omega * np.asarray(x_prime, dtype=float)
+        delta -= np.round(delta)
+    deltas = np.broadcast_to(np.asarray(delta, dtype=float),
+                             np.shape(x_prime)).reshape(-1)
+    q = family.v0 * np.abs(deltas)
+    out = np.zeros((deltas.size, times.size))
+    inside = np.flatnonzero(q < family.a * family.gamma ** h_high)
+    if inside.size:
+        out[inside] = _band(family, rho, deltas[inside], times.reshape(-1),
+                            h_low, h_high).T
+    result = out.reshape(np.shape(x_prime) + times.shape)
+    return float(result) if result.ndim == 0 else result
+
+
+def _band(family, rho, deltas, times, h_low, h_high):
+    """filtered_propagator at the times (n_times,) and the sites whose signed
+    fractional parts are deltas (n_sites,), all inside the band: shape
+    (n_times, n_sites)."""
+    # |delta| <= 1/2, so q is v0 ||omega x'|| and r is family.radius
+    q = family.v0 * np.abs(deltas)
+    d = np.array([_denominator(family, rho, delta)
+                  for delta in deltas.tolist()])
     radii = np.array([family.a * family.gamma ** j
                       for j in range(h_low - 1, h_high + 1)])
-    # radii inside q map to k0 = 0; unique drops the empty intervals
-    edges = np.unique(np.sqrt(np.maximum(radii ** 2 - q ** 2, 0.0)))
+    # radii inside q map to k0 = 0 and merge there: a site keeps its ends
+    # from the last such one on.  Sites that keep the same ends share one
+    # node array, so each sums exactly the nodes it would sum alone.
+    edges = np.sqrt(np.maximum(radii ** 2 - q[:, None] ** 2, 0.0))
+    first = np.maximum(np.count_nonzero(edges == 0.0, axis=1) - 1, 0)
 
-    def integrand(k0):
-        # |delta| <= 1/2, so q is v0 ||omega x'|| and r is family.radius
+    def integrand(k0, t, q, d):
         r = np.hypot(k0, q)
         w = _chi_of_radius(family, r, h_high) \
             - _chi_of_radius(family, r, h_low)
         return 2.0 * w * (d * np.cos(t * k0) + k0 * np.sin(t * k0)) \
             / (k0 * k0 + d * d)
 
-    coarse = _gauss_legendre(integrand, edges, _PANELS)
-    total = _gauss_legendre(integrand, edges, 2 * _PANELS)
-    err = abs(total - coarse)
+    coarse = np.empty((times.size, deltas.size))
+    total = np.empty_like(coarse)
+    for j in np.unique(first):
+        rows = np.flatnonzero(first == j)
+
+        def every_sample(k0):
+            # the times on a leading axis, against the sites and node axes
+            return integrand(k0, times[:, None, None, None],
+                             q[rows, None, None], d[rows, None, None])
+
+        coarse[:, rows] = _gauss_legendre(every_sample, edges[rows, j:],
+                                          _PANELS)
+        total[:, rows] = _gauss_legendre(every_sample, edges[rows, j:],
+                                         2 * _PANELS)
     # |g| = O(1) uniformly in h, so an absolute gate is meaningful
-    if err > 1e-6 * max(1.0, abs(total)):
-        total, err = quad(integrand, edges[0], edges[-1], points=edges[1:-1],
+    missed = np.abs(total - coarse) > 1e-6 * np.maximum(1.0, np.abs(total))
+    for i, c in zip(*np.nonzero(missed)):
+        ends = edges[c, first[c]:]
+        value, err = quad(lambda k0: integrand(k0, times[i], q[c], d[c]),
+                          ends[0], ends[-1], points=ends[1:-1],
                           epsabs=0.0, epsrel=1e-8, limit=400)
-        if err > 1e-6 * max(1.0, abs(total)):
+        if err > 1e-6 * max(1.0, abs(value)):
             raise QuadratureError("band quadrature did not converge", err)
+        total[i, c] = value
     return total
 
 
@@ -241,16 +288,19 @@ def scale_decay_constants(family, h,
 
     Times scale as gamma^(-h) so the sampled decade tracks the natural time
     scale of the slice; the survey samples the rho = _SURVEY_RHO branch.
-    Returns (sup |g|, {N: C_N}).
+    One evaluation of the (h - 1, h) band serves every candidate x' and
+    sample time.  Returns (sup |g|, {N: C_N}).
     """
     sup_g = 0.0
     cn = {n: 0.0 for n in _DECAY_POWERS}
     t_scale = family.gamma ** (-h)
-    for x_prime, delta in _annulus_candidates(family, h):
-        for m in t_multipliers:
-            t = m * t_scale
-            g = abs(single_scale_propagator(family, _SURVEY_RHO, x_prime, t, h,
-                                            delta=delta))
+    times = [m * t_scale for m in t_multipliers]
+    sites, deltas = zip(*_annulus_candidates(family, h))
+    values = filtered_propagator(family, _SURVEY_RHO, np.array(sites),
+                                 np.array(times), h - 1, h, np.array(deltas))
+    for row in values.tolist():
+        for t, value in zip(times, row):
+            g = abs(value)
             sup_g = max(sup_g, g)
             for n in _DECAY_POWERS:
                 cn[n] = max(cn[n], g * (1.0 + (family.gamma ** h * t) ** n))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.special import ive
 from hypothesis import assume, example, given, settings, strategies as st
 
 import quasiloc as q
@@ -362,6 +363,24 @@ def test_equal_time_matrix_consistency(small):
     em = q.equal_time_matrix(p, spd)
     np.testing.assert_allclose(em, fock_correlation(p, [0.0])[0], atol=1e-12)
     np.testing.assert_allclose(em, em.T, atol=1e-12)
+
+
+def test_annihilators_built_only_for_pairs_with_terms(monkeypatch):
+    # at beta = 1e4 the slabs of all but the sectors around the ground state
+    # are empty, so most sector pairs keep no term and need no stacks
+    p = q.ModelParams(L=8, beta=1e4)
+    spd = q.diagonalize(p)
+    calls = []
+
+    def counted(sector_n, sector_np1):
+        calls.append(sector_n.n_particles)
+        return annihilators(sector_n, sector_np1)
+
+    annihilators = many_body._annihilators
+    monkeypatch.setattr(many_body, "_annihilators", counted)
+    em = q.equal_time_matrix(p, spd)
+    assert 0 < len(calls) < spd.n_sectors - 1
+    np.testing.assert_allclose(em, fock_correlation(p, [0.0])[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])
@@ -816,6 +835,21 @@ def test_chebyshev_series_bounds_its_error_property(tau, lo, width, tol):
     x = np.linspace(lo, hi, 201)
     err = np.abs(chebyshev_values(c, lo, hi, x) - np.exp(-tau * x))
     assert np.all(err <= delta + 1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_chebyshev_skips_degrees_past_the_tail_bound_silently():
+    # z = tau (hi - lo) / 2 = 4 gives z / (2 (k + 2)) exactly 1 at k = 0,
+    # where the tail bound does not hold; that degree must be passed over
+    # without dividing by zero, and the cut stays where it was
+    c, delta = many_body._chebyshev(4.0, 0.0, 2.0, 1e-16)
+    k = np.arange(c.size + 1)
+    ref = 2.0 * ive(k, 4.0) * (-1.0) ** k
+    ref[0] *= 0.5
+    np.testing.assert_array_equal(c, ref[:-1])
+    m = c.size - 1
+    assert delta == abs(ref[m + 1]) / (1.0 - 4.0 / (2.0 * (m + 2)))
+    assert (c.size, delta) == (23, 1.531014409352565e-17)
 
 
 def test_one_state_interval_is_exact():

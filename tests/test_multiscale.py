@@ -214,16 +214,22 @@ def counting(fn, calls):
     return wrapped
 
 
+def escalating_sample(family):
+    """(h, x', delta, t) of test_unconverged_band_raises: a time
+    10^6 gamma^(-h) that the fixed rule cannot resolve."""
+    h = -2
+    x_prime, delta = next(c for c in _annulus_candidates(family, h)
+                          if c[0] != 0)
+    return h, x_prime, delta, 1e6 * family.gamma ** (-h)
+
+
 # quad flags roundoff on this band, whose value is below 1e-18
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_unconverged_band_raises(family, monkeypatch):
     # 10^6 times the natural time scale puts hundreds of oscillations in the
     # band's k0 window, past the fixed rule; quad with breakpoints resolves
     # them
-    h = -2
-    x_prime, delta = next(c for c in _annulus_candidates(family, h)
-                          if c[0] != 0)
-    t = 1e6 * family.gamma ** (-h)
+    h, x_prime, delta, t = escalating_sample(family)
     calls = []
     monkeypatch.setattr(multiscale, "quad", counting(multiscale.quad, calls))
     got = q.single_scale_propagator(family, 1, x_prime, t, h, delta=delta)
@@ -237,6 +243,114 @@ def test_unconverged_band_raises(family, monkeypatch):
     assert err.value.residual == 1e-3
     with pytest.raises(q.QuadratureError):
         q.filtered_propagator(family, 1, x_prime, t, h - 2, h, delta=delta)
+
+
+def per_sample_band(family, rho, delta, t, h_low, h_high):
+    """The band at one (x', t) by the fixed rule alone, with one node row
+    per nonempty scale interval: the loop over samples that the shared node
+    arrays replaced.  None where the rule misses its 1e-6 gate."""
+    qv = family.v0 * abs(delta)
+    if qv >= family.a * family.gamma ** h_high:
+        return 0.0
+    d = _denominator(family, rho, delta)
+    radii = np.array([family.a * family.gamma ** j
+                      for j in range(h_low - 1, h_high + 1)])
+    edges = np.unique(np.sqrt(np.maximum(radii ** 2 - qv ** 2, 0.0)))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+
+    def rule(panels):
+        cuts = edges[:-1, None] + np.diff(edges)[:, None] \
+            * np.linspace(0.0, 1.0, panels + 1)
+        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        half = 0.5 * (hi - lo)[:, None]
+        k0 = 0.5 * (lo + hi)[:, None] + half * nodes
+        r = np.hypot(k0, qv)
+        w = multiscale._chi_of_radius(family, r, h_high) \
+            - multiscale._chi_of_radius(family, r, h_low)
+        f = 2.0 * w * (d * np.cos(t * k0) + k0 * np.sin(t * k0)) \
+            / (k0 * k0 + d * d)
+        return float(np.sum(half * weights * f))
+
+    coarse, total = rule(4), rule(8)
+    if abs(total - coarse) > 1e-6 * max(1.0, abs(total)):
+        return None
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vector_sites_and_times_match_scalar_calls_property(family, data):
+    # one band evaluation for many sites and times gives, entry by entry,
+    # the very bits of a call per site and time; the sites mix the scale's
+    # candidates with ones outside the band
+    h = data.draw(st.integers(-6, 0))
+    candidates = _annulus_candidates(family, h) + [(1, None), (3, None)]
+    sites = data.draw(st.lists(st.sampled_from(candidates), min_size=1,
+                               max_size=6))
+    rho = data.draw(st.sampled_from([1, -1]))
+    width = data.draw(st.integers(1, 3))
+    times = np.array(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=1,
+                                        max_size=8))) * family.gamma ** (-h)
+    x_primes = np.array([x for x, _ in sites])
+    deltas = np.array([family.omega * x - round(family.omega * x)
+                       if dlt is None else dlt for x, dlt in sites])
+    got = q.filtered_propagator(family, rho, x_primes, times, h - width, h,
+                                delta=deltas)
+    assert got.shape == (len(sites), len(times))
+    expect = [[q.filtered_propagator(family, rho, x, t, h - width, h,
+                                     delta=dlt) for t in times.tolist()]
+              for x, dlt in sites]
+    assert got.tolist() == expect
+    # and the bits of the per-sample loop, wherever its rule resolves
+    for row, dlt in zip(got.tolist(), deltas.tolist()):
+        for value, t in zip(row, times.tolist()):
+            ref = per_sample_band(family, rho, dlt, t, h - width, h)
+            assert ref is None or value == ref
+    # the fractional parts the band works out itself, for sites and times
+    # given as arrays or one at a time
+    x, t = int(x_primes[-1]), float(times[-1])
+    one = q.filtered_propagator(family, rho, x, t, h - width, h)
+    assert q.filtered_propagator(family, rho, x_primes, t, h - width,
+                                 h)[-1] == one
+    assert q.filtered_propagator(family, rho, x, times, h - width,
+                                 h)[-1] == one
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_vector_escalates_only_the_unresolved_time(family, monkeypatch):
+    h, x_prime, delta, t_far = escalating_sample(family)
+    times = np.array([0.0, 1.0, 1e6, 4.0]) * family.gamma ** (-h)
+    assert times[2] == t_far
+    calls = []
+    monkeypatch.setattr(multiscale, "quad", counting(multiscale.quad, calls))
+    got = q.filtered_propagator(family, 1, x_prime, times, h - 1, h,
+                                delta=delta)
+    assert len(calls) == 1
+    assert got[2] == pytest.approx(
+        split_band_reference(family, delta, t_far, h), abs=1e-12)
+    for i in (0, 1, 3):
+        assert got[i] == q.single_scale_propagator(family, 1, x_prime,
+                                                   times[i], h, delta=delta)
+    assert len(calls) == 1
+    monkeypatch.setattr(multiscale, "quad", lambda f, a, b, **kw: (0.3, 1e-3))
+    with pytest.raises(q.QuadratureError):
+        q.filtered_propagator(family, 1, x_prime, times, h - 1, h,
+                              delta=delta)
+
+
+def test_band_returns_float_or_array_of_the_inputs_shape(family):
+    # x' = 1 and x' = 3 lie far outside the scale -3 band: exact zeros
+    times = np.array([0.7, 1.0, 2.0])
+    got = q.filtered_propagator(family, 1, 1, times, -4, -3)
+    assert got.shape == (3,) and not np.any(got)
+    got = q.filtered_propagator(family, 1, np.array([1, 3]), times, -4, -3)
+    assert got.shape == (2, 3) and not np.any(got)
+    got = q.filtered_propagator(family, 1, np.array([1, 3]), 0.7, -4, -3)
+    assert got.shape == (2,) and not np.any(got)
+    assert type(q.filtered_propagator(family, 1, 1, 0.7, -4, -3)) is float
+    assert type(q.filtered_propagator(family, 1, 0, 0.7, -4, -3)) is float
+    assert type(q.filtered_propagator(family, 1, 0, np.float64(0.7),
+                                      -4, -3)) is float
 
 
 def test_resolved_band_skips_quad(family, monkeypatch):
