@@ -237,12 +237,19 @@ def _error_point(eps, U, error):
 
 
 def _one_body_point(params, sizes):
-    """Median IPR per size and the Lyapunov exponent of params.eps at U = 0."""
+    """Median IPR per size and the Lyapunov exponent of params.eps at U = 0.
+
+    The IPR of an eigenvector is the sum of its entries to the fourth power,
+    taken as two squarings in place: `evecs ** 4` goes through the C
+    library's `pow` entry by entry, many times slower than a multiplication.
+    """
     median_ipr = {}
     mid_energy = 0.0
     for L in sizes:
         evals, evecs = single_particle_spectrum(replace(params, L=L))
-        median_ipr[L] = float(np.median(np.sum(evecs ** 4, axis=0)))
+        sq = evecs * evecs
+        np.multiply(sq, sq, out=sq)
+        median_ipr[L] = float(np.median(np.sum(sq, axis=0)))
         mid_energy = float(np.median(evals))
 
     if params.eps == 0.0:

@@ -19,6 +19,7 @@ E - mu N, which leaves all observables invariant and keeps every weight in
 (0, 1].
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -47,18 +48,83 @@ class FockSector:
 
 
 def enumerate_sector(L, n_particles):
+    """The sector of n_particles particles on the L + 1 sites: every
+    occupation mask with that many bits set, in ascending order.
+
+    Every call at one L returns the same FockSector, taken from one
+    enumeration of the 2^(L+1) masks, so its states are read-only.
+    """
     n_sites = L + 1
     if not 0 <= n_particles <= n_sites:
         raise ValueError("n_particles outside [0, L+1]")
+    return _sectors(n_sites)[n_particles]
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@functools.cache
+def _sectors(n_sites):
+    """Every particle-number sector of n_sites sites: the 2^n_sites masks
+    enumerated once and split by popcount (a stable sort keeps each sector
+    ascending)."""
     masks = np.arange(1 << n_sites, dtype=np.int64)
-    return FockSector(n_particles=n_particles, n_sites=n_sites,
-                      states=masks[np.bitwise_count(masks) == n_particles])
+    counts = np.bitwise_count(masks)
+    states = masks[np.argsort(counts, kind="stable")]
+    _read_only(states)
+    ends = np.cumsum(np.bincount(counts, minlength=n_sites + 1))
+    return tuple(FockSector(n_particles=n, n_sites=n_sites, states=part)
+                 for n, part in enumerate(np.split(states, ends[:-1])))
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """What a sector's Hamiltonian and annihilators take from the basis
+    alone, shared by every ModelParams at its size.  All arrays read-only.
+
+    occ: (dim, n_sites) int8 bit occupations; bonds: occupied bonds per
+    state; indices and indptr: the CSR pattern of H with hopping, each row's
+    columns ascending, as COO -> CSR conversion leaves them; diagonal: where
+    the diagonal entries sit in its data; eye: 0..dim, the pattern of the
+    diagonal-only H as (eye[:-1], eye).
+    """
+    occ: np.ndarray
+    bonds: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    diagonal: np.ndarray
+    eye: np.ndarray
+
+
+@functools.cache
+def _structure(n_sites, n_particles):
+    """The _Structure of sector n_particles of n_sites sites."""
+    states = _sectors(n_sites)[n_particles].states
+    dim = states.size
+    occ = ((states[:, None] >> np.arange(n_sites)) & 1).astype(np.int8)
+    bonds = np.sum(occ[:, :-1] & occ[:, 1:], axis=1, dtype=np.int8)
+    # exactly one of the two neighboring sites occupied; an adjacent hop
+    # crosses no occupied site, so its sign is +1
+    i, b = np.nonzero(occ[:, :-1] != occ[:, 1:])
+    eye = np.arange(dim + 1, dtype=np.int32)
+    rows = np.concatenate([eye[:-1], i])
+    cols = np.concatenate([eye[:-1],
+                           np.searchsorted(states, states[i] ^ (0b11 << b))])
+    order = np.lexsort((cols, rows))
+    indices = cols[order].astype(np.int32)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    diagonal = np.flatnonzero(order < dim).astype(np.int32)
+    _read_only(occ, bonds, indices, indptr, diagonal, eye)
+    return _Structure(occ=occ, bonds=bonds, indices=indices, indptr=indptr,
+                      diagonal=diagonal, eye=eye)
 
 
 def _occupancy(sector):
-    """(dim, n_sites) 0/1 array of bit occupations."""
-    bits = np.arange(sector.n_sites)
-    return (sector.states[:, None] >> bits[None, :]) & 1
+    """(dim, n_sites) 0/1 array of bit occupations, read-only."""
+    return _structure(sector.n_sites, sector.n_particles).occ
 
 
 def build_hamiltonian(params, sector):
@@ -66,27 +132,22 @@ def build_hamiltonian(params, sector):
 
     Diagonal: sum_x phi_x n_x plus the two-sided-delta pair term, which counts
     every bond twice (coefficient 2U per bond).  Hopping -eps between
-    neighbors, open ends.  The counterterm nu enters only through mu.
+    neighbors, open ends; at eps = 0 the matrix holds the diagonal alone.
+    The counterterm nu enters only through mu.  Only the values depend on
+    params: the returned matrix has its own data, but its indices and indptr
+    are the sector's shared, read-only pattern.
     """
-    occ = _occupancy(sector)
+    st = _structure(sector.n_sites, sector.n_particles)
     phi = np.asarray(onsite_energy(params, params.sites), dtype=float)
-    diag = occ @ phi
+    diag = st.occ @ phi
     if params.U != 0.0:
-        diag = diag + 2.0 * params.U * np.sum(occ[:, :-1] * occ[:, 1:], axis=1)
-
+        diag = diag + 2.0 * params.U * st.bonds
     dim = len(sector)
-    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
-    if params.eps != 0.0:
-        # exactly one of the two neighboring sites occupied; an adjacent hop
-        # crosses no occupied site, so its sign is +1
-        i, b = np.nonzero(occ[:, :-1] != occ[:, 1:])
-        states = sector.states
-        rows.append(i)
-        cols.append(np.searchsorted(states, states[i] ^ (0b11 << b)))
-        vals.append(np.full(i.size, -params.eps))
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(dim, dim))
+    if params.eps == 0.0:
+        return sp.csr_matrix((diag, st.eye[:-1], st.eye), shape=(dim, dim))
+    data = np.full(st.indices.size, -params.eps)
+    data[st.diagonal] = diag
+    return sp.csr_matrix((data, st.indices, st.indptr), shape=(dim, dim))
 
 
 def _annihilators(sector_n, sector_np1):
@@ -97,23 +158,39 @@ def _annihilators(sector_n, sector_np1):
     j S + x holding row j of a_x^T (or a_x).  So up @ v reshaped to
     (d_{N+1}, S, r) holds a_x+ v[:, i] at [:, x, i], and the rows x::S of
     down are a_x.  Each a_x has at most one entry, +1 or -1, per row and per
-    column, so products with either stack are exact.
+    column, so products with either stack are exact.  The pair depends only
+    on the sectors, so it is built once per process and shared, read-only.
 
     Convention: removing (or adding) a particle at bit b carries the sign
     (-1)^(number of occupied bits below b).
     """
-    n_sites = sector_np1.n_sites
-    occ = _occupancy(sector_np1)
-    j1, x = np.nonzero(occ)
+    return _stacks(sector_np1.n_sites, sector_n.n_particles)
+
+
+def _stack(occ, hits, source, target):
+    """CSR stack whose row j S + x holds, for each (j, x) in hits, the sign
+    of flipping bit x of source[j] in the column of the flipped mask in
+    target; other rows are empty."""
+    j, x = np.nonzero(hits)
     below = np.cumsum(occ, axis=1) - occ
-    signs = 1.0 - 2.0 * (below[j1, x] & 1)
-    j0 = np.searchsorted(sector_n.states, sector_np1.states[j1] ^ (1 << x))
-    d0, d1 = len(sector_n), len(sector_np1)
-    up = sp.csr_matrix((signs, (j1 * n_sites + x, j0)),
-                       shape=(d1 * n_sites, d0))
-    down = sp.csr_matrix((signs, (j0 * n_sites + x, j1)),
-                         shape=(d0 * n_sites, d1))
-    return up, down
+    data = 1.0 - 2.0 * (below[j, x] & 1)
+    indices = np.searchsorted(target, source[j] ^ (1 << x)).astype(np.int32)
+    indptr = np.zeros(hits.size + 1, dtype=np.int32)
+    np.cumsum(hits.ravel(), out=indptr[1:])
+    _read_only(data, indices, indptr)
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(hits.size, target.size))
+
+
+@functools.cache
+def _stacks(n_sites, n):
+    """(up, down) of _annihilators for sectors n and n + 1 of n_sites sites:
+    a_x^T has an entry where x is occupied in the (N+1)-state, a_x where it
+    is empty in the N-state."""
+    sec, sec1 = _sectors(n_sites)[n:n + 2]
+    occ, occ1 = _occupancy(sec), _occupancy(sec1)
+    return (_stack(occ1, occ1 == 1, sec1.states, sec.states),
+            _stack(occ, occ == 0, sec.states, sec1.states))
 
 
 _DENSE_MAX = 500  # largest sector diagonalized densely and kept whole

@@ -7,12 +7,14 @@ of each point into geometric annuli; the single-scale propagators obtained by
 filtering with f_h = chi_h - chi_{h-1} decay on the time scale gamma^{-h}.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
+from . import diophantine
 from .cutoffs import smooth_cutoff
 from .diophantine import torus_norm
 
@@ -252,6 +254,13 @@ _SURVEY_RHO = 1
 _DECAY_POWERS = (1, 2, 3)
 
 
+@functools.cache
+def _convergents(omega):
+    """The exact convergent denominators of omega up to 10^15, with their
+    signed fractional parts, computed once per omega for every scale."""
+    return tuple(diophantine.exact_convergent_denominators(omega, 10 ** 15))
+
+
 def _annulus_candidates(family, h):
     """(x', signed fractional part of omega x') samples for the scale-h annulus.
 
@@ -262,18 +271,15 @@ def _annulus_candidates(family, h):
     fractional parts come from integer arithmetic on the rational double, so
     they stay meaningful far beyond the float-product range.
     """
-    from .diophantine import (exact_convergent_denominators,
-                              exact_fractional_part)
-
     r_hi = family.a * family.gamma ** h
     r_floor = r_hi / family.gamma ** 3
     out = [(0, 0.0)]
-    for q, delta in exact_convergent_denominators(family.omega, 10 ** 15):
+    for q, delta in _convergents(family.omega):
         if family.v0 * abs(delta) >= r_hi:
             continue
         for m in _MULTIPLES:
             d = m * delta if abs(m * delta) < 0.4 \
-                else exact_fractional_part(family.omega, m * q)
+                else diophantine.exact_fractional_part(family.omega, m * q)
             if r_floor <= family.v0 * abs(d) < r_hi:
                 out.append((m * q, d))
         if family.v0 * abs(delta) < r_floor / family.gamma:

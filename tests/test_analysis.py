@@ -222,6 +222,32 @@ def test_phase_scan_certifies_once_and_fits_no_eigenvector(monkeypatch):
     assert calls == [(q.SILVER_MEAN,)]
 
 
+def test_phase_scan_builds_each_stack_pair_once(monkeypatch):
+    # the annihilator stacks depend only on the sector pair, so every read
+    # of a scan gets the same objects; the references held here keep a
+    # rebuilt stack from reusing a freed one's id
+    from quasiloc import many_body
+
+    seen = {}
+    annihilators = many_body._annihilators
+
+    def spy(sec, sec1):
+        stacks = annihilators(sec, sec1)
+        seen.setdefault((sec1.n_sites, sec.n_particles), []).append(stacks)
+        return stacks
+
+    monkeypatch.setattr(many_body, "_annihilators", spy)
+    grid = q.phase_scan([0.0, 0.2], [0.0, 0.1], [40, 80], 6.0)
+    assert [pt.error for pt in grid.values()] == [None] * 4
+    # three of the four points hop or interact, and each reads every pair
+    # with terms (at beta = 6 the full sector's weight is below the slab)
+    assert sorted(seen) == [(_SCAN_L + 1, n) for n in range(_SCAN_L)]
+    for stacks in seen.values():
+        assert len(stacks) == 3
+        assert all(s[0] is stacks[0][0] and s[1] is stacks[0][1]
+                   for s in stacks)
+
+
 def coarse_rate(s, sites, window):
     """Reference log-slope of |S| over a short distance window, all sites
     included: the many-body decay rate phase_scan reports."""

@@ -12,7 +12,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 import quasiloc as q
 from quasiloc import many_body
 from quasiloc.many_body import enumerate_sector, _occupancy
-from oracles import dense_count_below, one_body_correlation_matrix
+from oracles import (annihilators_from_scratch, dense_count_below,
+                     hamiltonian_from_scratch, one_body_correlation_matrix,
+                     sector_from_scratch)
 
 
 def dense_diagonalize(params):
@@ -206,6 +208,75 @@ def test_fock_operators_match_loop_reference(L):
             # rows x_bit::S of each stack are a_x^T and a_x
             for a in (down[x_bit::L + 1], up[x_bit::L + 1].T):
                 assert a.nnz == ref.nnz and abs(a - ref).max() == 0.0
+
+
+def assert_same_csr(a, b):
+    """Bit for bit: shape, and indptr, indices and data with their dtypes."""
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 10),
+       eps=st.sampled_from([0.0, None]), U=st.sampled_from([0.0, None]),
+       draws=st.tuples(*[st.floats(-2.0, 2.0)] * 2),
+       theta=st.floats(0.01, 0.99))
+def test_fock_structure_matches_from_scratch_oracles_property(L, eps, U, draws,
+                                                              theta):
+    """The shared per-size structure gives, for any couplings, the bits the
+    from-scratch oracles give: the sectors, the Hamiltonian (at even L, the
+    sizes ModelParams takes) and both annihilator stacks."""
+    secs = [enumerate_sector(L, n) for n in range(L + 2)]
+    for n, sec in enumerate(secs):
+        ref = sector_from_scratch(L, n)
+        assert (sec.n_particles, sec.n_sites) == (ref.n_particles, ref.n_sites)
+        assert sec.states.dtype == ref.states.dtype
+        assert np.array_equal(sec.states, ref.states)
+    if L % 2 == 0:
+        p = q.ModelParams(L=L, beta=1.0, eps=draws[0] if eps is None else eps,
+                          U=draws[1] if U is None else U, theta=theta, x_hat=1)
+        for sec in secs:
+            assert_same_csr(q.build_hamiltonian(p, sec),
+                            hamiltonian_from_scratch(p, sec))
+    for sec, sec1 in zip(secs, secs[1:]):
+        for stack, ref in zip(many_body._annihilators(sec, sec1),
+                              annihilators_from_scratch(sec, sec1)):
+            assert_same_csr(stack, ref)
+
+
+def test_shared_fock_structure_is_read_only():
+    p = q.ModelParams(L=4, beta=1.0, eps=0.2, U=0.3)
+    secs = [enumerate_sector(p.L, n) for n in range(p.n_sites + 1)]
+    arrays = []
+    for sec in secs:
+        pattern = many_body._structure(sec.n_sites, sec.n_particles)
+        arrays += [sec.states, pattern.occ, pattern.bonds, pattern.indices,
+                   pattern.indptr, pattern.diagonal, pattern.eye]
+        for params in (p, replace(p, eps=0.0)):
+            h = q.build_hamiltonian(params, sec)
+            assert h.data.flags.writeable
+            arrays += [h.indices, h.indptr]
+    for sec, sec1 in zip(secs, secs[1:]):
+        for stack in many_body._annihilators(sec, sec1):
+            arrays += [stack.data, stack.indices, stack.indptr]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_hamiltonians_share_their_pattern_not_their_values():
+    p = q.ModelParams(L=6, beta=1.0, eps=0.1, U=0.2)
+    sec = enumerate_sector(p.L, 3)
+    h1 = q.build_hamiltonian(p, sec)
+    before = h1.copy()
+    h2 = q.build_hamiltonian(replace(p, eps=0.3), sec)
+    assert np.shares_memory(h1.indices, h2.indices)
+    assert np.shares_memory(h1.indptr, h2.indptr)
+    assert not np.shares_memory(h1.data, h2.data)
+    assert_same_csr(h1, before)
+    assert abs(h2 - h1).max() > 0.0
 
 
 def test_hamiltonian_hermitian_and_number_conserving():
