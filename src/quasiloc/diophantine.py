@@ -15,6 +15,7 @@ empirical (finite q_max), not a number-theoretic proof.
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -159,8 +160,6 @@ def exact_fractional_part(omega, x):
     Needed for very large x, where the float product omega * x has lost the
     fractional digits entirely.
     """
-    from fractions import Fraction
-
     f = Fraction(omega) * int(x)
     return float(f - round(f))
 
@@ -172,8 +171,6 @@ def exact_convergent_denominators(omega, q_max):
     the returned fractional parts are meaningful down to arbitrarily small
     values (unlike the float scan, which bottoms out near q ~ 10^8).
     """
-    from fractions import Fraction
-
     frac = Fraction(omega)
     num, den = frac.numerator, frac.denominator
     out = []

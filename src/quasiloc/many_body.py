@@ -612,8 +612,10 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
                 part = stack[:, :, :w.size - i0]
                 if tau in series:
                     part = _propagate(y2, series[tau], part)
-                s[tau] += sign * np.tensordot(part * w[i0:i0 + chunk], part,
-                                              axes=([0, 2], [0, 2]))
+                # batched Gram products over the other sector's states: no
+                # transposed copy of the chunk, unlike one tensordot
+                s[tau] += sign * np.matmul(part * w[i0:i0 + chunk],
+                                           part.transpose(0, 2, 1)).sum(axis=0)
 
 
 def _lehmann(params, spectral, times):

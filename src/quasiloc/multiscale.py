@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import diophantine
 from .cutoffs import smooth_cutoff
@@ -186,6 +185,17 @@ def filtered_propagator(family, rho, x_prime, t, h_low, h_high, delta=None):
                             h_low, h_high).T
     result = out.reshape(np.shape(x_prime) + times.shape)
     return float(result) if result.ndim == 0 else result
+
+
+def _quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first escalation: no command
+    that stays on the fixed rule loads scipy.integrate."""
+    from scipy.integrate import quad as adaptive
+    return adaptive(*args, **kwargs)
+
+
+# _band's escalation; a module binding that tests and tracers can replace
+quad = _quad
 
 
 def _band(family, rho, deltas, times, h_low, h_high):

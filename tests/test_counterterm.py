@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 import quasiloc as q
+from quasiloc.counterterm import _BRENT_MAXITER, _brentq
 from oracles import counterterm_flow_check
 
 # brentq's default relative tolerance, 4 machine epsilons
@@ -179,3 +183,144 @@ def test_unbracketed_root_raises_at_the_outermost_end(monkeypatch):
         q.fix_counterterm(p)
     assert max(reads) == pytest.approx(6.4, rel=1e-12)
     assert min(reads) == 0.0
+
+
+def counted(f):
+    """f, recording every argument it is called at in .calls."""
+    def g(x):
+        g.calls.append(x)
+        return f(x)
+    g.calls = []
+    return g
+
+
+def scipy_brentq(f, a, b, xtol):
+    """(root, iterations, converged, objective calls) of scipy's brentq."""
+    g = counted(f)
+    root, info = brentq(g, a, b, xtol=xtol, full_output=True, disp=False)
+    return root, info.iterations, info.converged, len(g.calls)
+
+
+def own_brentq(f, a, b, xtol):
+    """The same from _brentq, handed f(a) and f(b) as the growth loop does."""
+    g = counted(f)
+    root, iterations, converged = _brentq(g, a, b, f(a), f(b), xtol)
+    return root, iterations, converged, len(g.calls)
+
+
+@st.composite
+def monotone_brackets(draw):
+    """(f, a, b): a strictly monotone f with one root strictly inside the
+    bracket, whose ends come in either order.  The bracket widths span 12
+    decades, and the kinked shape makes the step fall back to bisection."""
+    root = draw(st.floats(-2.0, 2.0))
+    left = 10.0 ** draw(st.floats(-12.0, 0.5))
+    right = 10.0 ** draw(st.floats(-12.0, 0.5))
+    scale = draw(st.floats(1e-6, 1e3)) * draw(st.sampled_from([-1.0, 1.0]))
+    shape = draw(st.sampled_from(["linear", "cubic", "tanh", "exp", "atan",
+                                  "kinked"]))
+    k = draw(st.floats(0.1, 50.0))
+    kink = draw(st.floats(-1.0, 1.0))
+    g = {"linear": lambda z: z,
+         "cubic": lambda z: z * (1.0 + k * z * z),
+         "tanh": lambda z: math.tanh(k * z),
+         "exp": lambda z: math.expm1(k * z),
+         "atan": lambda z: math.atan(k * z) + 0.3 * z,
+         "kinked": lambda z: z + 0.9 * (abs(z - kink) - abs(kink))}[shape]
+    a, b = root - left, root + right
+    f = (lambda x: scale * g(x - root))
+    if not (f(a) != 0.0 != f(b) and (f(a) < 0.0) != (f(b) < 0.0)):
+        # the root must lie strictly inside in floating point too
+        a, b = root - 1.0, root + 1.0
+    return (f, b, a) if draw(st.booleans()) else (f, a, b)
+
+
+def assert_same_as_brentq(f, a, b, xtol):
+    root, iterations, converged, calls = scipy_brentq(f, a, b, xtol)
+    got = own_brentq(f, a, b, xtol)
+    assert got[0].hex() == root.hex()
+    assert got[1:3] == (iterations, converged)
+    assert got[3] == calls - 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(monotone_brackets(), st.floats(-15.0, -1.0))
+def test_brent_step_matches_scipy_brentq_property(case, log_xtol):
+    f, a, b = case
+    assert_same_as_brentq(f, a, b, 10.0 ** log_xtol)
+
+
+def test_brent_cap_matches_scipy_brentq():
+    # a step at 1e-300 bisected from [-1, 1] to xtol 5e-324 needs about 1000
+    # halvings: both stop unconverged after the cap
+    def step(x):
+        return -1.0 if x < 1e-300 else 1.0
+
+    root, iterations, converged, _ = scipy_brentq(step, -1.0, 1.0, 5e-324)
+    assert (iterations, converged) == (_BRENT_MAXITER, False)
+    assert_same_as_brentq(step, -1.0, 1.0, 5e-324)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(1e-6, 3.0),
+       st.floats(0.1, 10.0) | st.floats(-10.0, -0.1), st.booleans())
+def test_root_at_a_bracket_end_matches_scipy_brentq(a, width, slope, at_b):
+    # scipy returns an exact-zero end without entering its loop and leaves
+    # `iterations` unset there (it reads uninitialised memory), so only its
+    # root bits and flag are compared; _brentq counts that as 1 iteration
+    b = a + width
+    end = b if at_b else a
+    f = (lambda x: slope * (x - end))
+    root, _, converged, calls = scipy_brentq(f, a, b, 1e-10)
+    assert (root, converged, calls) == (end, True, 2)
+    got = own_brentq(f, a, b, 1e-10)
+    assert got[0].hex() == root.hex()
+    assert got[1:] == (1, True, 0)
+
+
+def test_objective_zero_at_both_ends_returns_the_first_end():
+    root, _, converged, _ = scipy_brentq(lambda x: 0.0, 0.0, -1e-10, 1e-10)
+    assert (root, converged) == (0.0, True)
+    assert _brentq(None, 0.0, -1e-10, 0.0, 0.0, 1e-10) == (0.0, 1, True)
+
+
+def test_brent_rejects_nan_and_unbracketed_ends():
+    with pytest.raises(ValueError):
+        _brentq(None, 0.0, 1.0, math.nan, 1.0, 1e-10)
+    with pytest.raises(ValueError):
+        _brentq(None, 0.0, 1.0, -1.0, -2.0, 1e-10)
+    with pytest.raises(ValueError):
+        _brentq(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0, 1e-10)
+
+
+@settings(max_examples=10, deadline=None)
+@given(interacting_chains())
+def test_nu_is_brentq_on_the_grown_bracket_property(p):
+    # the solve starts from the bracket ends the growth loop read: the same
+    # nu, iterations and flag as brentq on that bracket, two reads fewer
+    spd = q.diagonalize(p)
+    r = q.fix_counterterm(p, spectral=spd)
+    (_, f0), *grown = r.bracket_history
+    n_growth = next(i for i, (_, f) in enumerate(grown, 1) if f0 * f <= 0.0)
+    end = r.bracket_history[n_growth][0]
+
+    def objective(nu):
+        return q.mean_particle_number(p.with_nu(nu), spd) / p.n_sites \
+            - r.target_density
+
+    root, iterations, converged, calls = scipy_brentq(objective, 0.0, end,
+                                                      1e-10)
+    assert r.nu == root
+    assert (r.iterations, r.converged) == (iterations, converged)
+    assert len(r.bracket_history) == n_growth + 1 + calls - 2
+
+
+def test_zero_temperature_plateau_returns_zero_nu_after_one_iteration():
+    # at L = 12, beta = 24576 the density objective is exactly 0 at nu = 0
+    # (a plateau of the zero-temperature filling): nu = 0.0 is returned after
+    # reading f(0) and the first bracket end only.  The plateau leaves nu
+    # undetermined, which the result does not say yet
+    r = q.fix_counterterm(q.ModelParams(L=12, beta=24576.0, eps=0.1, U=0.1))
+    assert r.bracket_history[0] == (0.0, 0.0)
+    assert (r.nu, r.iterations, r.converged) == (0.0, 1, True)
+    assert len(r.bracket_history) == 2

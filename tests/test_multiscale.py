@@ -1,5 +1,8 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +246,29 @@ def test_unconverged_band_raises(family, monkeypatch):
     assert err.value.residual == 1e-3
     with pytest.raises(q.QuadratureError):
         q.filtered_propagator(family, 1, x_prime, t, h - 2, h, delta=delta)
+
+
+def test_scipy_integrate_loads_on_the_first_escalation(family):
+    # a fresh interpreter: importing the package and its CLI loads neither
+    # scipy.optimize nor scipy.integrate; the escalating sample loads the
+    # latter
+    h, x_prime, delta, t = escalating_sample(family)
+    script = f"""
+import sys
+import quasiloc as q, quasiloc.cli
+lazy = {{"scipy.optimize", "scipy.integrate"}}
+print(sorted(lazy & set(sys.modules)))
+family = q.ScaleFamily.build({family.omega!r}, {family.theta!r},
+                             {family.x_hat!r}, tau={family.tau!r})
+q.filtered_propagator(family, 1, {x_prime!r}, {t!r}, {h - 1}, {h},
+                      delta={delta!r})
+print("scipy.integrate" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(q.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def per_sample_band(family, rho, delta, t, h_low, h_high):
