@@ -22,7 +22,7 @@ from .multiscale import (ScaleFamily, ScaleConfigurationError,
                          scale_decay_constants, chain_graph_value)
 from .counterterm import (CountertermResult, BracketError, fix_counterterm,
                           counterterm_grid)
-from .analysis import (DecayFit, TemporalDecay, PhasePoint, FitError,
-                       fit_spatial_decay, fit_temporal_decay, phase_scan)
+from .analysis import (DecayFit, PhasePoint, FitError, fit_spatial_decay,
+                       phase_scan)
 
 __version__ = "0.1.0"

@@ -2,10 +2,9 @@
 
 In the localized phase the equal-time two-point function decays exponentially
 in |x - y| with a rate at least |log max(|eps|, |U|)| up to a power of a
-logarithmic correction; in time it decays faster than any power of
-Delta |t| with Delta = (1 + min(|x|, |y|))^(-tau).  The fits here extract
-those rates from sampled correlation data, and phase_scan combines
-one-body and many-body indicators over a coupling grid.
+logarithmic correction.  fit_spatial_decay extracts that rate from sampled
+correlation data, and phase_scan combines one-body and many-body
+indicators over a coupling grid.
 """
 
 import math
@@ -14,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diophantine import GOLDEN_MEAN
-from .single_particle import (ModelParams, _site_index, lyapunov_exponent,
+from .single_particle import (ModelParams, lyapunov_exponent,
                               single_particle_spectrum)
 from .many_body import diagonalize, equal_time_matrix
 from .counterterm import fix_counterterm
@@ -28,8 +27,6 @@ _SCAN_L = 8
 _SCAN_WINDOW = (1, 3)
 # transfer matrices per Lyapunov exponent in phase_scan
 _LYAPUNOV_STEPS = 20000
-# powers N of the time-decay constants fit_temporal_decay reports
-_TEMPORAL_POWERS = (1, 2, 3)
 
 
 class FitError(RuntimeError):
@@ -113,44 +110,6 @@ def fit_spatial_decay(corr, window=(2, 8)):
                     prefactor=float(np.exp(intercept)), r_squared=r2,
                     window=tuple(window), theorem_rate=theorem_rate,
                     n_points=int(d_arr.size))
-
-
-@dataclass
-class TemporalDecay:
-    """sup_t |S2| (1 + (Delta |t|)^N) constants for the faster-than-power bound."""
-    x: int
-    y: int
-    delta: float
-    constants: dict
-    tail_monotone: bool
-
-
-def fit_temporal_decay(corr, x, y):
-    """Constants C_N = sup_t |S2(x, y; t)| (1 + (Delta |t|)^N), N in
-    _TEMPORAL_POWERS.
-
-    Delta = (1 + min(|x|, |y|))^(-tau) is the small-divisor scale of the pair,
-    with tau the Diophantine exponent of corr.params.omega.
-    tail_monotone reports whether |S2| is non-increasing on the sampled times
-    in [0, beta/2]; by antiperiodicity the approach to t = -beta mirrors the
-    approach to t = 0+, so |t| monotonicity holds only on that branch.
-    """
-    if corr.times.size < 5:
-        raise FitError("need at least 5 sampled times")
-    p = corr.params
-    vals = np.abs(corr.values[:, _site_index(p.L, x), _site_index(p.L, y)])
-    times = corr.times
-    delta = (1.0 + min(abs(x), abs(y))) ** (-p.omega.tau)
-    constants = {
-        int(n): float(np.max(vals * (1.0 + (delta * np.abs(times)) ** n)))
-        for n in _TEMPORAL_POWERS
-    }
-    sel = (times >= 0.0) & (times <= 0.5 * p.beta)
-    v = vals[sel][np.argsort(times[sel])]
-    v = v[v > 1e-13]
-    monotone = not (v.size >= 2 and np.any(np.diff(v) > 1e-10))
-    return TemporalDecay(x=x, y=y, delta=delta, constants=constants,
-                         tail_monotone=monotone)
 
 
 @dataclass

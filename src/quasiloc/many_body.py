@@ -297,21 +297,22 @@ class SpectralDecomposition:
     """Per-sector thermal blocks of the many-body Hamiltonian.
 
     energies[n] (ascending) and vectors[n] (d x k) are the k lowest
-    eigenpairs of sector n, and hamiltonians[n] is its sparse Hamiltonian.
-    Every eigenvalue the block leaves out is at least floors[n] (+inf when
-    the block is the whole sector).  certified[n] is True when the block is
-    whole, empty below the one-body bound of _ground_floor, or confirmed by
-    an inertia count; False when no count can be trusted (see
-    _count_below); and None until it is counted.  Eigenvalues are stored raw
-    (no chemical potential); everything mu-dependent is assembled on demand
-    so the counterterm search can reweight one decomposition instead of
-    rediagonalizing, and blocks grow when a read needs more of them.
+    eigenpairs of sector n.  Every eigenvalue the block leaves out is at
+    least floors[n] (+inf when the block is the whole sector).  certified[n]
+    is True when the block is whole, empty below the one-body bound of
+    _ground_floor, or confirmed by an inertia count; False when no count can
+    be trusted (see _count_below); and None until it is counted.
+    Eigenvalues are stored raw (no chemical potential); everything
+    mu-dependent is assembled on demand so the counterterm search can
+    reweight one decomposition instead of rediagonalizing, and blocks grow
+    when a read needs more of them.  No Hamiltonian is kept: a block that
+    grows or is counted, and a sector a read propagates into, builds its H
+    from params (it does not depend on nu).
     """
     params: object
     sectors: list
     energies: list
     vectors: list
-    hamiltonians: list
     floors: list
     certified: list
 
@@ -388,7 +389,8 @@ class SpectralDecomposition:
         cut = (mu * sec.n_particles + self.ground_shift(mu)
                + math.log(len(sec) / target) / b)
         k = max(2 * self.energies[n].size, _K_START)
-        self._set_block(n, *_lowest_block(self.hamiltonians[n], k, cut))
+        h = build_hamiltonian(self.params, sec)
+        self._set_block(n, *_lowest_block(h, k, cut))
 
     def _set_block(self, n, energies, vectors, floor):
         self.energies[n], self.vectors[n], self.floors[n] = (energies, vectors,
@@ -399,7 +401,8 @@ class SpectralDecomposition:
         """Count the eigenvalues below the floor of block n.  Any other count
         than the block's size means Lanczos missed one, and the sector is
         diagonalized densely instead."""
-        h, floor = self.hamiltonians[n], self.floors[n]
+        h = build_hamiltonian(self.params, self.sectors[n])
+        floor = self.floors[n]
         # the floor is the midpoint of the spacing above the highest kept value
         count = _count_below(h, floor, 2.0 * (floor - self.energies[n][-1]))
         if count is None:
@@ -432,22 +435,19 @@ def diagonalize(params):
     inertia count.
     """
     levels = single_particle_spectrum(params)[0]
-    sectors, hamiltonians, blocks = [], [], []
+    sectors, blocks = [], []
     for n in range(params.n_sites + 1):
         sec = enumerate_sector(params.L, n)
-        h = build_hamiltonian(params, sec)
         if len(sec) <= _DENSE_MAX:
-            blocks.append(_whole(h))
+            blocks.append(_whole(build_hamiltonian(params, sec)))
         else:
             blocks.append((np.empty(0), np.empty((len(sec), 0)),
                            _ground_floor(params, levels, n)))
         sectors.append(sec)
-        hamiltonians.append(h)
     energies, vectors, floors = (list(x) for x in zip(*blocks))
     spectral = SpectralDecomposition(
         params=params, sectors=sectors, energies=energies, vectors=vectors,
-        hamiltonians=hamiltonians, floors=floors,
-        certified=[True] * len(sectors))
+        floors=floors, certified=[True] * len(sectors))
     spectral._resolve(params.mu, params.beta)
     return spectral
 
@@ -583,16 +583,18 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
         if stacks is None:
             stacks = _annihilators(sec, sec1)
         ann = stacks[side]
-        h = spectral.hamiltonians[other]
+        target = spectral.sectors[other]
+        dim = len(target)
         series = {}
         if any(tau != 0.0 for tau, _ in terms):
-            offset = mu * spectral.sectors[other].n_particles + k0
+            h = build_hamiltonian(spectral.params, target)
+            offset = mu * target.n_particles + k0
             kept = spectral.energies[other]
             lowest = kept[0] if kept.size else spectral.floors[other]
             lo = max(float(lowest) - offset, 0.0)
             r = 0.5 * max(_gershgorin_top(h) - offset - lo, 0.0)
             # 2 y, where y = (K - lo - r) / r maps [lo, lo + 2 r] onto [-1, 1]
-            y2 = (h - (offset + lo + r) * sp.identity(h.shape[0], format="csr")
+            y2 = (h - (offset + lo + r) * sp.identity(dim, format="csr")
                   ) * (2.0 / r) if r > 0.0 else None
             for tau, w in terms:
                 if tau != 0.0:
@@ -601,11 +603,11 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
                         0.5 * abs(tau), lo, lo + 2.0 * r, _TAIL / (3.0 * total))
                     bound[tau] += (2.0 + delta) * delta * total
         rows = max(w.size for _, w in terms)
-        chunk = max(1, _STACK_ELEMENTS // (h.shape[0] * sec.n_sites))
+        chunk = max(1, _STACK_ELEMENTS // (dim * sec.n_sites))
         for i0 in range(0, rows, chunk):
             v = spectral.vectors[thermal][:, i0:min(i0 + chunk, rows)]
             # stack[:, x, i] is a_x+ |i> in sector n+1, or a_x |i> in sector n
-            stack = (ann @ v).reshape(h.shape[0], sec.n_sites, -1)
+            stack = (ann @ v).reshape(dim, sec.n_sites, -1)
             for tau, w in terms:
                 if w.size <= i0:
                     continue
@@ -676,7 +678,8 @@ def occupations(params, spectral):
     weights, z = spectral.thermal_weights(params)
     occ = np.zeros(params.n_sites)
     for w, v, sec in zip(weights, spectral.vectors, spectral.sectors):
-        occ += ((v ** 2) @ w) @ _occupancy(sec)
+        if w.size:
+            occ += ((v ** 2) @ w) @ _occupancy(sec)
     return occ / z
 
 

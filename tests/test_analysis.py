@@ -51,37 +51,6 @@ def test_fit_window_too_narrow():
         q.fit_spatial_decay(corr, window=(2, 4))
 
 
-def test_temporal_decay_free_case():
-    p = q.ModelParams(L=8, beta=10.0)
-    spd = q.diagonalize(p)
-    times = [0.0, 0.5, 1.0, 2.0, 4.0, -0.5, -2.0]
-    corr = q.compute_correlation(p, spd, times)
-    td = q.fit_temporal_decay(corr, 1, 1)
-    assert td.tail_monotone
-    assert all(np.isfinite(v) for v in td.constants.values())
-    assert set(td.constants) == {1, 2, 3}
-    # x = 1 pair: delta = 2^(-tau)
-    assert td.delta == pytest.approx((1 + 1) ** -1.5)
-
-
-def test_temporal_decay_needs_samples():
-    p = q.ModelParams(L=8, beta=10.0)
-    spd = q.diagonalize(p)
-    corr = q.compute_correlation(p, spd, [0.0, 1.0])
-    with pytest.raises(q.FitError):
-        q.fit_temporal_decay(corr, 0, 0)
-
-
-def test_temporal_decay_interacting_bounded():
-    p = q.ModelParams(L=8, beta=10.0, eps=0.1, U=0.1)
-    spd = q.diagonalize(p)
-    times = [0.0, 0.6, 1.2, 2.4, 4.8, -1.2, -4.8]
-    corr = q.compute_correlation(p, spd, times)
-    td = q.fit_temporal_decay(corr, 0, 2)
-    # no blow-up across the tested powers
-    assert max(td.constants.values()) < 100.0
-
-
 def test_phase_scan_small_grid():
     grid = q.phase_scan([0.0, 0.2], [0.0], [60, 120], 6.0)
     assert set(grid) == {(0.0, 0.0), (0.2, 0.0)}

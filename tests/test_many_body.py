@@ -20,7 +20,7 @@ from oracles import (annihilators_from_scratch, dense_count_below,
 def dense_diagonalize(params):
     """Reference: dense eigh of every particle-number sector, every
     eigenpair kept, so no floor and nothing to certify."""
-    sectors, energies, vectors, hamiltonians = [], [], [], []
+    sectors, energies, vectors = [], [], []
     for n in range(params.n_sites + 1):
         sec = enumerate_sector(params.L, n)
         h = q.build_hamiltonian(params, sec)
@@ -28,10 +28,8 @@ def dense_diagonalize(params):
         sectors.append(sec)
         energies.append(e)
         vectors.append(v)
-        hamiltonians.append(h)
     return q.SpectralDecomposition(params=params, sectors=sectors,
                                    energies=energies, vectors=vectors,
-                                   hamiltonians=hamiltonians,
                                    floors=[math.inf] * len(sectors),
                                    certified=[True] * len(sectors))
 
@@ -454,6 +452,55 @@ def test_annihilators_built_only_for_pairs_with_terms(monkeypatch):
     np.testing.assert_allclose(em, fock_correlation(p, [0.0])[0], atol=1e-12)
 
 
+def test_empty_sectors_build_no_hamiltonian_until_propagated(monkeypatch):
+    # at beta = 24576 every sector above _DENSE_MAX states stays empty below
+    # its one-body floor; no step may build its H or read its occupations,
+    # except a t != 0 read, which propagates into the neighbors of the
+    # sectors that keep states
+    p = q.ModelParams(L=16, beta=24576.0, eps=0.1, U=0.0, theta=0.2377)
+    built, read = [], []
+
+    def counted_build(params, sector):
+        built.append(sector.n_particles)
+        return build(params, sector)
+
+    def counted_occupancy(sector):
+        read.append(sector.n_particles)
+        return occupancy(sector)
+
+    build, occupancy = many_body.build_hamiltonian, many_body._occupancy
+    monkeypatch.setattr(many_body, "build_hamiltonian", counted_build)
+    monkeypatch.setattr(many_body, "_occupancy", counted_occupancy)
+    spd = q.diagonalize(p)
+    empty = {n for n, (s, e) in enumerate(zip(spd.sectors, spd.energies))
+             if len(s) > many_body._DENSE_MAX and not e.size}
+    kept = [n for n, e in enumerate(spd.energies) if e.size]
+    assert len(empty) == spd.n_sectors - len(kept) > 0 and spd.tail_certified
+    assert built and not empty & set(built)
+
+    built.clear()
+    corr = q.compute_correlation(p, spd, [0.0])
+    assert not empty & set(built)
+    read.clear()
+    occ = q.occupations(p, spd)
+    assert not empty & set(built)
+    assert read and not empty & set(read)
+    s0 = corr.values[0]
+    np.testing.assert_allclose(s0, one_body_correlation_matrix(p, 0.0),
+                               rtol=0.0, atol=corr.discarded[0] + 1e-12)
+    np.testing.assert_allclose(occ, 0.5 - np.diag(s0), atol=1e-11)
+
+    built.clear()
+    sizes = [e.size for e in spd.energies]
+    corr = q.compute_correlation(p, spd, [-1.0, 1.0])
+    assert [e.size for e in spd.energies] == sizes  # no block grew
+    targets = {m for n in kept for m in (n - 1, n + 1)}
+    assert empty & set(built) and set(built) <= targets
+    for t, values, bound in zip(corr.times, corr.values, corr.discarded):
+        np.testing.assert_allclose(values, one_body_correlation_matrix(p, t),
+                                   rtol=0.0, atol=bound + 1e-12)
+
+
 @pytest.mark.parametrize("L", [2, 4, 6])
 def test_correlation_matrix_matches_fock_oracle(L):
     p = q.ModelParams(L=L, beta=4.0, eps=0.3, U=0.25, theta=0.31, x_hat=1)
@@ -502,16 +549,13 @@ def test_occupations_keep_relative_precision():
     np.testing.assert_allclose(occ, fock_occupations(p), rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("x, y", [(-4, 0), (0, 4)])
-@pytest.mark.parametrize("read", [
-    lambda corr, x, y: q.fit_temporal_decay(corr, x, y),
-], ids=["fit_temporal_decay"])
-def test_site_outside_lattice_rejected(small, read, x, y):
+@pytest.mark.parametrize("x", [-4, 4])
+def test_site_outside_lattice_rejected(small, x):
     # L = 6 has sites -3..3; -4 must not wrap around to site 3
     p, spd = small
-    corr = q.compute_correlation(p, spd, [-2.0, -1.0, 0.0, 1.0, 2.0])
+    corr = q.compute_correlation(p, spd, [0.0])
     with pytest.raises(ValueError, match="site outside lattice"):
-        read(corr, x, y)
+        q.onsite_energy(corr.params, x)
 
 
 def test_compute_correlation_container(small):

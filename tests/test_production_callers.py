@@ -8,10 +8,10 @@ the code that runs on import (module and class bodies, decorators, defaults)
 and the dunder methods Python calls implicitly.  A function becomes reachable once reachable code loads its name
 (or, for a module-level function, an attribute of that name, as in
 `gates.check_scan`); a method or property once reachable code loads an
-attribute of its name.  Two more kinds of name count as used: a function
-that BENCHMARK.json's per_layer metrics cite as `layer.func.*`, and the names
-in ALLOWED.  Names are matched without types, so a method shares its use
-with every attribute of the same name.
+attribute of its name.  One more kind of name counts as used: a function
+that BENCHMARK.json's per_layer metrics cite as `layer.func.*`.  Names
+are matched without types, so a method shares its use with every
+attribute of the same name.
 
 The parameter check reads every call in production code and matches it to
 the package's defs by the called name alone (a bare name or the last
@@ -25,9 +25,6 @@ import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# the time-decay fit and its result, until a time-decay acceptance check
-# calls them
-ALLOWED = {"fit_temporal_decay", "TemporalDecay"}
 # the benchmark's own tests rebuild a scales row without its latest sample
 # time (test_row_gate_catches_a_dropped_sample_time)
 ALLOWED_DEFAULTS = {("scale_decay_constants", "t_multipliers")}
@@ -114,12 +111,11 @@ def scan(paths, extra=(), root=ROOT):
         f"{rel}:{fn.lineno} {owner + '.' if owner else ''}{fn.name}"
         for rel, fn, owner in pending
         if not fn.name.startswith("_")
-        and not (owner or "").startswith("_")
-        and owner not in ALLOWED)
+        and not (owner or "").startswith("_"))
 
 
 def test_every_public_name_has_a_production_caller():
-    unused = [u for u in scan(production_files(), benchmark_cited() | ALLOWED)
+    unused = [u for u in scan(production_files(), benchmark_cited())
               if u.startswith("src/")]
     assert not unused, "no production caller:\n" + "\n".join(unused)
 
