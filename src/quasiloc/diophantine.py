@@ -2,17 +2,19 @@
 
 The driving frequency omega must stay quantifiably far from rationals for the
 quasi-periodic chain to localize.  This module expands omega in a continued
-fraction, reconstructs its convergents, and certifies, by brute-force scan up
-to a chosen denominator range, the constants
+fraction, reconstructs its convergents, and evaluates, up to a chosen
+denominator range, the constants
 
     c0_freq  = min_{0 < x <= q_max}  |x|^tau * ||omega x||
     c0_phase = min_{0 < x <= q_max, s = +-}  |x|^tau * ||omega x + 2 s theta||
 
-with ||.|| the distance to the nearest integer.  The certification is
-empirical (finite q_max), not a number-theoretic proof.
+with ||.|| the distance to the nearest integer: c0_freq at the convergent
+denominators, where its minimum sits, and c0_phase by brute-force scan.  The
+certification is empirical (finite q_max), not a number-theoretic proof.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,31 +51,35 @@ def torus_norm(x):
     return out
 
 
-def continued_fraction(omega, depth):
-    """Partial quotients [a1, ..., a_depth] of omega in (0, 1) by the Euclidean algorithm.
+def _partial_quotients(omega):
+    """a1, a2, ... of the exact continued fraction of the double omega (its
+    fractional part): the Euclidean algorithm on the numerator and
+    denominator of the rational it is, which ends where the expansion does."""
+    frac = Fraction(omega) % 1
+    num, den = frac.denominator, frac.numerator
+    while den:
+        a = num // den
+        yield a
+        num, den = den, num - a * den
 
-    Raises RationalFrequencyError when a zero remainder or an implausibly
-    large quotient shows up, since both mean omega is rational at double
-    precision.
+
+def continued_fraction(omega, depth):
+    """Partial quotients [a1, ..., a_depth] of omega in (0, 1), from the exact
+    expansion of its double.
+
+    Raises RationalFrequencyError when the expansion ends within depth terms
+    or a quotient above MAX_PARTIAL_QUOTIENT shows up, since both mean omega
+    is rational at double precision.
     """
     if not 0.0 < omega < 1.0:
         raise ValueError("omega must lie in (0, 1)")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    quotients = []
-    x = omega
-    for _ in range(depth):
-        if x <= 0.0:
-            raise RationalFrequencyError(
-                "rational frequency: zero remainder in continued fraction")
-        x = 1.0 / x
-        a = math.floor(x)
-        if a > MAX_PARTIAL_QUOTIENT:
-            raise RationalFrequencyError(
-                f"rational frequency: partial quotient {a} exceeds "
-                f"{MAX_PARTIAL_QUOTIENT}")
-        quotients.append(a)
-        x -= a
+    quotients = list(itertools.islice(_partial_quotients(omega), depth))
+    if len(quotients) < depth or max(quotients) > MAX_PARTIAL_QUOTIENT:
+        raise RationalFrequencyError(
+            f"rational frequency: partial quotients {quotients} end before "
+            f"{depth} terms or exceed {MAX_PARTIAL_QUOTIENT}")
     return quotients
 
 
@@ -107,11 +113,21 @@ def _scan_min(values_of, q_max):
 def frequency_diophantine_constant(omega, tau, q_max):
     """(min, argmin) over 0 < x <= q_max of |x|^tau * ||omega x||.
 
-    By the symmetry ||omega(-x)|| = ||omega x|| only positive x are scanned.
+    By the symmetry ||omega(-x)|| = ||omega x|| only positive x count, and
+    only x = 1 and the convergent denominators q_k need evaluating: by
+    Lagrange's best-approximation theorem ||omega x|| >= ||omega q_k|| for
+    every 0 < x < q_(k+1), so for tau >= 0 each x in [q_k, q_(k+1)) is at
+    least the value at q_k, and each x < q_1 the value at 1.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    return _scan_min(lambda x: x ** tau * torus_norm(omega * x), q_max)
+    if not tau >= 0.0:  # false for NaN too
+        raise ValueError("tau must be >= 0")
+    qs = [1] + [q for q, _ in exact_convergent_denominators(omega, q_max)]
+    x = np.array(qs, dtype=float)
+    values = x ** tau * torus_norm(omega * x)
+    i = int(np.argmin(values))
+    return float(values[i]), qs[i]
 
 
 def phase_diophantine_constant(omega, theta, tau, q_max):
@@ -171,20 +187,8 @@ def exact_convergent_denominators(omega, q_max):
     the returned fractional parts are meaningful down to arbitrarily small
     values (unlike the float scan, which bottoms out near q ~ 10^8).
     """
-    frac = Fraction(omega)
-    num, den = frac.numerator, frac.denominator
-    out = []
-    q_prev, q = 0, 1
-    a = num // den
-    num, den = den, num - a * den
-    while den > 0:
-        a = num // den
-        q_prev, q = q, a * q + q_prev
-        if q > q_max:
-            break
-        out.append((q, exact_fractional_part(omega, q)))
-        num, den = den, num - a * den
-    return out
+    return [(q, exact_fractional_part(omega, q))
+            for _, q in convergents(_partial_quotients(omega)) if q <= q_max]
 
 
 @functools.cache

@@ -41,23 +41,23 @@ class FockSector:
     """Ordered occupation-mask basis of a fixed particle number."""
     n_particles: int
     n_sites: int
-    states: np.ndarray
 
     def __len__(self):
-        return self.states.size
+        return math.comb(self.n_sites, self.n_particles)
+
+    @property
+    def states(self):
+        """The masks, int64 and read-only, built when first read and shared."""
+        return _masks(self.n_sites, self.n_particles)
 
 
 def enumerate_sector(L, n_particles):
     """The sector of n_particles particles on the L + 1 sites: every
-    occupation mask with that many bits set, in ascending order.
-
-    Every call at one L returns the same FockSector, taken from one
-    enumeration of the 2^(L+1) masks, so its states are read-only.
-    """
+    occupation mask with that many bits set, in ascending order."""
     n_sites = L + 1
     if not 0 <= n_particles <= n_sites:
         raise ValueError("n_particles outside [0, L+1]")
-    return _sectors(n_sites)[n_particles]
+    return FockSector(n_particles=n_particles, n_sites=n_sites)
 
 
 def _read_only(*arrays):
@@ -66,17 +66,17 @@ def _read_only(*arrays):
 
 
 @functools.cache
-def _sectors(n_sites):
-    """Every particle-number sector of n_sites sites: the 2^n_sites masks
-    enumerated once and split by popcount (a stable sort keeps each sector
-    ascending)."""
-    masks = np.arange(1 << n_sites, dtype=np.int64)
-    counts = np.bitwise_count(masks)
-    states = masks[np.argsort(counts, kind="stable")]
-    _read_only(states)
-    ends = np.cumsum(np.bincount(counts, minlength=n_sites + 1))
-    return tuple(FockSector(n_particles=n, n_sites=n_sites, states=part)
-                 for n, part in enumerate(np.split(states, ends[:-1])))
+def _masks(n_sites, n):
+    """The masks of n_sites bits with n set, ascending, by Pascal's rule:
+    those without the top bit, then those with it."""
+    if n in (0, n_sites):
+        masks = np.array([(1 << n) - 1], dtype=np.int64)
+    else:
+        top = 1 << (n_sites - 1)
+        masks = np.concatenate([_masks(n_sites - 1, n),
+                                _masks(n_sites - 1, n - 1) | top])
+    _read_only(masks)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,11 @@ class _Structure:
 
 
 @functools.cache
-def _structure(n_sites, n_particles):
-    """The _Structure of sector n_particles of n_sites sites."""
-    states = _sectors(n_sites)[n_particles].states
+def _structure(sector):
+    """The _Structure of a FockSector."""
+    states = sector.states
     dim = states.size
-    occ = ((states[:, None] >> np.arange(n_sites)) & 1).astype(np.int8)
+    occ = ((states[:, None] >> np.arange(sector.n_sites)) & 1).astype(np.int8)
     bonds = np.sum(occ[:, :-1] & occ[:, 1:], axis=1, dtype=np.int8)
     # exactly one of the two neighboring sites occupied; an adjacent hop
     # crosses no occupied site, so its sign is +1
@@ -122,11 +122,6 @@ def _structure(n_sites, n_particles):
                       diagonal=diagonal, eye=eye)
 
 
-def _occupancy(sector):
-    """(dim, n_sites) 0/1 array of bit occupations, read-only."""
-    return _structure(sector.n_sites, sector.n_particles).occ
-
-
 def build_hamiltonian(params, sector):
     """Sparse symmetric Hamiltonian block of one particle-number sector.
 
@@ -137,7 +132,7 @@ def build_hamiltonian(params, sector):
     params: the returned matrix has its own data, but its indices and indptr
     are the sector's shared, read-only pattern.
     """
-    st = _structure(sector.n_sites, sector.n_particles)
+    st = _structure(sector)
     phi = np.asarray(onsite_energy(params, params.sites), dtype=float)
     diag = st.occ @ phi
     if params.U != 0.0:
@@ -148,23 +143,6 @@ def build_hamiltonian(params, sector):
     data = np.full(st.indices.size, -params.eps)
     data[st.diagonal] = diag
     return sp.csr_matrix((data, st.indices, st.indptr), shape=(dim, dim))
-
-
-def _annihilators(sector_n, sector_np1):
-    """Every a_x from the (N+1)-sector to the N-sector, stacked site-minor.
-
-    Returns (up, down): up = vstack_x a_x^T of shape (d_{N+1} S, d_N) and
-    down = vstack_x a_x of shape (d_N S, d_{N+1}), S = n_sites, with row
-    j S + x holding row j of a_x^T (or a_x).  So up @ v reshaped to
-    (d_{N+1}, S, r) holds a_x+ v[:, i] at [:, x, i], and the rows x::S of
-    down are a_x.  Each a_x has at most one entry, +1 or -1, per row and per
-    column, so products with either stack are exact.  The pair depends only
-    on the sectors, so it is built once per process and shared, read-only.
-
-    Convention: removing (or adding) a particle at bit b carries the sign
-    (-1)^(number of occupied bits below b).
-    """
-    return _stacks(sector_np1.n_sites, sector_n.n_particles)
 
 
 def _stack(occ, hits, source, target):
@@ -183,14 +161,25 @@ def _stack(occ, hits, source, target):
 
 
 @functools.cache
-def _stacks(n_sites, n):
-    """(up, down) of _annihilators for sectors n and n + 1 of n_sites sites:
-    a_x^T has an entry where x is occupied in the (N+1)-state, a_x where it
-    is empty in the N-state."""
-    sec, sec1 = _sectors(n_sites)[n:n + 2]
-    occ, occ1 = _occupancy(sec), _occupancy(sec1)
-    return (_stack(occ1, occ1 == 1, sec1.states, sec.states),
-            _stack(occ, occ == 0, sec.states, sec1.states))
+def _stacks(sector_n, sector_np1):
+    """Every a_x from the (N+1)-sector to the N-sector, stacked site-minor.
+
+    Returns (up, down): up = vstack_x a_x^T of shape (d_{N+1} S, d_N) and
+    down = vstack_x a_x of shape (d_N S, d_{N+1}), S = n_sites, with row
+    j S + x holding row j of a_x^T (or a_x).  So up @ v reshaped to
+    (d_{N+1}, S, r) holds a_x+ v[:, i] at [:, x, i], and the rows x::S of
+    down are a_x: a_x^T has an entry where x is occupied in the (N+1)-state,
+    a_x where it is empty in the N-state.  Each a_x has at most one entry,
+    +1 or -1, per row and per column, so products with either stack are
+    exact.  The pair depends only on the sectors, so it is built once per
+    process and shared, read-only.
+
+    Convention: removing (or adding) a particle at bit b carries the sign
+    (-1)^(number of occupied bits below b).
+    """
+    occ, occ1 = _structure(sector_n).occ, _structure(sector_np1).occ
+    return (_stack(occ1, occ1 == 1, sector_np1.states, sector_n.states),
+            _stack(occ, occ == 0, sector_n.states, sector_np1.states))
 
 
 _DENSE_MAX = 500  # largest sector diagonalized densely and kept whole
@@ -581,7 +570,7 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
         if not terms:
             continue
         if stacks is None:
-            stacks = _annihilators(sec, sec1)
+            stacks = _stacks(sec, sec1)
         ann = stacks[side]
         target = spectral.sectors[other]
         dim = len(target)
@@ -679,7 +668,7 @@ def occupations(params, spectral):
     occ = np.zeros(params.n_sites)
     for w, v, sec in zip(weights, spectral.vectors, spectral.sectors):
         if w.size:
-            occ += ((v ** 2) @ w) @ _occupancy(sec)
+            occ += ((v ** 2) @ w) @ _structure(sec).occ
     return occ / z
 
 

@@ -19,6 +19,8 @@ from .diophantine import (GOLDEN_MEAN, DiophantineFrequency,
 
 # steps between renormalizations of the transfer-matrix iterate
 _RENORM_EVERY = 16
+# steps whose coefficients (phi_x - E)/eps are evaluated as one array
+_ORBIT_CHUNK = 1 << 16
 # eigenvector amplitudes at or below this are left out of the xi fit
 _AMPLITUDE_FLOOR = 1e-12
 
@@ -139,16 +141,18 @@ def lyapunov_exponent(E, eps, u, omega, theta, n_steps):
     two_pi_theta = 2.0 * math.pi * theta
     psi_cur, psi_old = 1.0, 0.0
     log_sum = 0.0
-    cos = math.cos
-    for x in range(n_steps):
-        a = inv_eps * (u * cos(two_pi_omega * x + two_pi_theta) - E)
-        psi_cur, psi_old = a * psi_cur - psi_old, psi_cur
-        if (x + 1) % _RENORM_EVERY == 0:
-            scale = max(abs(psi_cur), abs(psi_old))
-            if scale > 0.0:
-                log_sum += math.log(scale)
-                psi_cur /= scale
-                psi_old /= scale
+    for start in range(0, n_steps, _ORBIT_CHUNK):
+        x = np.arange(start, min(start + _ORBIT_CHUNK, n_steps))
+        coefficients = inv_eps * (u * np.cos(two_pi_omega * x + two_pi_theta)
+                                  - E)
+        for step, a in enumerate(coefficients.tolist(), start + 1):
+            psi_cur, psi_old = a * psi_cur - psi_old, psi_cur
+            if step % _RENORM_EVERY == 0:
+                scale = max(abs(psi_cur), abs(psi_old))
+                if scale > 0.0:
+                    log_sum += math.log(scale)
+                    psi_cur /= scale
+                    psi_old /= scale
     scale = max(abs(psi_cur), abs(psi_old))
     if scale > 0.0:
         log_sum += math.log(scale)

@@ -2,9 +2,11 @@
 
 The free propagator in closed form and the U = 0 two-point matrix from the
 one-body eigenpairs (oracles of the Lehmann kernel), the Fock structure
-built from scratch for every call (oracles of the per-size structure the
-package builds once: a sector by its own mask enumeration, the Hamiltonian
-and the stacked annihilators by COO -> CSR conversion), the dense inertia
+built from scratch for every call (oracles of the per-sector structure the
+package builds once: a sector's masks by an enumeration of the whole space,
+the Hamiltonian and the stacked annihilators by COO -> CSR conversion on
+those masks), the brute-force scan of the frequency Diophantine constant
+(oracle of its evaluation at the convergent denominators), the dense inertia
 count (oracle of the sparse one that certifies thermal blocks), the
 partition-of-unity and telescoping residuals of the scale decomposition, and
 the smallness and continuity report of a counterterm grid.  None of them has a caller in the
@@ -15,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 
-from quasiloc.many_body import FockSector
+from quasiloc.diophantine import torus_norm
 from quasiloc.multiscale import ScaleConfigurationError, chi_h, f_h
 from quasiloc.single_particle import onsite_energy, single_particle_spectrum
 
@@ -61,34 +63,32 @@ def one_body_correlation_matrix(params, t):
 
 
 def sector_from_scratch(L, n_particles):
-    """The n_particles sector of the L + 1 sites from its own enumeration of
-    all 2^(L+1) masks."""
-    n_sites = L + 1
-    masks = np.arange(1 << n_sites, dtype=np.int64)
-    return FockSector(n_particles=n_particles, n_sites=n_sites,
-                      states=masks[np.bitwise_count(masks) == n_particles])
+    """The ascending int64 masks of the n_particles sector of the L + 1
+    sites, from an enumeration of all 2^(L+1) masks."""
+    masks = np.arange(1 << (L + 1), dtype=np.int64)
+    return masks[np.bitwise_count(masks) == n_particles]
 
 
-def occupancy_from_scratch(sector):
-    """(dim, n_sites) int64 0/1 array of bit occupations."""
-    bits = np.arange(sector.n_sites)
-    return (sector.states[:, None] >> bits[None, :]) & 1
+def occupancy_from_scratch(states, n_sites):
+    """(dim, n_sites) int64 0/1 array of the bit occupations of masks."""
+    bits = np.arange(n_sites)
+    return (states[:, None] >> bits[None, :]) & 1
 
 
 def hamiltonian_from_scratch(params, sector):
     """The sector Hamiltonian of many_body.build_hamiltonian, assembled as
-    COO triplets and converted to CSR."""
-    occ = occupancy_from_scratch(sector)
+    COO triplets on the sector's masks from scratch and converted to CSR."""
+    states = sector_from_scratch(sector.n_sites - 1, sector.n_particles)
+    occ = occupancy_from_scratch(states, sector.n_sites)
     phi = np.asarray(onsite_energy(params, params.sites), dtype=float)
     diag = occ @ phi
     if params.U != 0.0:
         diag = diag + 2.0 * params.U * np.sum(occ[:, :-1] * occ[:, 1:], axis=1)
 
-    dim = len(sector)
+    dim = states.size
     rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
     if params.eps != 0.0:
         i, b = np.nonzero(occ[:, :-1] != occ[:, 1:])
-        states = sector.states
         rows.append(i)
         cols.append(np.searchsorted(states, states[i] ^ (0b11 << b)))
         vals.append(np.full(i.size, -params.eps))
@@ -98,20 +98,31 @@ def hamiltonian_from_scratch(params, sector):
 
 
 def annihilators_from_scratch(sector_n, sector_np1):
-    """(up, down) of many_body._annihilators, assembled as COO triplets
-    from the (N+1)-sector and converted to CSR."""
+    """(up, down) of many_body._stacks, assembled as COO triplets from the
+    masks of the (N+1)-sector from scratch and converted to CSR."""
     n_sites = sector_np1.n_sites
-    occ = occupancy_from_scratch(sector_np1)
+    states = sector_from_scratch(n_sites - 1, sector_n.n_particles)
+    states1 = sector_from_scratch(n_sites - 1, sector_np1.n_particles)
+    occ = occupancy_from_scratch(states1, n_sites)
     j1, x = np.nonzero(occ)
     below = np.cumsum(occ, axis=1) - occ
     signs = 1.0 - 2.0 * (below[j1, x] & 1)
-    j0 = np.searchsorted(sector_n.states, sector_np1.states[j1] ^ (1 << x))
-    d0, d1 = len(sector_n), len(sector_np1)
+    j0 = np.searchsorted(states, states1[j1] ^ (1 << x))
+    d0, d1 = states.size, states1.size
     up = sp.csr_matrix((signs, (j1 * n_sites + x, j0)),
                        shape=(d1 * n_sites, d0))
     down = sp.csr_matrix((signs, (j0 * n_sites + x, j1)),
                          shape=(d0 * n_sites, d1))
     return up, down
+
+
+def frequency_constant_by_scan(omega, tau, q_max):
+    """(min, argmin) of x^tau ||omega x|| over every integer 0 < x <= q_max,
+    the smallest x on a tie."""
+    x = np.arange(1, q_max + 1, dtype=float)
+    values = x ** tau * torus_norm(omega * x)
+    i = int(np.argmin(values))
+    return float(values[i]), i + 1
 
 
 def dense_count_below(h, sigma):

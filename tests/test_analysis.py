@@ -198,14 +198,14 @@ def test_phase_scan_builds_each_stack_pair_once(monkeypatch):
     from quasiloc import many_body
 
     seen = {}
-    annihilators = many_body._annihilators
+    stacks_of = many_body._stacks
 
     def spy(sec, sec1):
-        stacks = annihilators(sec, sec1)
+        stacks = stacks_of(sec, sec1)
         seen.setdefault((sec1.n_sites, sec.n_particles), []).append(stacks)
         return stacks
 
-    monkeypatch.setattr(many_body, "_annihilators", spy)
+    monkeypatch.setattr(many_body, "_stacks", spy)
     grid = q.phase_scan([0.0, 0.2], [0.0, 0.1], [40, 80], 6.0)
     assert [pt.error for pt in grid.values()] == [None] * 4
     # three of the four points hop or interact, and each reads every pair

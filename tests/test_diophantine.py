@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import quasiloc as q
 from quasiloc.diophantine import (exact_fractional_part,
                                   exact_convergent_denominators)
+from oracles import frequency_constant_by_scan
 
 
 def test_torus_norm_basic():
@@ -34,10 +36,27 @@ def test_silver_continued_fraction_all_twos():
 
 
 def test_rational_frequency_detected():
-    with pytest.raises(q.RationalFrequencyError):
+    # the expansion of 0.5 ends after [2]; the double nearest 3/7 expands to
+    # [2, 2, 1, 857828500451522, 3], a quotient no irrational shows at depth 4
+    with pytest.raises(q.RationalFrequencyError, match=r"\[2\] end before"):
         q.continued_fraction(0.5, 10)
-    with pytest.raises(q.RationalFrequencyError):
+    with pytest.raises(q.RationalFrequencyError, match="857828500451522"):
         q.continued_fraction(3.0 / 7.0, 30)
+    with pytest.raises(q.RationalFrequencyError, match="857828500451522"):
+        q.continued_fraction(3.0 / 7.0, 4)
+    assert q.continued_fraction(3.0 / 7.0, 3) == [2, 2, 1]
+
+
+def test_continued_fraction_is_the_exact_expansion_of_the_double():
+    # float Euclidean steps leave the expansion of the double 1/pi at its
+    # 15th quotient (3, 3, 23 for 3, 1, 12); the convergents must be the
+    # ones the scale survey reads from the exact expansion
+    omega = 1.0 / math.pi
+    pq = q.continued_fraction(omega, 20)
+    assert pq == [3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 3, 1, 12, 3, 7,
+                  1, 1]
+    qs = [c[1] for c in q.convergents(pq)]
+    assert [d for d, _ in exact_convergent_denominators(omega, qs[-1])] == qs
 
 
 def test_convergents_are_fibonacci_for_golden():
@@ -59,6 +78,27 @@ def test_frequency_constant_positive_and_stable():
     c, arg = q.frequency_diophantine_constant(q.GOLDEN_MEAN, 1.5, 10 ** 4)
     assert arg == 1
     assert c == pytest.approx(q.torus_norm(q.GOLDEN_MEAN), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       tau=st.floats(0.0, 2.5), q_max=st.integers(1, 10 ** 5))
+@example(omega=q.GOLDEN_MEAN, tau=1.5, q_max=10 ** 5)
+@example(omega=q.SILVER_MEAN, tau=1.0, q_max=10 ** 5)
+@example(omega=1.0 / math.pi, tau=1.2, q_max=10 ** 5)
+@example(omega=0.739, tau=0.0, q_max=10 ** 5)
+def test_frequency_constant_matches_brute_scan_property(omega, tau, q_max):
+    """Only 1 and the convergent denominators are evaluated, yet value and
+    argmin are the brute-force scan's, bit for bit."""
+    assert q.frequency_diophantine_constant(omega, tau, q_max) \
+        == frequency_constant_by_scan(omega, tau, q_max)
+
+
+def test_frequency_constant_rejects_negative_or_nan_tau():
+    # the best-approximation argument needs x^tau non-decreasing
+    for tau in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="tau"):
+            q.frequency_diophantine_constant(q.GOLDEN_MEAN, tau, 100)
 
 
 def test_phase_constant_gap_case_vanishes():

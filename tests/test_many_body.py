@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import quasiloc as q
 from quasiloc import many_body
-from quasiloc.many_body import enumerate_sector, _occupancy
+from quasiloc.many_body import enumerate_sector
 from oracles import (annihilators_from_scratch, dense_count_below,
                      hamiltonian_from_scratch, one_body_correlation_matrix,
                      sector_from_scratch)
@@ -41,7 +41,7 @@ def index_of(sector):
 
 def hamiltonian_loop(params, sector):
     """Reference: the mask-by-mask loop build_hamiltonian used to run."""
-    occ = _occupancy(sector)
+    occ = many_body._structure(sector).occ
     phi = np.asarray(q.onsite_energy(params, params.sites), dtype=float)
     diag = occ @ phi
     if params.U != 0.0:
@@ -65,7 +65,7 @@ def hamiltonian_loop(params, sector):
 def annihilation_matrix(sector_n, sector_np1, x_bit):
     """a_x from the (N+1)-sector to the N-sector: the rows x_bit::S of the
     kernel's stacked annihilators."""
-    down = many_body._annihilators(sector_n, sector_np1)[1]
+    down = many_body._stacks(sector_n, sector_np1)[1]
     return down[x_bit::sector_n.n_sites]
 
 
@@ -184,9 +184,28 @@ def test_sector_sizes():
             enumerate_sector(L, -1)
 
 
+def test_sectors_built_without_the_whole_fock_space():
+    # 2^41 masks would not fit in memory: a sector's size is a binomial and
+    # its masks are built from the smaller sectors alone
+    states = enumerate_sector(40, 1).states
+    assert states.tolist() == [1 << i for i in range(41)]
+    assert states.dtype == np.int64 and not states.flags.writeable
+    assert len(enumerate_sector(40, 20)) == math.comb(41, 20)
+
+
+def test_zero_temperature_reach_at_l28():
+    # only sectors 0-2 and 27-29 (at most 406 states) keep a state; sector 3
+    # and up stay empty below their one-body floors, so nothing enumerates
+    # the 2^29 masks of the chain
+    p = q.ModelParams(L=28, beta=24576.0, eps=0.1, U=0.1, theta=0.2377)
+    spd = q.diagonalize(p)
+    assert spd.tail_certified
+    assert q.mean_particle_number(p, spd) == pytest.approx(2.0, abs=1e-12)
+
+
 def test_occupancy_counts():
     sec = enumerate_sector(4, 2)
-    occ = _occupancy(sec)
+    occ = many_body._structure(sec).occ
     np.testing.assert_array_equal(occ.sum(axis=1), 2)
 
 
@@ -198,7 +217,7 @@ def test_fock_operators_match_loop_reference(L):
         h = q.build_hamiltonian(p, sec)
         assert abs(h - hamiltonian_loop(p, sec)).max() == 0.0
     for sec, sec1 in zip(secs, secs[1:]):
-        up, down = many_body._annihilators(sec, sec1)
+        up, down = many_body._stacks(sec, sec1)
         assert up.shape == (len(sec1) * (L + 1), len(sec))
         assert down.shape == (len(sec) * (L + 1), len(sec1))
         for x_bit in range(L + 1):
@@ -229,9 +248,10 @@ def test_fock_structure_matches_from_scratch_oracles_property(L, eps, U, draws,
     secs = [enumerate_sector(L, n) for n in range(L + 2)]
     for n, sec in enumerate(secs):
         ref = sector_from_scratch(L, n)
-        assert (sec.n_particles, sec.n_sites) == (ref.n_particles, ref.n_sites)
-        assert sec.states.dtype == ref.states.dtype
-        assert np.array_equal(sec.states, ref.states)
+        assert (sec.n_particles, sec.n_sites, len(sec)) == (n, L + 1, ref.size)
+        assert sec.states.dtype == ref.dtype
+        assert np.array_equal(sec.states, ref)
+        assert not sec.states.flags.writeable
     if L % 2 == 0:
         p = q.ModelParams(L=L, beta=1.0, eps=draws[0] if eps is None else eps,
                           U=draws[1] if U is None else U, theta=theta, x_hat=1)
@@ -239,7 +259,7 @@ def test_fock_structure_matches_from_scratch_oracles_property(L, eps, U, draws,
             assert_same_csr(q.build_hamiltonian(p, sec),
                             hamiltonian_from_scratch(p, sec))
     for sec, sec1 in zip(secs, secs[1:]):
-        for stack, ref in zip(many_body._annihilators(sec, sec1),
+        for stack, ref in zip(many_body._stacks(sec, sec1),
                               annihilators_from_scratch(sec, sec1)):
             assert_same_csr(stack, ref)
 
@@ -249,7 +269,7 @@ def test_shared_fock_structure_is_read_only():
     secs = [enumerate_sector(p.L, n) for n in range(p.n_sites + 1)]
     arrays = []
     for sec in secs:
-        pattern = many_body._structure(sec.n_sites, sec.n_particles)
+        pattern = many_body._structure(sec)
         arrays += [sec.states, pattern.occ, pattern.bonds, pattern.indices,
                    pattern.indptr, pattern.diagonal, pattern.eye]
         for params in (p, replace(p, eps=0.0)):
@@ -257,7 +277,7 @@ def test_shared_fock_structure_is_read_only():
             assert h.data.flags.writeable
             arrays += [h.indices, h.indptr]
     for sec, sec1 in zip(secs, secs[1:]):
-        for stack in many_body._annihilators(sec, sec1):
+        for stack in many_body._stacks(sec, sec1):
             arrays += [stack.data, stack.indices, stack.indptr]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -445,8 +465,8 @@ def test_annihilators_built_only_for_pairs_with_terms(monkeypatch):
         calls.append(sector_n.n_particles)
         return annihilators(sector_n, sector_np1)
 
-    annihilators = many_body._annihilators
-    monkeypatch.setattr(many_body, "_annihilators", counted)
+    annihilators = many_body._stacks
+    monkeypatch.setattr(many_body, "_stacks", counted)
     em = q.equal_time_matrix(p, spd)
     assert 0 < len(calls) < spd.n_sectors - 1
     np.testing.assert_allclose(em, fock_correlation(p, [0.0])[0], atol=1e-12)
@@ -455,8 +475,8 @@ def test_annihilators_built_only_for_pairs_with_terms(monkeypatch):
 def test_empty_sectors_build_no_hamiltonian_until_propagated(monkeypatch):
     # at beta = 24576 every sector above _DENSE_MAX states stays empty below
     # its one-body floor; no step may build its H or read its occupations,
-    # except a t != 0 read, which propagates into the neighbors of the
-    # sectors that keep states
+    # and diagonalize does not even build its masks, except a t != 0 read,
+    # which propagates into the neighbors of the sectors that keep states
     p = q.ModelParams(L=16, beta=24576.0, eps=0.1, U=0.0, theta=0.2377)
     built, read = [], []
 
@@ -464,19 +484,20 @@ def test_empty_sectors_build_no_hamiltonian_until_propagated(monkeypatch):
         built.append(sector.n_particles)
         return build(params, sector)
 
-    def counted_occupancy(sector):
+    def counted_structure(sector):
         read.append(sector.n_particles)
-        return occupancy(sector)
+        return structure(sector)
 
-    build, occupancy = many_body.build_hamiltonian, many_body._occupancy
+    build, structure = many_body.build_hamiltonian, many_body._structure
     monkeypatch.setattr(many_body, "build_hamiltonian", counted_build)
-    monkeypatch.setattr(many_body, "_occupancy", counted_occupancy)
+    monkeypatch.setattr(many_body, "_structure", counted_structure)
     spd = q.diagonalize(p)
     empty = {n for n, (s, e) in enumerate(zip(spd.sectors, spd.energies))
              if len(s) > many_body._DENSE_MAX and not e.size}
     kept = [n for n, e in enumerate(spd.energies) if e.size]
     assert len(empty) == spd.n_sectors - len(kept) > 0 and spd.tail_certified
     assert built and not empty & set(built)
+    assert read and not empty & set(read)
 
     built.clear()
     corr = q.compute_correlation(p, spd, [0.0])
