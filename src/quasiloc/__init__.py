@@ -13,9 +13,8 @@ from .single_particle import (ModelParams, onsite_energy,
 from .many_body import (FockSector, enumerate_sector, build_hamiltonian,
                         SpectralDecomposition, diagonalize,
                         correlation_matrix, equal_time_matrix, occupations,
-                        density, mean_particle_number,
-                        CorrelationFunction, compute_correlation,
-                        IncompleteSpectralDataError)
+                        mean_particle_number, CorrelationFunction,
+                        compute_correlation)
 from .multiscale import (ScaleFamily, ScaleConfigurationError,
                          QuadratureError, ZeroDivisorError, chi_h, f_h,
                          single_scale_propagator, filtered_propagator,

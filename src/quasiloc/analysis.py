@@ -229,7 +229,7 @@ def _scan_point(mb, median_ipr, lam):
     if eps != 0.0 or U != 0.0:
         spectral = diagonalize(mb)
         nu = fix_counterterm(mb, spectral=spectral).nu
-        s = equal_time_matrix(mb.with_nu(nu), spectral)
+        s = equal_time_matrix(spectral, nu)
         d_arr, logv = _log_profile(s, mb.sites, _SCAN_WINDOW, 0)
         if d_arr.size >= 2:
             rate = -float(np.polyfit(d_arr, logv, 1)[0])

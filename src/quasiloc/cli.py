@@ -18,7 +18,8 @@ from .diophantine import (GOLDEN_MEAN, SILVER_MEAN, continued_fraction,
                           phase_diophantine_constant)
 from .single_particle import (ModelParams, localization_table,
                               lyapunov_exponent)
-from .many_body import diagonalize, compute_correlation, occupations, density
+from .many_body import (diagonalize, compute_correlation, occupations,
+                        mean_particle_number)
 from .multiscale import (ScaleFamily, scale_decay_constants, chain_graph_value)
 from .counterterm import fix_counterterm, counterterm_grid
 from .analysis import fit_spatial_decay, phase_scan
@@ -181,7 +182,7 @@ def _run_correlate(args):
     params = _params_from(args)
     times = [float(t) for t in args.times.split(",")]
     spectral = diagonalize(params)
-    corr = compute_correlation(params, spectral, times)
+    corr = compute_correlation(spectral, params.nu, times)
     rows = []
     for it, t in enumerate(corr.times):
         for ix, x in enumerate(params.sites):
@@ -194,9 +195,10 @@ def _run_correlate(args):
 def _run_density(args):
     params = _params_from(args)
     spectral = diagonalize(params)
-    occ = occupations(params, spectral)
+    occ = occupations(spectral, params.nu)
     rows = [(int(x), float(o)) for x, o in zip(params.sites, occ)]
-    rows.append(("mean", density(params, spectral)))
+    rows.append(("mean", mean_particle_number(spectral, params.nu)
+                 / params.n_sites))
     return "csv", (("x", "occupation"), rows)
 
 
@@ -233,17 +235,18 @@ def _run_chain(args):
 def _run_decay(args):
     params = _params_from(args)
     spectral = diagonalize(params)
+    nu = params.nu
     if args.fit_counterterm:
         # nu only shifts mu, so the same spectrum serves the correlation
-        params = params.with_nu(fix_counterterm(params, spectral=spectral).nu)
-    corr = compute_correlation(params, spectral, [0.0])
+        nu = fix_counterterm(params, spectral=spectral).nu
+    corr = compute_correlation(spectral, nu, [0.0])
     lo, hi = args.window.split(":")
     fit = fit_spatial_decay(corr, window=(int(lo), int(hi)))
     return "json", {
         "rate": fit.rate, "xi_fit": fit.xi_fit, "prefactor": fit.prefactor,
         "r_squared": fit.r_squared, "theorem_rate": fit.theorem_rate,
         "window": list(fit.window), "n_points": fit.n_points,
-        "nu": params.nu, "discarded_weight": float(corr.discarded[0]),
+        "nu": nu, "discarded_weight": float(corr.discarded[0]),
         "tail_certified": spectral.tail_certified,
     }
 

@@ -116,7 +116,8 @@ def fix_counterterm(params, tolerance=1e-10, spectral=None):
     objective at nu = 0 says on which side the unique root lies.  The bracket
     [0, end] starts at |end| = tolerance and grows by factors of 4 until the
     objective changes sign, so every read lands within about 4 |nu| of mu0;
-    BracketError once |end| reaches 64 max(|eps|, |U|, 1e-3).  Returns a
+    BracketError once |end| reaches 64 max(|eps|, |U|, 1e-3).  A spectral
+    decomposition passed in must be of params up to nu.  Returns a
     CountertermResult; params itself is never mutated.
     """
     if not 0.0 < tolerance < math.inf:
@@ -125,11 +126,14 @@ def fix_counterterm(params, tolerance=1e-10, spectral=None):
     target = _reference_density(base)
     if spectral is None:
         spectral = diagonalize(base)
+    elif spectral.params.with_nu(0.0) != base:
+        raise ValueError("params differ from those of the spectral "
+                         "decomposition")
     n_sites = base.n_sites
     history = []
 
     def objective(nu):
-        f = mean_particle_number(base.with_nu(nu), spectral) / n_sites - target
+        f = mean_particle_number(spectral, nu) / n_sites - target
         history.append((nu, f))
         return f
 

@@ -10,7 +10,9 @@ shifts and guarded against pivoting and tiny pivots, certifies that no
 eigenvalue below the new floor was missed.  The states a block leaves out
 weigh at most (d - k) e^(-b (floor - mu n - K0)) at exponent b; a read whose
 summed bound exceeds _TAIL first extends the blocks it needs, so no read
-answers from an unresolved spectrum.  The Lehmann kernel needs only thermal
+answers from an unresolved spectrum.  Every read takes a decomposition and
+the counterterm nu, which only shifts mu = mu0 + nu, so one decomposition
+serves every nu.  The Lehmann kernel needs only thermal
 eigenstates: completeness at t = 0, and otherwise KMS to bring t into
 |t| <= beta/2 and a Chebyshev series of e^(-tau K) for the non-thermal side,
 cut where its left-out coefficients bound the error below _TAIL.  Energies
@@ -21,7 +23,7 @@ E - mu N, which leaves all observables invariant and keeps every weight in
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,10 +32,6 @@ from scipy.sparse.linalg import eigsh, splu
 from scipy.special import ive
 
 from .single_particle import onsite_energy, single_particle_spectrum
-
-
-class IncompleteSpectralDataError(RuntimeError):
-    """Lehmann sums need every particle-number sector."""
 
 
 @dataclass(frozen=True)
@@ -87,15 +85,13 @@ class _Structure:
     occ: (dim, n_sites) int8 bit occupations; bonds: occupied bonds per
     state; indices and indptr: the CSR pattern of H with hopping, each row's
     columns ascending, as COO -> CSR conversion leaves them; diagonal: where
-    the diagonal entries sit in its data; eye: 0..dim, the pattern of the
-    diagonal-only H as (eye[:-1], eye).
+    the diagonal entries sit in its data.
     """
     occ: np.ndarray
     bonds: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     diagonal: np.ndarray
-    eye: np.ndarray
 
 
 @functools.cache
@@ -108,18 +104,18 @@ def _structure(sector):
     # exactly one of the two neighboring sites occupied; an adjacent hop
     # crosses no occupied site, so its sign is +1
     i, b = np.nonzero(occ[:, :-1] != occ[:, 1:])
-    eye = np.arange(dim + 1, dtype=np.int32)
-    rows = np.concatenate([eye[:-1], i])
-    cols = np.concatenate([eye[:-1],
+    eye = np.arange(dim)
+    rows = np.concatenate([eye, i])
+    cols = np.concatenate([eye,
                            np.searchsorted(states, states[i] ^ (0b11 << b))])
     order = np.lexsort((cols, rows))
     indices = cols[order].astype(np.int32)
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
     diagonal = np.flatnonzero(order < dim).astype(np.int32)
-    _read_only(occ, bonds, indices, indptr, diagonal, eye)
+    _read_only(occ, bonds, indices, indptr, diagonal)
     return _Structure(occ=occ, bonds=bonds, indices=indices, indptr=indptr,
-                      diagonal=diagonal, eye=eye)
+                      diagonal=diagonal)
 
 
 def build_hamiltonian(params, sector):
@@ -127,10 +123,10 @@ def build_hamiltonian(params, sector):
 
     Diagonal: sum_x phi_x n_x plus the two-sided-delta pair term, which counts
     every bond twice (coefficient 2U per bond).  Hopping -eps between
-    neighbors, open ends; at eps = 0 the matrix holds the diagonal alone.
-    The counterterm nu enters only through mu.  Only the values depend on
-    params: the returned matrix has its own data, but its indices and indptr
-    are the sector's shared, read-only pattern.
+    neighbors, open ends, stored even at eps = 0.  The counterterm nu enters
+    only through mu.  Only the values depend on params: the returned matrix
+    has its own data, but its indices and indptr are the sector's shared,
+    read-only pattern.
     """
     st = _structure(sector)
     phi = np.asarray(onsite_energy(params, params.sites), dtype=float)
@@ -138,8 +134,6 @@ def build_hamiltonian(params, sector):
     if params.U != 0.0:
         diag = diag + 2.0 * params.U * st.bonds
     dim = len(sector)
-    if params.eps == 0.0:
-        return sp.csr_matrix((diag, st.eye[:-1], st.eye), shape=(dim, dim))
     data = np.full(st.indices.size, -params.eps)
     data[st.diagonal] = diag
     return sp.csr_matrix((data, st.indices, st.indptr), shape=(dim, dim))
@@ -196,8 +190,13 @@ _STACK_ELEMENTS = 1 << 22  # entries of one propagated stack chunk (32 MB)
 
 
 def _whole(h):
-    """The whole spectrum of a sector Hamiltonian h as a block with floor +inf."""
-    return (*eigh(h.toarray(), driver="evd"), math.inf)
+    """The whole spectrum of a sector Hamiltonian h as a block with floor
+    +inf; ValueError where an eigenvalue is not finite (couplings near the
+    float range)."""
+    energies, vectors = eigh(h.toarray(), driver="evd")
+    if not np.all(np.isfinite(energies)):
+        raise ValueError("non-finite eigenvalues: couplings out of range")
+    return energies, vectors, math.inf
 
 
 def _lowest_block(h, k, cut):
@@ -292,11 +291,11 @@ class SpectralDecomposition:
     _ground_floor, or confirmed by an inertia count; False when no count can
     be trusted (see _count_below); and None until it is counted.
     Eigenvalues are stored raw (no chemical potential); everything
-    mu-dependent is assembled on demand so the counterterm search can
-    reweight one decomposition instead of rediagonalizing, and blocks grow
-    when a read needs more of them.  No Hamiltonian is kept: a block that
-    grows or is counted, and a sector a read propagates into, builds its H
-    from params (it does not depend on nu).
+    mu-dependent is assembled on demand at the nu a read takes, from
+    params.with_nu(nu), which rejects a bad nu before any block grows.  No
+    Hamiltonian is kept: a block that grows or is counted, and a sector a
+    read propagates into, builds its H from params (it does not depend on
+    nu).
     """
     params: object
     sectors: list
@@ -314,15 +313,6 @@ class SpectralDecomposition:
         """Whether every floor, so every reported tail bound, is certified."""
         return all(c is True for c in self.certified)
 
-    def _require_compatible(self, params):
-        """Complete, and computed at params up to nu (which only shifts mu)."""
-        if self.n_sectors != self.params.n_sites + 1:
-            raise IncompleteSpectralDataError(
-                f"need {self.params.n_sites + 1} sectors, have {self.n_sectors}")
-        if replace(params, nu=0.0) != replace(self.params, nu=0.0):
-            raise ValueError("params differ from those of the spectral "
-                             "decomposition")
-
     def ground_shift(self, mu):
         """Global minimum of E - mu N, subtracted before any exponential."""
         return min(float(e[0]) - mu * s.n_particles
@@ -334,11 +324,10 @@ class SpectralDecomposition:
         return [e - mu * s.n_particles - k0
                 for e, s in zip(self.energies, self.sectors)]
 
-    def thermal_weights(self, params):
+    def thermal_weights(self, nu):
         """(Boltzmann factors of the kept states per sector, Z) at
-        (params.mu, params.beta), once the tail there is resolved."""
-        self._require_compatible(params)
-        mu, beta = params.mu, params.beta
+        mu = mu0 + nu and beta, once the tail there is resolved."""
+        mu, beta = self.params.with_nu(nu).mu, self.params.beta
         self._resolve(mu, beta)
         weights = [np.exp(-beta * k) for k in self.shifted_energies(mu)]
         return weights, sum(float(np.sum(w)) for w in weights)
@@ -351,10 +340,12 @@ class SpectralDecomposition:
         k0 = self.ground_shift(mu)
         terms = []
         for s, e, f in zip(self.sectors, self.energies, self.floors):
-            # a floor far below K0 leaves the tail unbounded, not overflowing
+            left = len(s) - e.size
+            # a floor far below K0 leaves the tail unbounded, not overflowing;
+            # a whole block adds 0.0, even where mu n overflows to a NaN x
             x = -b * (f - mu * s.n_particles - k0)
-            terms.append((len(s) - e.size) * math.exp(x) if x < 700.0
-                         else math.inf)
+            terms.append(left * math.exp(x) if x < 700.0
+                         else math.inf if left else 0.0)
         return terms
 
     def _resolve(self, mu, b):
@@ -609,32 +600,33 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
                                            part.transpose(0, 2, 1)).sum(axis=0)
 
 
-def _lehmann(params, spectral, times):
-    """S2(x, y; t) for all site pairs, shape (n_times, n_sites, n_sites), and
-    per time a bound on what the thermal blocks and slabs leave out.
+def _lehmann(spectral, nu, times):
+    """S2(x, y; t) at mu = mu0 + nu for all site pairs, shape
+    (n_times, n_sites, n_sites), and per time a bound on what the thermal
+    blocks and slabs leave out.
 
     The one Lehmann sum of the package.  KMS maps t and t - beta to the same
     tau with |tau| <= beta/2, so they share one propagation; the blocks are
     first extended until their tail at exponent beta - max |tau| is
-    resolved, which also resolves the tail of Z at beta.  The bound adds the
-    dropped slab weight, the error of the Chebyshev propagation, the tail at
-    beta - |tau| and the tail of Z, divided by Z.  t = 0 means the mean of
-    the one-sided limits.
+    resolved, which leaves every floor above K0 + mu n and so also resolves
+    the tail of Z at beta.  The bound adds the dropped slab weight, the error
+    of the Chebyshev propagation, the tail at beta - |tau| and the tail of Z,
+    divided by Z.  t = 0 means the mean of the one-sided limits.
     """
     times = [float(t) for t in times]
-    if not all(abs(t) < params.beta for t in times):  # false for NaN too
+    beta, n_sites = spectral.params.beta, spectral.params.n_sites
+    if not all(abs(t) < beta for t in times):  # false for NaN too
         raise ValueError("time difference must satisfy |t| < beta")
-    spectral._require_compatible(params)  # before any block is extended
-    mu, beta = params.mu, params.beta
+    mu = spectral.params.with_nu(nu).mu  # before any block is extended
     reduced = [_kms_reduce(t, beta) for t in times]
     taus = sorted({tau for tau, _ in reduced})
     spectral._resolve(mu, beta - max(abs(tau) for tau in taus))
-    _, z = spectral.thermal_weights(params)
+    shifted = spectral.shifted_energies(mu)
+    z = sum(float(np.sum(np.exp(-beta * k))) for k in shifted)
     z_tail = spectral.tail_bound(mu, beta)
-    s = {tau: np.zeros((params.n_sites, params.n_sites)) for tau in taus}
+    s = {tau: np.zeros((n_sites, n_sites)) for tau in taus}
     bound = {tau: spectral.tail_bound(mu, beta - abs(tau)) + z_tail
              for tau in taus}
-    shifted = spectral.shifted_energies(mu)
     k0 = spectral.ground_shift(mu)
     for n in range(spectral.n_sectors - 1):
         _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta)
@@ -642,20 +634,20 @@ def _lehmann(params, spectral, times):
     return values, np.array([bound[tau] for tau, _ in reduced]) / z
 
 
-def equal_time_matrix(params, spectral):
+def equal_time_matrix(spectral, nu):
     """All-pairs S2(x, y; 0) in the mean-of-limits convention."""
-    s, _ = _lehmann(params, spectral, [0.0])
+    s, _ = _lehmann(spectral, nu, [0.0])
     return s[0]
 
 
-def correlation_matrix(params, spectral, t):
+def correlation_matrix(spectral, nu, t):
     """All-pairs S2(x, y; t) for one time difference; entry [x + L/2, y + L/2]
     is the pair (x, y)."""
-    s, _ = _lehmann(params, spectral, [t])
+    s, _ = _lehmann(spectral, nu, [t])
     return s[0]
 
 
-def occupations(params, spectral):
+def occupations(spectral, nu):
     """Equal-time occupations <n_x> = sum_k w_k sum_m v_k(m)^2 n_x(m) / Z.
 
     Every term is non-negative, so where every sector is whole, occupations
@@ -664,22 +656,17 @@ def occupations(params, spectral):
     block, the states left out shift an occupation by at most
     tail_bound(mu, beta) / Z <= _TAIL, an absolute bound.
     """
-    weights, z = spectral.thermal_weights(params)
-    occ = np.zeros(params.n_sites)
+    weights, z = spectral.thermal_weights(nu)
+    occ = np.zeros(spectral.params.n_sites)
     for w, v, sec in zip(weights, spectral.vectors, spectral.sectors):
         if w.size:
             occ += ((v ** 2) @ w) @ _structure(sec).occ
     return occ / z
 
 
-def density(params, spectral):
-    """Mean filling <N> / (L+1), the quantity the counterterm search matches."""
-    return mean_particle_number(params, spectral) / params.n_sites
-
-
-def mean_particle_number(params, spectral):
+def mean_particle_number(spectral, nu):
     """<N> from sector weights alone; cheap objective for the counterterm search."""
-    weights, z = spectral.thermal_weights(params)
+    weights, z = spectral.thermal_weights(nu)
     return sum(s.n_particles * float(np.sum(w))
                for s, w in zip(spectral.sectors, weights)) / z
 
@@ -691,7 +678,7 @@ class CorrelationFunction:
     values: np.ndarray          # shape (n_times, n_sites, n_sites)
     # per time, a bound on |values - exact| from the discarded weight
     discarded: np.ndarray
-    params: object              # the ModelParams the values were computed at
+    params: object              # spectral.params.with_nu(nu) of the read
 
     def at_time(self, t):
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -700,9 +687,10 @@ class CorrelationFunction:
         return self.values[idx]
 
 
-def compute_correlation(params, spectral, times):
-    """Sample the two-point function on a grid of time differences."""
+def compute_correlation(spectral, nu, times):
+    """Sample the two-point function at mu = mu0 + nu on a grid of time
+    differences."""
     times = np.asarray(sorted(set(float(t) for t in times)))
-    values, discarded = _lehmann(params, spectral, times)
+    values, discarded = _lehmann(spectral, nu, times)
     return CorrelationFunction(times=times, values=values, discarded=discarded,
-                               params=params)
+                               params=spectral.params.with_nu(nu))

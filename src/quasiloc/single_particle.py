@@ -63,6 +63,9 @@ class ModelParams:
             raise ValueError("x_hat must lie in the lattice")
         if self.v0 == 0.0:
             raise ValueError("sin 2 pi (omega x_hat + theta) must not vanish")
+        if not math.isfinite(self.mu * self.n_sites):
+            # mu N of a full chain enters every Boltzmann exponent
+            raise ValueError("mu (L + 1) must be finite")
 
     @property
     def n_sites(self):

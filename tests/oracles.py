@@ -77,7 +77,8 @@ def occupancy_from_scratch(states, n_sites):
 
 def hamiltonian_from_scratch(params, sector):
     """The sector Hamiltonian of many_body.build_hamiltonian, assembled as
-    COO triplets on the sector's masks from scratch and converted to CSR."""
+    COO triplets on the sector's masks from scratch and converted to CSR.
+    Every hopping entry is stored, as -0.0 at eps = 0."""
     states = sector_from_scratch(sector.n_sites - 1, sector.n_particles)
     occ = occupancy_from_scratch(states, sector.n_sites)
     phi = np.asarray(onsite_energy(params, params.sites), dtype=float)
@@ -86,15 +87,12 @@ def hamiltonian_from_scratch(params, sector):
         diag = diag + 2.0 * params.U * np.sum(occ[:, :-1] * occ[:, 1:], axis=1)
 
     dim = states.size
-    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
-    if params.eps != 0.0:
-        i, b = np.nonzero(occ[:, :-1] != occ[:, 1:])
-        rows.append(i)
-        cols.append(np.searchsorted(states, states[i] ^ (0b11 << b)))
-        vals.append(np.full(i.size, -params.eps))
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(dim, dim))
+    i, b = np.nonzero(occ[:, :-1] != occ[:, 1:])
+    rows = np.concatenate([np.arange(dim), i])
+    cols = np.concatenate([np.arange(dim),
+                           np.searchsorted(states, states[i] ^ (0b11 << b))])
+    vals = np.concatenate([diag, np.full(i.size, -params.eps)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def annihilators_from_scratch(sector_n, sector_np1):

@@ -76,7 +76,7 @@ def test_criterion_1_free_theory_oracle(report):
                           x_hat=X_HAT)
         spd = q.diagonalize(p)
         for t in times:
-            mb = q.correlation_matrix(p, spd, t)
+            mb = q.correlation_matrix(spd, p.nu, t)
             ob = one_body_correlation_matrix(p, t)
             worst = max(worst, float(np.max(np.abs(mb - ob))))
     ok = worst <= 1e-8
@@ -89,14 +89,14 @@ def test_criterion_2_ultralocal_limit(report):
     spd = q.diagonalize(p)
     worst = 0.0
     for t in (0.0, 2.0, -3.5, 7.0):
-        m = q.correlation_matrix(p, spd, t)
+        m = q.correlation_matrix(spd, p.nu, t)
         expect = np.diag([free_propagator(p, int(x), t) for x in p.sites])
         worst = max(worst, float(np.max(np.abs(m - expect))))
     ok_corr = worst <= 1e-10
 
     p40 = q.ModelParams(L=8, beta=40.0, theta=GOLDEN_THETA, x_hat=X_HAT)
     spd40 = q.diagonalize(p40)
-    occ = q.occupations(p40, spd40)
+    occ = q.occupations(spd40, p40.nu)
     phi = np.asarray(q.onsite_energy(p40, p40.sites), dtype=float)
     indicator = (phi <= p40.mu + 1e-12).astype(float)
     bound = np.exp(-p40.beta * np.abs(phi - p40.mu))
@@ -112,7 +112,8 @@ def test_criterion_3_kms(interacting_9, report):
     p, spd = interacting_9
     pairs = ((0, 0), (-2, 1), (3, -1))
     t_grid = [float(t) for t in np.linspace(0.8, 15.2, 5)]
-    corr = q.compute_correlation(p, spd, [t - p.beta for t in t_grid] + t_grid)
+    corr = q.compute_correlation(spd, p.nu,
+                                 [t - p.beta for t in t_grid] + t_grid)
     half = p.L // 2
     worst = max(abs(corr.at_time(t - p.beta)[x + half, y + half]
                     + corr.at_time(t)[x + half, y + half])
@@ -182,7 +183,7 @@ def test_criterion_8_exponential_decay(counterterm_grid_results, report):
     spd = q.diagonalize(p)
     # nu only shifts mu, so the same spectrum serves the correlation
     p = p.with_nu(q.fix_counterterm(p, tolerance=1e-10, spectral=spd).nu)
-    corr = q.compute_correlation(p, spd, [0.0])
+    corr = q.compute_correlation(spd, p.nu, [0.0])
     fit = q.fit_spatial_decay(corr, window=(2, 8))
     ok = fit.r_squared >= 0.9 and fit.rate >= 1.0
     report(8, ok, f"rate {fit.rate:.3f} >= 1.0, r^2 {fit.r_squared:.3f} >= "

@@ -40,7 +40,7 @@ def test_fit_divides_out_log_factor():
 def test_fit_rejects_ultralocal():
     p = q.ModelParams(L=12, beta=6.0)
     spd = q.diagonalize(p)
-    corr = q.compute_correlation(p, spd, [0.0])
+    corr = q.compute_correlation(spd, p.nu, [0.0])
     with pytest.raises(q.FitError):
         q.fit_spatial_decay(corr, window=(2, 8))
 
@@ -242,7 +242,7 @@ def test_phase_scan_rate_matches_coarse_reference(eps, U):
     assert pt.error is None
     mb = q.ModelParams(L=_SCAN_L, beta=6.0, eps=eps, U=U)
     spectral = q.diagonalize(mb)
-    s = q.equal_time_matrix(mb.with_nu(pt.nu), spectral)
+    s = q.equal_time_matrix(spectral, pt.nu)
     ref = coarse_rate(s, mb.sites, (1, 3))
     assert math.isfinite(ref)
     assert pt.decay_rate == pytest.approx(ref, rel=1e-12, abs=0.0)

@@ -7,6 +7,7 @@ import pytest
 
 from quasiloc import cli, many_body
 from quasiloc.cli import main
+from quasiloc.single_particle import ModelParams
 
 
 def run_cli(args, capsys):
@@ -221,6 +222,8 @@ def test_config_file_errors_exit_2(tmp_path, capsys, content):
      "--U-grid", "0:0.1:1"],
     ["scan", "--xhat", "0", "--L-list", "20", "--eps-grid", "0:0.2:2",
      "--U-grid", "0:0.1:1"],
+    # every dense eigenvalue was NaN, and density printed mean,nan
+    ["density", "--L", "4", "--beta", "6", "--eps", "1e308"],
 ])
 def test_non_finite_and_out_of_range_inputs_exit_2(args, capsys,
                                                    monkeypatch):
@@ -238,6 +241,18 @@ def test_non_finite_and_out_of_range_inputs_exit_2(args, capsys,
     status, out, err = run_cli(args, capsys)
     assert status == 2 and out == ""
     assert err.startswith("invalid parameters: ")
+
+
+def test_huge_nu_exits_2(capsys):
+    # at nu = 1e308, mu N overflowed and the tail loop never returned, so the
+    # params check comes first
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(L=4, beta=6.0, nu=1e308)
+    for command in ("density", "correlate", "decay"):
+        status, out, err = run_cli(
+            [command, "--L", "4", "--beta", "6", "--nu", "1e308"], capsys)
+        assert status == 2 and out == ""
+        assert err.startswith("invalid parameters: ")
 
 
 def test_csv_full_precision(capsys):

@@ -38,7 +38,7 @@ def test_interacting_point_matches_grid_scan_oracle():
     spd = q.diagonalize(p)
     target = r.target_density
     nus = np.arange(-1.5, 1.5, 1e-4)
-    dens = np.array([q.mean_particle_number(p.with_nu(nu), spd) / p.n_sites
+    dens = np.array([q.mean_particle_number(spd, nu) / p.n_sites
                      for nu in nus])
     k = int(np.argmin(np.abs(dens - target)))
     assert abs(r.nu - nus[k]) < 2e-4
@@ -55,7 +55,7 @@ def test_density_monotone_in_nu():
     p = q.ModelParams(L=6, beta=8.0, eps=0.1, U=0.2)
     spd = q.diagonalize(p)
     nus = np.linspace(-0.5, 0.5, 21)
-    dens = [q.mean_particle_number(p.with_nu(nu), spd) for nu in nus]
+    dens = [q.mean_particle_number(spd, nu) for nu in nus]
     assert all(b >= a - 1e-12 for a, b in zip(dens, dens[1:]))
 
 
@@ -139,7 +139,7 @@ def test_nu_brackets_the_root_within_tolerance_property(p):
     t = 1e-10 + BRENTQ_RTOL * abs(r.nu)
 
     def objective(nu):
-        return q.mean_particle_number(p.with_nu(nu), spd) / p.n_sites \
+        return q.mean_particle_number(spd, nu) / p.n_sites \
             - r.target_density
 
     assert r.converged
@@ -173,8 +173,8 @@ def test_unbracketed_root_raises_at_the_outermost_end(monkeypatch):
 
     reads = []
 
-    def flat(params, spectral):
-        reads.append(params.nu)
+    def flat(spectral, nu):
+        reads.append(nu)
         return 0.0
 
     monkeypatch.setattr(counterterm, "mean_particle_number", flat)
@@ -305,7 +305,7 @@ def test_nu_is_brentq_on_the_grown_bracket_property(p):
     end = r.bracket_history[n_growth][0]
 
     def objective(nu):
-        return q.mean_particle_number(p.with_nu(nu), spd) / p.n_sites \
+        return q.mean_particle_number(spd, nu) / p.n_sites \
             - r.target_density
 
     root, iterations, converged, calls = scipy_brentq(objective, 0.0, end,

@@ -200,7 +200,7 @@ def test_zero_temperature_reach_at_l28():
     p = q.ModelParams(L=28, beta=24576.0, eps=0.1, U=0.1, theta=0.2377)
     spd = q.diagonalize(p)
     assert spd.tail_certified
-    assert q.mean_particle_number(p, spd) == pytest.approx(2.0, abs=1e-12)
+    assert q.mean_particle_number(spd, p.nu) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_occupancy_counts():
@@ -271,7 +271,7 @@ def test_shared_fock_structure_is_read_only():
     for sec in secs:
         pattern = many_body._structure(sec)
         arrays += [sec.states, pattern.occ, pattern.bonds, pattern.indices,
-                   pattern.indptr, pattern.diagonal, pattern.eye]
+                   pattern.indptr, pattern.diagonal]
         for params in (p, replace(p, eps=0.0)):
             h = q.build_hamiltonian(params, sec)
             assert h.data.flags.writeable
@@ -348,7 +348,7 @@ def test_fermionic_sign_adjacent_hop():
 
 def test_partition_function_and_weights(small):
     p, spd = small
-    weights, z = spd.thermal_weights(p)
+    weights, z = spd.thermal_weights(p.nu)
     assert z >= 1.0  # the shifted ground state contributes exactly 1
     probs = np.array([float(np.sum(w)) / z for w in weights])
     assert probs.sum() == pytest.approx(1.0)
@@ -383,37 +383,24 @@ def test_residual_norms(small):
     assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-13
 
 
-def test_incomplete_spectral_data_rejected():
-    p = q.ModelParams(L=4, beta=3.0, eps=0.1)
-    spd = q.diagonalize(p)
-    spd.sectors = spd.sectors[:-1]
-    spd.energies = spd.energies[:-1]
-    spd.vectors = spd.vectors[:-1]
-    with pytest.raises(q.IncompleteSpectralDataError):
-        q.correlation_matrix(p, spd, 1.0)
-
-
 def test_mismatched_params_rejected():
+    # a read takes only nu, so the counterterm solve is the one place where
+    # params can disagree with the decomposition handed in
     p = q.ModelParams(L=4, beta=5.0, eps=0.2, U=0.1)
     spd = q.diagonalize(p)
     for other in (replace(p, beta=6.0), replace(p, eps=0.3)):
         with pytest.raises(ValueError, match="spectral decomposition"):
-            q.correlation_matrix(other, spd, 1.0)
-        with pytest.raises(ValueError, match="spectral decomposition"):
-            q.mean_particle_number(other, spd)
-        with pytest.raises(ValueError, match="spectral decomposition"):
-            q.occupations(other, spd)
+            q.fix_counterterm(other, spectral=spd)
+    assert q.fix_counterterm(p.with_nu(0.3), spectral=spd).converged
     # nu only shifts mu, so one decomposition serves every nu
-    shifted = p.with_nu(0.05)
-    assert q.mean_particle_number(shifted, spd) != q.mean_particle_number(p, spd)
-    assert q.density(shifted, spd) > q.density(p, spd)
+    assert q.mean_particle_number(spd, 0.05) > q.mean_particle_number(spd, 0.0)
 
 
 def test_two_point_free_oracle():
     p = q.ModelParams(L=6, beta=6.0, eps=0.2, U=0.0)
     spd = q.diagonalize(p)
     for t in (0.0, 1.1, -2.3, 4.0):
-        mb = q.correlation_matrix(p, spd, t)
+        mb = q.correlation_matrix(spd, p.nu, t)
         ob = one_body_correlation_matrix(p, t)
         np.testing.assert_allclose(mb, ob, atol=1e-12)
 
@@ -421,17 +408,17 @@ def test_two_point_free_oracle():
 def test_two_point_kms(small):
     p, spd = small
     for t in (0.5, 1.7, 3.2, 4.9):
-        a = q.correlation_matrix(p, spd, t - p.beta)
-        b = q.correlation_matrix(p, spd, t)
+        a = q.correlation_matrix(spd, p.nu, t - p.beta)
+        b = q.correlation_matrix(spd, p.nu, t)
         np.testing.assert_allclose(a + b, 0.0, atol=1e-12)
 
 
 def test_two_point_time_domain(small):
     p, spd = small
     with pytest.raises(ValueError):
-        q.correlation_matrix(p, spd, p.beta)
+        q.correlation_matrix(spd, p.nu, p.beta)
     with pytest.raises(ValueError):
-        q.correlation_matrix(p, spd, -p.beta)
+        q.correlation_matrix(spd, p.nu, -p.beta)
 
 
 def test_non_finite_time_rejected_before_the_tail_loop(small, monkeypatch):
@@ -444,12 +431,64 @@ def test_non_finite_time_rejected_before_the_tail_loop(small, monkeypatch):
     monkeypatch.setattr(q.SpectralDecomposition, "_resolve", spin)
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="beta"):
-            q.compute_correlation(p, spd, [0.0, t])
+            q.compute_correlation(spd, p.nu, [0.0, t])
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, 1e308])
+def test_reads_reject_bad_nu_before_the_tail_loop(small, monkeypatch, nu):
+    # mu N overflowed at nu = 1e308, and the NaN tail term it left made the
+    # block extension loop forever
+    p, spd = small
+    # a whole block leaves no state out, whatever mu is
+    assert spd.tail_bound(1e308, p.beta) == 0.0
+
+    def spin(*args):
+        raise AssertionError("reached the tail loop")
+
+    monkeypatch.setattr(q.SpectralDecomposition, "_resolve", spin)
+    reads = (lambda: spd.thermal_weights(nu),
+             lambda: q.mean_particle_number(spd, nu),
+             lambda: q.occupations(spd, nu),
+             lambda: q.equal_time_matrix(spd, nu),
+             lambda: q.correlation_matrix(spd, nu, 1.0),
+             lambda: q.compute_correlation(spd, nu, [0.0, 1.0]))
+    for read in reads:
+        with pytest.raises(ValueError, match="finite"):
+            read()
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.sampled_from([4, 6, 8]), eps=st.floats(0.0, 0.5),
+       U=st.floats(-0.5, 0.5), theta=st.floats(0.01, 0.99),
+       beta=st.floats(0.1, 50.0), nu=st.floats(-1.0, 1.0),
+       fraction=st.floats(-0.99, 0.99))
+def test_one_decomposition_serves_every_nu_property(L, eps, U, theta, beta,
+                                                    nu, fraction):
+    """Where every sector is whole, reading diagonalize(p) at nu gives the
+    bits of reading diagonalize(p.with_nu(nu)) there: nu only shifts mu."""
+    p = q.ModelParams(L=L, beta=beta, eps=eps, U=U, theta=theta)
+    spd, at_nu = q.diagonalize(p), q.diagonalize(p.with_nu(nu))
+    assert np.array_equal(q.occupations(spd, nu), q.occupations(at_nu, nu))
+    assert q.mean_particle_number(spd, nu) == q.mean_particle_number(at_nu, nu)
+    times = [0.0, fraction * beta]
+    assert np.array_equal(q.compute_correlation(spd, nu, times).values,
+                          q.compute_correlation(at_nu, nu, times).values)
+
+
+def test_one_decomposition_serves_another_nu_at_l12():
+    # the blocks of diagonalize(p) are resolved at mu0 and grow where a read
+    # at mu0 + nu needs more of them
+    p = q.ModelParams(L=12, beta=24.0, eps=0.1, U=0.1, theta=0.2377)
+    nu, times = 0.05, [0.0, 1.0, -23.0]
+    a = q.compute_correlation(q.diagonalize(p), nu, times)
+    b = q.compute_correlation(q.diagonalize(p.with_nu(nu)), nu, times)
+    err = np.max(np.abs(a.values - b.values), axis=(1, 2))
+    assert np.all(err <= a.discarded + b.discarded)
 
 
 def test_equal_time_matrix_consistency(small):
     p, spd = small
-    em = q.equal_time_matrix(p, spd)
+    em = q.equal_time_matrix(spd, p.nu)
     np.testing.assert_allclose(em, fock_correlation(p, [0.0])[0], atol=1e-12)
     np.testing.assert_allclose(em, em.T, atol=1e-12)
 
@@ -467,7 +506,7 @@ def test_annihilators_built_only_for_pairs_with_terms(monkeypatch):
 
     annihilators = many_body._stacks
     monkeypatch.setattr(many_body, "_stacks", counted)
-    em = q.equal_time_matrix(p, spd)
+    em = q.equal_time_matrix(spd, p.nu)
     assert 0 < len(calls) < spd.n_sectors - 1
     np.testing.assert_allclose(em, fock_correlation(p, [0.0])[0], atol=1e-12)
 
@@ -500,10 +539,10 @@ def test_empty_sectors_build_no_hamiltonian_until_propagated(monkeypatch):
     assert read and not empty & set(read)
 
     built.clear()
-    corr = q.compute_correlation(p, spd, [0.0])
+    corr = q.compute_correlation(spd, p.nu, [0.0])
     assert not empty & set(built)
     read.clear()
-    occ = q.occupations(p, spd)
+    occ = q.occupations(spd, p.nu)
     assert not empty & set(built)
     assert read and not empty & set(read)
     s0 = corr.values[0]
@@ -513,7 +552,7 @@ def test_empty_sectors_build_no_hamiltonian_until_propagated(monkeypatch):
 
     built.clear()
     sizes = [e.size for e in spd.energies]
-    corr = q.compute_correlation(p, spd, [-1.0, 1.0])
+    corr = q.compute_correlation(spd, p.nu, [-1.0, 1.0])
     assert [e.size for e in spd.energies] == sizes  # no block grew
     targets = {m for n in kept for m in (n - 1, n + 1)}
     assert empty & set(built) and set(built) <= targets
@@ -529,23 +568,22 @@ def test_correlation_matrix_matches_fock_oracle(L):
     times = (0.0, 0.7, 2.9, -0.4, -3.6)
     fock = fock_correlation(p, times)
     for t, expect in zip(times, fock):
-        np.testing.assert_allclose(q.correlation_matrix(p, spd, t), expect,
+        np.testing.assert_allclose(q.correlation_matrix(spd, p.nu, t), expect,
                                    atol=1e-12)
     assert np.max(np.abs(fock[0] - np.diag(np.diag(fock[0])))) > 1e-3
 
 
 def test_mean_particle_number_consistent(small):
     p, spd = small
-    n_weights = q.mean_particle_number(p, spd)
-    n_occ = float(np.sum(q.occupations(p, spd)))
+    n_weights = q.mean_particle_number(spd, p.nu)
+    n_occ = float(np.sum(q.occupations(spd, p.nu)))
     assert n_weights == pytest.approx(n_occ, abs=1e-10)
-    assert q.density(p, spd) == pytest.approx(n_occ / p.n_sites, abs=1e-10)
 
 
 def test_occupation_routes_agree(small):
     # the sector-weight sum against the full Fock-space trace
     p, spd = small
-    occ = q.occupations(p, spd)
+    occ = q.occupations(spd, p.nu)
     np.testing.assert_allclose(occ, fock_occupations(p), atol=1e-12)
     assert np.all(occ >= 0.0)
     assert np.all(occ <= 1.0)
@@ -555,8 +593,8 @@ def test_occupation_equal_time_relation(small):
     # <n_x> = -S2(x, x; 0-) limit = 1/2 - S2(x, x; 0) in the mean convention:
     # the sector-weight route against the Lehmann kernel
     p, spd = small
-    em = q.equal_time_matrix(p, spd)
-    np.testing.assert_allclose(q.occupations(p, spd), 0.5 - np.diag(em),
+    em = q.equal_time_matrix(spd, p.nu)
+    np.testing.assert_allclose(q.occupations(spd, p.nu), 0.5 - np.diag(em),
                                atol=1e-11)
 
 
@@ -565,7 +603,7 @@ def test_occupations_keep_relative_precision():
     # 1/2; the occupation route must resolve it to relative precision
     p = q.ModelParams(L=8, beta=40.0, theta=0.31)
     spd = q.diagonalize(p)
-    occ = q.occupations(p, spd)
+    occ = q.occupations(spd, p.nu)
     assert np.min(occ) < 1e-20
     np.testing.assert_allclose(occ, fock_occupations(p), rtol=1e-12, atol=0.0)
 
@@ -574,20 +612,20 @@ def test_occupations_keep_relative_precision():
 def test_site_outside_lattice_rejected(small, x):
     # L = 6 has sites -3..3; -4 must not wrap around to site 3
     p, spd = small
-    corr = q.compute_correlation(p, spd, [0.0])
+    corr = q.compute_correlation(spd, p.nu, [0.0])
     with pytest.raises(ValueError, match="site outside lattice"):
         q.onsite_energy(corr.params, x)
 
 
 def test_compute_correlation_container(small):
     p, spd = small
-    corr = q.compute_correlation(p, spd, [0.0, 1.0, -1.0, 1.0])
+    corr = q.compute_correlation(spd, p.nu, [0.0, 1.0, -1.0, 1.0])
     assert corr.times.tolist() == [-1.0, 0.0, 1.0]
     assert corr.values.shape == (3, p.n_sites, p.n_sites)
     assert corr.discarded.shape == (3,) and np.all(corr.discarded >= 0.0)
     half = p.L // 2
     assert corr.at_time(1.0)[half, half + 1] == pytest.approx(
-        q.correlation_matrix(p, spd, 1.0)[half, half + 1], abs=1e-12)
+        q.correlation_matrix(spd, p.nu, 1.0)[half, half + 1], abs=1e-12)
     with pytest.raises(KeyError):
         corr.at_time(0.37)
 
@@ -614,15 +652,15 @@ PROPERTY = settings(max_examples=25, deadline=None)
 def test_kms_antiperiodicity_property(chain, frac):
     p, spd = chain
     t = frac * p.beta
-    np.testing.assert_allclose(q.correlation_matrix(p, spd, t - p.beta),
-                               -q.correlation_matrix(p, spd, t), atol=1e-12)
+    np.testing.assert_allclose(q.correlation_matrix(spd, p.nu, t - p.beta),
+                               -q.correlation_matrix(spd, p.nu, t), atol=1e-12)
 
 
 @PROPERTY
 @given(chains())
 def test_equal_time_matrix_symmetric_property(chain):
     p, spd = chain
-    em = q.equal_time_matrix(p, spd)
+    em = q.equal_time_matrix(spd, p.nu)
     np.testing.assert_allclose(em, em.T, atol=1e-12)
 
 
@@ -630,9 +668,9 @@ def test_equal_time_matrix_symmetric_property(chain):
 @given(chains(betas=(0.5, 80.0)))
 def test_occupations_sum_rule_property(chain):
     p, spd = chain
-    occ = q.occupations(p, spd)
+    occ = q.occupations(spd, p.nu)
     assert float(np.sum(occ)) == pytest.approx(
-        q.mean_particle_number(p, spd), abs=1e-11)
+        q.mean_particle_number(spd, p.nu), abs=1e-11)
     # eigenvector entries carry ~1e-16 absolute error, so an occupation b is
     # known to ~sqrt(b) 1e-16: relative 1e-9 down to b ~ 1e-14, then 1e-20
     np.testing.assert_allclose(occ, fock_occupations(p), rtol=1e-9, atol=1e-20)
@@ -643,7 +681,7 @@ def test_occupations_sum_rule_property(chain):
 def test_free_fermion_oracle_property(chain, frac):
     p, spd = chain
     for t in (0.0, frac * p.beta):
-        np.testing.assert_allclose(q.correlation_matrix(p, spd, t),
+        np.testing.assert_allclose(q.correlation_matrix(spd, p.nu, t),
                                    one_body_correlation_matrix(p, t),
                                    atol=1e-12)
 
@@ -656,7 +694,7 @@ def test_slab_bound_holds_at_coarse_tails(monkeypatch, tail, beta):
     monkeypatch.setattr(many_body, "_TAIL", tail)
     p = q.ModelParams(L=6, beta=beta, eps=0.3, U=0.25, theta=0.31, x_hat=1)
     spd = q.diagonalize(p)
-    corr = q.compute_correlation(p, spd, [0.0, 3.0, 3.0 - beta])
+    corr = q.compute_correlation(spd, p.nu, [0.0, 3.0, 3.0 - beta])
     fock = fock_correlation(p, corr.times)
     err = np.max(np.abs(corr.values - fock), axis=(1, 2))
     assert np.all(err > 1e-7)
@@ -679,7 +717,7 @@ def test_thermal_slabs_bound_their_error_property(chain, frac, sign):
     p, spd = chain
     t = sign * frac * p.beta
     partner = t - sign * p.beta
-    corr = q.compute_correlation(p, spd, [0.0, t, partner])
+    corr = q.compute_correlation(spd, p.nu, [0.0, t, partner])
     fock = fock_correlation(p, corr.times)
     np.testing.assert_allclose(corr.values, fock, atol=1e-12)
     err = np.max(np.abs(corr.values - fock), axis=(1, 2))
@@ -712,21 +750,21 @@ def test_thermal_blocks_match_dense_oracle(L, beta):
     if L == 12:
         assert spd.tail_bound(p.mu + 0.5, beta) > many_body._TAIL
         assert spd.tail_bound(p.mu, 0.55 * beta) > many_body._TAIL
-    for shifted in (p, p.with_nu(-0.5), p.with_nu(0.5)):
-        z = spd.thermal_weights(shifted)[1]
-        assert z == pytest.approx(ref.thermal_weights(shifted)[1], rel=1e-12,
+    for nu in (p.nu, -0.5, 0.5):
+        z = spd.thermal_weights(nu)[1]
+        assert z == pytest.approx(ref.thermal_weights(nu)[1], rel=1e-12,
                                   abs=0.0)
-        assert q.mean_particle_number(shifted, spd) == pytest.approx(
-            q.mean_particle_number(shifted, ref), rel=1e-12, abs=0.0)
-        bound = spd.tail_bound(shifted.mu, beta) / z
-        np.testing.assert_allclose(q.occupations(shifted, spd),
-                                   q.occupations(shifted, ref), rtol=0.0,
+        assert q.mean_particle_number(spd, nu) == pytest.approx(
+            q.mean_particle_number(ref, nu), rel=1e-12, abs=0.0)
+        bound = spd.tail_bound(p.with_nu(nu).mu, beta) / z
+        np.testing.assert_allclose(q.occupations(spd, nu),
+                                   q.occupations(ref, nu), rtol=0.0,
                                    atol=bound + 1e-12)
     times = [0.0, 1.0, 1.0 - beta, 0.45 * beta]
-    corr = q.compute_correlation(p, spd, times)
+    corr = q.compute_correlation(spd, p.nu, times)
     assert spd.tail_bound(p.mu, 0.55 * beta) <= many_body._TAIL
     assert spd.tail_certified
-    expect = q.compute_correlation(p, ref, times).values
+    expect = q.compute_correlation(ref, p.nu, times).values
     err = np.max(np.abs(corr.values - expect), axis=(1, 2))
     assert np.all(err <= corr.discarded + 1e-12)
 
@@ -739,12 +777,13 @@ def test_high_temperature_sectors_go_dense():
     assert spd.tail_certified
     assert len(truncated(spd)) < len(truncated(q.diagonalize(
         replace(p, beta=24.0))))
-    z = spd.thermal_weights(p)[1]
-    assert z == pytest.approx(ref.thermal_weights(p)[1], rel=1e-12, abs=0.0)
-    assert q.mean_particle_number(p, spd) == pytest.approx(
-        q.mean_particle_number(p, ref), rel=1e-12, abs=0.0)
+    z = spd.thermal_weights(p.nu)[1]
+    assert z == pytest.approx(ref.thermal_weights(p.nu)[1], rel=1e-12, abs=0.0)
+    assert q.mean_particle_number(spd, p.nu) == pytest.approx(
+        q.mean_particle_number(ref, p.nu), rel=1e-12, abs=0.0)
     bound = spd.tail_bound(p.mu, p.beta) / z
-    np.testing.assert_allclose(q.occupations(p, spd), q.occupations(p, ref),
+    np.testing.assert_allclose(q.occupations(spd, p.nu),
+                               q.occupations(ref, p.nu),
                                rtol=0.0, atol=bound + 1e-12)
 
 
@@ -758,10 +797,10 @@ def test_stack_chunks_sum_to_the_whole(monkeypatch):
     p = q.ModelParams(L=6, beta=20.0, eps=0.15, U=0.1)
     spd = q.diagonalize(p)
     times = [0.0, 0.3, -1.2, 2.4, 9.0]
-    whole = q.compute_correlation(p, spd, times)
+    whole = q.compute_correlation(spd, p.nu, times)
     for elements in (1000, 2000):
         monkeypatch.setattr(many_body, "_STACK_ELEMENTS", elements)
-        chunked = q.compute_correlation(p, spd, times)
+        chunked = q.compute_correlation(spd, p.nu, times)
         np.testing.assert_allclose(chunked.values, whole.values, rtol=0.0,
                                    atol=1e-14)
         np.testing.assert_array_equal(chunked.discarded, whole.discarded)
@@ -776,7 +815,7 @@ def test_kernel_reads_leave_global_random_state():
     np.random.seed(0)
     expected = np.random.random()
     np.random.seed(0)
-    q.correlation_matrix(p, spd, 3.0)
+    q.correlation_matrix(spd, p.nu, 3.0)
     assert np.random.random() == expected
 
 
@@ -784,7 +823,7 @@ def test_free_fermion_oracle_with_thermal_blocks():
     p = q.ModelParams(L=12, beta=24.0, eps=0.1, U=0.0, theta=0.2377)
     spd = q.diagonalize(p)
     assert truncated(spd) and spd.tail_certified
-    corr = q.compute_correlation(p, spd, [0.0, 1.0, -23.0])
+    corr = q.compute_correlation(spd, p.nu, [0.0, 1.0, -23.0])
     for t, values, bound in zip(corr.times, corr.values, corr.discarded):
         np.testing.assert_allclose(values, one_body_correlation_matrix(p, t),
                                    rtol=0.0, atol=bound + 1e-12)
@@ -831,10 +870,10 @@ def test_missed_eigenvalue_is_caught(monkeypatch, l12):
         if spd.energies[n].size:
             np.testing.assert_allclose(spd.energies[n], ref.energies[n],
                                        rtol=0.0, atol=1e-12)
-    assert spd.thermal_weights(p)[1] == pytest.approx(
-        ref.thermal_weights(p)[1], rel=1e-12, abs=0.0)
-    corr = q.compute_correlation(p, spd, [0.0, 1.0])
-    expect = q.compute_correlation(p, ref, [0.0, 1.0]).values
+    assert spd.thermal_weights(p.nu)[1] == pytest.approx(
+        ref.thermal_weights(p.nu)[1], rel=1e-12, abs=0.0)
+    corr = q.compute_correlation(spd, p.nu, [0.0, 1.0])
+    expect = q.compute_correlation(ref, p.nu, [0.0, 1.0]).values
     np.testing.assert_allclose(corr.values, expect, rtol=0.0, atol=1e-12)
 
 
@@ -1007,7 +1046,7 @@ def test_propagation_interval_starts_at_the_lower_bound_of_K():
     p = q.ModelParams(L=4, beta=80.0, eps=0.6, U=0.3, theta=0.1, x_hat=-1)
     spd = q.diagonalize(p)
     t = 0.49 * p.beta
-    corr = q.compute_correlation(p, spd, [-t, t])
+    corr = q.compute_correlation(spd, p.nu, [-t, t])
     np.testing.assert_allclose(corr.values, fock_correlation(p, corr.times),
                                rtol=0.0, atol=1e-12)
 
@@ -1022,7 +1061,7 @@ def test_propagation_bound_covers_its_error_property(chain, frac, sign, tail):
     times = [sign * frac * p.beta]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(many_body, "_TAIL", tail)
-        corr = q.compute_correlation(p, spd, times)
+        corr = q.compute_correlation(spd, p.nu, times)
     err = np.max(np.abs(corr.values - fock_correlation(p, corr.times)))
     assert err <= corr.discarded[0] + 1e-13
 
