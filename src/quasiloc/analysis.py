@@ -87,8 +87,11 @@ def fit_spatial_decay(corr, window=(2, 8)):
     Diophantine exponent of corr.params.omega, is divided out before
     fitting.  Pairs within _FIT_EXCLUSION sites of either open end are
     dropped; values per distance are averaged in log.  theorem_rate is
-    |log max(|eps|, |U|)| with the couplings of corr.params.
+    |log max(|eps|, |U|)| with the couplings of corr.params.  ValueError
+    unless 0 <= window[0] <= window[1].
     """
+    if not 0 <= window[0] <= window[1]:
+        raise ValueError(f"fit window {tuple(window)} needs 0 <= lo <= hi")
     p = corr.params
     cmax = max(abs(p.eps), abs(p.U))
     theorem_rate = abs(math.log(cmax)) if 0.0 < cmax < 1.0 else math.inf

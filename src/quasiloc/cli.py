@@ -233,6 +233,8 @@ def _run_chain(args):
 
 
 def _run_decay(args):
+    lo, hi = args.window.split(":")
+    window = (int(lo), int(hi))
     params = _params_from(args)
     spectral = diagonalize(params)
     nu = params.nu
@@ -240,8 +242,7 @@ def _run_decay(args):
         # nu only shifts mu, so the same spectrum serves the correlation
         nu = fix_counterterm(params, spectral=spectral).nu
     corr = compute_correlation(spectral, nu, [0.0])
-    lo, hi = args.window.split(":")
-    fit = fit_spatial_decay(corr, window=(int(lo), int(hi)))
+    fit = fit_spatial_decay(corr, window=window)
     return "json", {
         "rate": fit.rate, "xi_fit": fit.xi_fit, "prefactor": fit.prefactor,
         "r_squared": fit.r_squared, "theorem_rate": fit.theorem_rate,
@@ -272,32 +273,30 @@ _HANDLERS = {
 
 def main(argv=None):
     parser = build_parser()
-    pre, _ = parser.parse_known_args(argv)
-    if pre.config:
-        try:
+    try:
+        pre, _ = parser.parse_known_args(argv)
+        if pre.config:
             with open(pre.config) as fh:
                 overrides = json.load(fh)
             if not isinstance(overrides, dict):
                 raise ValueError("not a JSON object")
-        except (OSError, ValueError) as exc:  # JSONDecodeError included
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
-        known = {a.dest for a in parser._actions}
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            known |= {a.dest for a in sp._actions}
-        bad = set(overrides) - known
-        if bad:
-            print(f"invalid config: unknown keys {sorted(bad)}",
-                  file=sys.stderr)
-            return 2
-        parser.set_defaults(**overrides)
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            sp.set_defaults(**{k: v for k, v in overrides.items()
-                               if k in {a.dest for a in sp._actions}})
-    try:
+            # the first parse holds every key a run reads: output and the
+            # chosen subcommand's flags
+            bad = set(overrides) - (set(vars(pre)) - {"config", "subcommand"})
+            if bad:
+                raise ValueError(f"unknown keys {sorted(bad)}")
+            if "output" in overrides:
+                parser.set_defaults(output=overrides.pop("output"))
+            # a subcommand parses into a fresh namespace, so its own parser
+            # takes its defaults
+            parser._subparsers._group_actions[0].choices[
+                pre.subcommand].set_defaults(**overrides)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except (OSError, ValueError) as exc:  # JSONDecodeError included
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
 
     handler = _HANDLERS[args.subcommand]
     try:

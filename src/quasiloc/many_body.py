@@ -5,8 +5,9 @@ number keeps a thermal block: its lowest eigenpairs, below a floor that
 bounds every eigenvalue it leaves out.  Sectors of at most _DENSE_MAX states
 are diagonalized densely and kept whole.  Larger ones start empty below a
 one-body lower bound and take a Lanczos (eigsh) block where that floor is
-too low; the inertia of sparse LDL^T factors of H - floor, counted at two
-shifts and guarded against pivoting and tiny pivots, certifies that no
+too low.  One build of the sector's H serves both the block and its
+certificate: the inertia of sparse LDL^T factors of H - floor, counted at
+two shifts and guarded against pivoting and tiny pivots, shows that no
 eigenvalue below the new floor was missed.  The states a block leaves out
 weigh at most (d - k) e^(-b (floor - mu n - K0)) at exponent b; a read whose
 summed bound exceeds _TAIL first extends the blocks it needs, so no read
@@ -288,14 +289,13 @@ class SpectralDecomposition:
     eigenpairs of sector n.  Every eigenvalue the block leaves out is at
     least floors[n] (+inf when the block is the whole sector).  certified[n]
     is True when the block is whole, empty below the one-body bound of
-    _ground_floor, or confirmed by an inertia count; False when no count can
-    be trusted (see _count_below); and None until it is counted.
+    _ground_floor, or confirmed by an inertia count, and False when no count
+    can be trusted (see _count_below); _extend stores it with the block.
     Eigenvalues are stored raw (no chemical potential); everything
     mu-dependent is assembled on demand at the nu a read takes, from
     params.with_nu(nu), which rejects a bad nu before any block grows.  No
-    Hamiltonian is kept: a block that grows or is counted, and a sector a
-    read propagates into, builds its H from params (it does not depend on
-    nu).
+    Hamiltonian is kept: a block that grows, and a sector a read propagates
+    into, builds its H from params (it does not depend on nu).
     """
     params: object
     sectors: list
@@ -311,7 +311,7 @@ class SpectralDecomposition:
     @property
     def tail_certified(self):
         """Whether every floor, so every reported tail bound, is certified."""
-        return all(c is True for c in self.certified)
+        return all(self.certified)
 
     def ground_shift(self, mu):
         """Global minimum of E - mu N, subtracted before any exponential."""
@@ -329,7 +329,7 @@ class SpectralDecomposition:
         mu = mu0 + nu and beta, once the tail there is resolved."""
         mu, beta = self.params.with_nu(nu).mu, self.params.beta
         self._resolve(mu, beta)
-        weights = [np.exp(-beta * k) for k in self.shifted_energies(mu)]
+        weights = _boltzmann(self.shifted_energies(mu), beta)
         return weights, sum(float(np.sum(w)) for w in weights)
 
     def tail_bound(self, mu, b):
@@ -349,8 +349,7 @@ class SpectralDecomposition:
         return terms
 
     def _resolve(self, mu, b):
-        """Extend blocks until tail_bound(mu, b) <= _TAIL, then certify every
-        block not yet counted."""
+        """Extend blocks until tail_bound(mu, b) <= _TAIL."""
         terms = self._tail_terms(mu, b)
         while sum(terms) > _TAIL:
             target = _TAIL / len(terms)
@@ -358,39 +357,36 @@ class SpectralDecomposition:
                 if term > target:
                     self._extend(n, mu, b, target)
             terms = self._tail_terms(mu, b)
-        for n, checked in enumerate(self.certified):
-            if checked is None:
-                self._certify(n)
 
     def _extend(self, n, mu, b, target):
-        """Grow block n until the states it leaves out weigh at most target."""
+        """Grow block n until the states it leaves out weigh at most target,
+        and count the eigenvalues below its floor on the same H.  Any other
+        count than the block's size means Lanczos missed one, and the sector
+        is diagonalized densely instead; no count leaves it uncertified."""
         sec = self.sectors[n]
         # (d - k) e^(-b (floor - offset)) <= target once floor >= cut
         cut = (mu * sec.n_particles + self.ground_shift(mu)
                + math.log(len(sec) / target) / b)
         k = max(2 * self.energies[n].size, _K_START)
         h = build_hamiltonian(self.params, sec)
-        self._set_block(n, *_lowest_block(h, k, cut))
+        energies, vectors, floor = _lowest_block(h, k, cut)
+        certified = True
+        if not math.isinf(floor):
+            # floor: the midpoint of the spacing above the highest kept value
+            count = _count_below(h, floor, 2.0 * (floor - energies[-1]))
+            if count is not None and count != energies.size:
+                energies, vectors, floor = _whole(h)
+            certified = count is not None
+        self.energies[n], self.vectors[n] = energies, vectors
+        self.floors[n], self.certified[n] = floor, certified
 
-    def _set_block(self, n, energies, vectors, floor):
-        self.energies[n], self.vectors[n], self.floors[n] = (energies, vectors,
-                                                             floor)
-        self.certified[n] = True if math.isinf(floor) else None
 
-    def _certify(self, n):
-        """Count the eigenvalues below the floor of block n.  Any other count
-        than the block's size means Lanczos missed one, and the sector is
-        diagonalized densely instead."""
-        h = build_hamiltonian(self.params, self.sectors[n])
-        floor = self.floors[n]
-        # the floor is the midpoint of the spacing above the highest kept value
-        count = _count_below(h, floor, 2.0 * (floor - self.energies[n][-1]))
-        if count is None:
-            self.certified[n] = False
-        elif count == self.energies[n].size:
-            self.certified[n] = True
-        else:
-            self._set_block(n, *_whole(h))
+def _boltzmann(shifted, b):
+    """e^(-b K) per sector, from shifted energies K >= 0.  A huge nu puts
+    b K past the float range; the product then overflows to inf, and 0 is
+    the right factor."""
+    with np.errstate(over="ignore"):
+        return [np.exp(-b * k) for k in shifted]
 
 
 def _ground_floor(params, levels, n):
@@ -411,8 +407,8 @@ def diagonalize(params):
     Sectors of at most _DENSE_MAX states are diagonalized densely and kept
     whole.  Larger ones start empty, their floor the one-body bound of
     _ground_floor, and take Lanczos blocks where the states they leave out
-    weigh more than _TAIL in all; each Lanczos block is then certified by an
-    inertia count.
+    weigh more than _TAIL in all; each Lanczos block is counted as it is
+    stored (see SpectralDecomposition._extend).
     """
     levels = single_particle_spectrum(params)[0]
     sectors, blocks = [], []
@@ -519,12 +515,13 @@ def _gershgorin_top(h):
     return float(np.max(abs(h).sum(axis=1).A1 - np.abs(diag) + diag))
 
 
-def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
+def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
     """Add the (n, n+1) sector pair's Lehmann terms into s[tau], and a bound
     on what they leave out or get wrong into bound[tau].
 
     Branch tau >= 0 sums w_i <i| a_x e^(-tau K) a_y+ |i> over the thermal
-    states i of sector n, w = e^(-(beta - tau) K); branch tau <= 0 sums
+    states i of sector n, w = e^(-(beta - tau) K) from weights[tau], which
+    holds e^(-(beta - |tau|) K) per sector; branch tau <= 0 sums
     -w_j <j| a_y+ e^(-|tau| K) a_x |j> over those of sector n+1.  No
     eigenbasis of the other sector enters: at tau = 0, where each branch
     carries 1/2, completeness removes e^(-|tau| K), and otherwise a
@@ -551,9 +548,9 @@ def _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta):
         for tau in s:
             if sign * tau < 0.0:
                 continue
-            w = np.exp(-(beta - abs(tau)) * shifted[thermal])
+            w = weights[tau][thermal]
             if tau == 0.0:
-                w *= 0.5
+                w = 0.5 * w  # a copy: weights[tau] serves every pair
             keep, dropped = _slab(w)
             bound[tau] += dropped
             if keep:
@@ -622,14 +619,15 @@ def _lehmann(spectral, nu, times):
     taus = sorted({tau for tau, _ in reduced})
     spectral._resolve(mu, beta - max(abs(tau) for tau in taus))
     shifted = spectral.shifted_energies(mu)
-    z = sum(float(np.sum(np.exp(-beta * k))) for k in shifted)
+    z = sum(float(np.sum(w)) for w in _boltzmann(shifted, beta))
     z_tail = spectral.tail_bound(mu, beta)
     s = {tau: np.zeros((n_sites, n_sites)) for tau in taus}
     bound = {tau: spectral.tail_bound(mu, beta - abs(tau)) + z_tail
              for tau in taus}
+    weights = {tau: _boltzmann(shifted, beta - abs(tau)) for tau in taus}
     k0 = spectral.ground_shift(mu)
     for n in range(spectral.n_sectors - 1):
-        _add_sector_pair(s, bound, spectral, n, shifted, k0, mu, beta)
+        _add_sector_pair(s, bound, spectral, n, weights, k0, mu)
     values = np.array([sign * s[tau] for tau, sign in reduced]) / z
     return values, np.array([bound[tau] for tau, _ in reduced]) / z
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -187,6 +188,41 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "not_a_flag" in err
 
 
+def test_config_keys_outside_the_subcommand_exit_2(tmp_path, capsys):
+    # argparse's own dest and another subcommand's flag used to pass the
+    # check and land in the embedded config's parameters
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"help": 1, "qmax": 5}))
+    status, out, err = run_cli(
+        ["--config", str(cfg), "scales", "--hmin", "-1"], capsys)
+    assert status == 2 and out == ""
+    assert "'help'" in err and "'qmax'" in err
+
+
+def test_config_output_key_and_explicit_output(tmp_path, capsys):
+    # output is a key of the run; an explicit -o still wins over it
+    path, explicit = tmp_path / "cfg.json", tmp_path / "flag.json"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"output": str(path), "qmax": 500}))
+    status, out, _ = run_cli(["--config", str(cfg), "dioph"], capsys)
+    assert status == 0 and out == ""
+    doc = json.loads(path.read_text())
+    assert doc["config"]["output"] == str(path)
+    assert doc["config"]["parameters"]["qmax"] == 500
+    status, out, _ = run_cli(
+        ["--config", str(cfg), "-o", str(explicit), "dioph"], capsys)
+    assert status == 0 and out == ""
+    assert json.loads(explicit.read_text())["config"]["output"] == str(explicit)
+
+
+def test_parse_errors_and_help_return_their_code(capsys):
+    # argparse exits; main returns the code instead, also for the first parse
+    assert main(["lyapunov"]) == 2
+    assert main(["dioph", "--qmax", "x"]) == 2
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
 def test_config_file_errors_exit_2(tmp_path, capsys, content):
     cfg = tmp_path / "run.json"
@@ -224,6 +260,8 @@ def test_config_file_errors_exit_2(tmp_path, capsys, content):
      "--U-grid", "0:0.1:1"],
     # every dense eigenvalue was NaN, and density printed mean,nan
     ["density", "--L", "4", "--beta", "6", "--eps", "1e308"],
+    # an empty fit window raised FitError, which exits 1
+    ["decay", "--L", "4", "--window", "8:2"],
 ])
 def test_non_finite_and_out_of_range_inputs_exit_2(args, capsys,
                                                    monkeypatch):
@@ -253,6 +291,29 @@ def test_huge_nu_exits_2(capsys):
             [command, "--L", "4", "--beta", "6", "--nu", "1e308"], capsys)
         assert status == 2 and out == ""
         assert err.startswith("invalid parameters: ")
+
+
+def test_decay_reads_its_window_before_diagonalizing(capsys, monkeypatch):
+    def diagonalize(params):
+        raise RuntimeError("diagonalized before reading the window")
+
+    monkeypatch.setattr(cli, "diagonalize", diagonalize)
+    status, _, err = run_cli(["decay", "--L", "4", "--window", "2-8"], capsys)
+    assert status == 2 and err.startswith("invalid parameters: ")
+
+
+@pytest.mark.parametrize("command, last", [
+    (["density"], "mean,1"), (["correlate", "--times", "0,1"], "6,6,1,0")])
+def test_huge_nu_writes_no_warning(command, last, capsys):
+    # the product b K in e^(-b K) overflows to inf at nu = 1e307, and the
+    # factor is 0, as it should be; no RuntimeWarning may reach stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run_cli(
+            [*command, "--L", "12", "--beta", "24", "--eps", "0.1",
+             "--nu", "1e307"], capsys)
+    assert status == 0 and err == ""
+    assert out.splitlines()[-1] == last
 
 
 def test_csv_full_precision(capsys):

@@ -877,6 +877,29 @@ def test_missed_eigenvalue_is_caught(monkeypatch, l12):
     np.testing.assert_allclose(corr.values, expect, rtol=0.0, atol=1e-12)
 
 
+def test_block_grows_and_is_counted_on_one_hamiltonian(monkeypatch, l12):
+    # one H per dense sector and one per Lanczos growth, which serves the
+    # block's inertia count and any dense fallback too; the Lanczos, count
+    # and dense calls are unchanged, and each certificate is a bool
+    p, _ = l12
+    calls = {}
+
+    def counted(name):
+        real = getattr(many_body, name)
+
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(many_body, name, call)
+
+    for name in ("build_hamiltonian", "eigsh", "_count_below", "_whole"):
+        counted(name)
+    spd = q.diagonalize(p)
+    assert calls == {"build_hamiltonian": 11, "eigsh": 6, "_count_below": 3,
+                     "_whole": 8}
+    assert all(type(c) is bool for c in spd.certified) and spd.tail_certified
+
+
 def test_uncounted_blocks_are_not_certified(monkeypatch, l12):
     # above the size cap of the sparse LDL^T no block is counted; a block
     # that missed an eigenvalue is then reported, never certified
