@@ -59,18 +59,17 @@ def _emit(config, payload, stream):
             stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _model_flags(p, beta=True, couplings=True):
-    p.add_argument("--L", type=int, default=8)
-    if beta:
-        p.add_argument("--beta", type=float, default=8.0)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--u", type=float, default=1.0)
-    if couplings:
-        p.add_argument("--U", type=float, default=0.0)
-    p.add_argument("--omega", default="golden")
-    p.add_argument("--theta", type=float, default=0.2377)
-    p.add_argument("--xhat", type=int, default=2)
-    p.add_argument("--nu", type=float, default=0.0)
+_MODEL_FLAGS = (("L", int, 8), ("beta", float, 8.0), ("eps", float, 0.0),
+                ("u", float, 1.0), ("U", float, 0.0), ("omega", str, "golden"),
+                ("theta", float, 0.2377), ("xhat", int, 2), ("nu", float, 0.0))
+
+
+def _model_flags(p, skip=()):
+    """The ModelParams flags, less those the subcommand does not read, so
+    that setting one of those exits 2 instead of changing nothing."""
+    for name, kind, default in _MODEL_FLAGS:
+        if name not in skip:
+            p.add_argument("--" + name, type=kind, default=default)
 
 
 def build_parser():
@@ -88,7 +87,7 @@ def build_parser():
     p.add_argument("--qmax", type=int, default=10 ** 5)
 
     p = sub.add_parser("spectrum", help="single-particle spectrum and localization")
-    _model_flags(p, beta=False, couplings=False)
+    _model_flags(p, skip=("beta", "U", "xhat", "nu"))
 
     p = sub.add_parser("lyapunov", help="transfer-matrix Lyapunov exponent")
     p.add_argument("--E", type=float, required=True)
@@ -107,7 +106,7 @@ def build_parser():
     _model_flags(p)
 
     p = sub.add_parser("counterterm", help="fix nu by density matching")
-    _model_flags(p)
+    _model_flags(p, skip=("nu",))
     p.add_argument("--grid", help="a:b:n grid over both eps and U")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="absolute tolerance on nu")
@@ -121,7 +120,7 @@ def build_parser():
     p.add_argument("--omega", default="golden")
 
     p = sub.add_parser("chain", help="chain-graph value and divisors")
-    _model_flags(p)
+    _model_flags(p, skip=("beta", "eps", "U"))
     p.add_argument("--alphas", required=True,
                    help="comma-separated hops, e.g. +1,+1,-1,0")
     p.add_argument("--x1", type=int, default=0)
@@ -143,11 +142,18 @@ def build_parser():
     return parser
 
 
-def _params_from(args, beta=True, couplings=True):
+def _params_from(args):
+    """ModelParams from a subcommand's model flags.  A flag it does not have
+    takes a value it does not read: beta 1, eps, U and nu 0.  Without --xhat
+    (spectrum reads no mu), x_hat is 1, a site of every chain, or -1 where
+    omega + theta = 0 would make v0 vanish at 1."""
+    omega = _parse_omega(args.omega)
+    at_one = omega + args.theta != 0.0
     return ModelParams(
-        L=args.L, beta=args.beta if beta else 1.0, eps=args.eps, u=args.u,
-        U=args.U if couplings else 0.0, omega=_parse_omega(args.omega),
-        theta=args.theta, x_hat=args.xhat,
+        L=args.L, beta=getattr(args, "beta", 1.0),
+        eps=getattr(args, "eps", 0.0), u=args.u, U=getattr(args, "U", 0.0),
+        omega=omega, theta=args.theta,
+        x_hat=getattr(args, "xhat", 1 if at_one else -1),
         nu=getattr(args, "nu", 0.0))
 
 
@@ -167,7 +173,7 @@ def _run_dioph(args):
 
 
 def _run_spectrum(args):
-    params = _params_from(args, beta=False, couplings=False)
+    params = _params_from(args)
     rows = [(e, xi, ipr) for e, xi, ipr in localization_table(params)]
     return "csv", (("energy", "xi", "ipr"), rows)
 

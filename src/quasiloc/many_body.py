@@ -4,14 +4,18 @@ Sites map to bits (site x <-> bit x + L/2).  Each sector of fixed particle
 number keeps a thermal block: its lowest eigenpairs, below a floor that
 bounds every eigenvalue it leaves out.  Sectors of at most _DENSE_MAX states
 are diagonalized densely and kept whole.  Larger ones start empty below a
-one-body lower bound and take a Lanczos (eigsh) block where that floor is
-too low.  One build of the sector's H serves both the block and its
-certificate: the inertia of sparse LDL^T factors of H - floor, counted at
-two shifts and guarded against pivoting and tiny pivots, shows that no
+Weyl bound (sums of one-body levels plus the least value of the pair term)
+and take a Lanczos (eigsh) block where that floor is too low, with as many
+Ritz pairs as the same bound allows below the cut.  One build of the
+sector's H serves both the block and its certificate: the inertia of sparse
+LDL^T factors of H - floor in reverse Cuthill-McKee order, counted at two
+shifts and guarded against pivoting and tiny pivots, shows that no
 eigenvalue below the new floor was missed.  The states a block leaves out
 weigh at most (d - k) e^(-b (floor - mu n - K0)) at exponent b; a read whose
-summed bound exceeds _TAIL first extends the blocks it needs, so no read
-answers from an unresolved spectrum.  Every read takes a decomposition and
+summed bound exceeds _TAIL first extends the blocks it needs, one at a time
+and the lowest floor of E - mu N first, so the sector that holds the ground
+fixes K0 before the others are sized against it, and no read answers from
+an unresolved spectrum.  Every read takes a decomposition and
 the counterterm nu, which only shifts mu = mu0 + nu, so one decomposition
 serves every nu.  The Lehmann kernel needs only thermal
 eigenstates: completeness at t = 0, and otherwise KMS to bring t into
@@ -178,10 +182,11 @@ def _stacks(sector_n, sector_np1):
 
 
 _DENSE_MAX = 500  # largest sector diagonalized densely and kept whole
-_K_START = 8  # Ritz pairs of a large sector's first Lanczos block
+_K_START = 8  # fewest Ritz pairs of a large sector's first Lanczos block
 _LANCZOS_FRACTION = 0.05  # a block needing more of its sector goes dense
 # largest sector whose inertia a sparse LDL^T counts: the factors fill as
-# about d^2, 27M entries and 0.8 GB peak at 19,448 states (L = 16)
+# about d^2, L and U 4.4M entries each at 12,376 states and 10.6M at 19,448
+# (L = 16, where `decay` at beta = 24 peaks at 0.63 GB)
 _COUNT_MAX = 25_000
 _PIVOT_FRACTION = 1e-3  # smallest |pivot| of a trusted count, per Ritz spacing
 _GAP = 1e-8  # smallest spacing of Ritz values a floor may sit in
@@ -211,11 +216,8 @@ def _lowest_block(h, k, cut):
     the floor is the midpoint of that spacing.  That no eigenvalue below the
     floor was missed is for _count_below to certify.  Where k would pass
     _LANCZOS_FRACTION of the sector, the whole spectrum is returned with
-    floor +inf.  At the low end of a many-body spectrum the count of
-    eigenvalues grows faster than linearly in energy, so the straight line
-    through the first and last Ritz values underestimates the count below
-    the cut; a block that line already sends past the fraction goes dense at
-    once.
+    floor +inf.  The caller sizes the first k from the Weyl count of
+    _weyl_count, so doubling is only the fallback.
     """
     d = h.shape[0]
     while k <= _LANCZOS_FRACTION * d:
@@ -229,11 +231,7 @@ def _lowest_block(h, k, cut):
             floor = 0.5 * float(e[keep - 1] + e[keep])
             if floor >= cut:
                 return e[:keep], v[:, :keep], floor
-        if cut > e[-1]:
-            slope = (k - 1) / max(float(e[-1] - e[0]), _GAP)
-            k = max(2 * k, math.ceil(1 + slope * (cut - e[0])))
-        else:
-            k *= 2
+        k *= 2
     return _whole(h)
 
 
@@ -242,14 +240,19 @@ def _inertia(h, sigma):
     factorization of h - sigma, or None where it pivoted off the diagonal or
     found h - sigma singular.
 
-    SuperLU in symmetric mode with no threshold pivoting factors
-    P^T (h - sigma) P = L U with U = D L^T when perm_r equals perm_c, so by
-    Sylvester's law of inertia the negative diagonal entries of U count the
-    eigenvalues of h below sigma.
+    The rows and columns are first put in reverse Cuthill-McKee order, which
+    keeps the factors inside a narrow profile, a symmetric permutation that
+    keeps the inertia.  SuperLU in symmetric mode, in that natural order and
+    with no threshold pivoting, factors P^T (h - sigma) P = L U with
+    U = D L^T when perm_r equals perm_c, so by Sylvester's law of inertia the
+    negative diagonal entries of U count the eigenvalues of h below sigma.
     """
-    a = (h - sigma * sp.identity(h.shape[0], format="csr")).tocsc()
+    # imported on the first count: commands that count nothing never load it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    order = reverse_cuthill_mckee(h, symmetric_mode=True)
+    a = (h - sigma * sp.identity(h.shape[0], format="csr"))[order][:, order]
     try:
-        lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(a.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError:  # "Factor is exactly singular"
         return None
@@ -264,8 +267,9 @@ def _count_below(h, sigma, spacing):
     between Ritz values; None where no count can be trusted.
 
     Without pivoting the factorization of an indefinite matrix is not
-    backward stable, and a tiny pivot can flip a sign.  So the count is
-    trusted only when the sector has at most _COUNT_MAX states, both
+    backward stable, and a tiny pivot can flip a sign; the reverse
+    Cuthill-McKee order of _inertia bounds the fill, not that.  So the count
+    is trusted only when the sector has at most _COUNT_MAX states, both
     factorizations keep their pivots on the diagonal, no pivot is smaller
     than _PIVOT_FRACTION of the spacing, and a second count at
     sigma - spacing / 4, inside the same spacing, agrees.
@@ -288,7 +292,7 @@ class SpectralDecomposition:
     energies[n] (ascending) and vectors[n] (d x k) are the k lowest
     eigenpairs of sector n.  Every eigenvalue the block leaves out is at
     least floors[n] (+inf when the block is the whole sector).  certified[n]
-    is True when the block is whole, empty below the one-body bound of
+    is True when the block is whole, empty below the Weyl bound of
     _ground_floor, or confirmed by an inertia count, and False when no count
     can be trusted (see _count_below); _extend stores it with the block.
     Eigenvalues are stored raw (no chemical potential); everything
@@ -349,25 +353,38 @@ class SpectralDecomposition:
         return terms
 
     def _resolve(self, mu, b):
-        """Extend blocks until tail_bound(mu, b) <= _TAIL."""
+        """Extend blocks until tail_bound(mu, b) <= _TAIL, one at a time.  Of
+        the sectors whose term exceeds its share, the one with the lowest
+        floor of E - mu N goes first: it is the one that may hold the ground
+        and so move K0, which every other term is measured from."""
         terms = self._tail_terms(mu, b)
+        target = _TAIL / len(terms)
         while sum(terms) > _TAIL:
-            target = _TAIL / len(terms)
-            for n, term in enumerate(terms):
-                if term > target:
-                    self._extend(n, mu, b, target)
+            n = min((n for n, term in enumerate(terms) if term > target),
+                    key=lambda n: (self.floors[n]
+                                   - mu * self.sectors[n].n_particles))
+            self._extend(n, mu, b, target)
             terms = self._tail_terms(mu, b)
 
     def _extend(self, n, mu, b, target):
         """Grow block n until the states it leaves out weigh at most target,
         and count the eigenvalues below its floor on the same H.  Any other
         count than the block's size means Lanczos missed one, and the sector
-        is diagonalized densely instead; no count leaves it uncertified."""
+        is diagonalized densely instead; no count leaves it uncertified.
+
+        The weight is measured from the lowest K0 can be once the block holds
+        its states: the ground shift or this sector's own floor of E - mu N.
+        The first Lanczos block takes one Ritz pair more than the Weyl count
+        of _weyl_count allows below the cut.
+        """
         sec = self.sectors[n]
+        k0 = min(self.ground_shift(mu), self.floors[n] - mu * sec.n_particles)
         # (d - k) e^(-b (floor - offset)) <= target once floor >= cut
-        cut = (mu * sec.n_particles + self.ground_shift(mu)
-               + math.log(len(sec) / target) / b)
-        k = max(2 * self.energies[n].size, _K_START)
+        cut = mu * sec.n_particles + k0 + math.log(len(sec) / target) / b
+        levels = single_particle_spectrum(self.params)[0]
+        k = max(2 * self.energies[n].size, _K_START,
+                min(_weyl_count(self.params, levels, sec, cut) + 1,
+                    math.floor(_LANCZOS_FRACTION * len(sec))))
         h = build_hamiltonian(self.params, sec)
         energies, vectors, floor = _lowest_block(h, k, cut)
         certified = True
@@ -389,23 +406,48 @@ def _boltzmann(shifted, b):
         return [np.exp(-b * k) for k in shifted]
 
 
+def _pair_shift(U, n, n_sites):
+    """Least value of the pair term 2U sum_x n_x n_(x+1) in sector n.
+
+    The term is diagonal in the Fock basis, 2U per occupied bond.  n
+    particles in k runs occupy n - k bonds, with 1 <= k <= n and, since runs
+    are apart, k <= n_sites - n + 1.  So at U < 0 at most n - 1 bonds count,
+    and at U >= 0 at least max(0, 2n - n_sites - 1) do.
+    """
+    if U < 0.0:
+        return 2.0 * U * max(n - 1, 0)
+    return 2.0 * U * max(0, 2 * n - n_sites - 1)
+
+
 def _ground_floor(params, levels, n):
     """Lower bound on the lowest eigenvalue of sector n.
 
     Weyl's inequality: hopping plus onsite energy has the n lowest one-body
-    levels as its sector-n ground energy, and the pair term 2U n_x n_{x+1}
-    over at most n - 1 occupied bonds is at least 2 min(U, 0) (n - 1).
-    _GAP keeps the bound below the rounding of the levels.
+    levels as its sector-n ground energy, and the pair term adds at least
+    _pair_shift.  _GAP keeps the bound below the rounding of the levels.
     """
-    pair = 2.0 * min(params.U, 0.0) * max(n - 1, 0)
-    return float(np.sum(levels[:n])) + pair - _GAP
+    shift = _pair_shift(params.U, n, params.n_sites)
+    return float(np.sum(levels[:n])) + shift - _GAP
+
+
+def _weyl_count(params, levels, sector, cut):
+    """Upper bound on the number of eigenvalues of the sector's H below cut.
+
+    The rows of the sector's occupations are all n-subsets of the sites, so
+    occ @ levels lists every eigenvalue of hopping plus onsite energy in the
+    sector.  By Weyl's inequality the k-th eigenvalue of H is at least the
+    k-th of those plus _pair_shift.
+    """
+    free = _structure(sector).occ @ levels
+    shift = _pair_shift(params.U, sector.n_particles, params.n_sites)
+    return int(np.count_nonzero(free + shift < cut))
 
 
 def diagonalize(params):
     """Thermal blocks of every particle-number sector at (params.mu, beta).
 
     Sectors of at most _DENSE_MAX states are diagonalized densely and kept
-    whole.  Larger ones start empty, their floor the one-body bound of
+    whole.  Larger ones start empty, their floor the Weyl bound of
     _ground_floor, and take Lanczos blocks where the states they leave out
     weigh more than _TAIL in all; each Lanczos block is counted as it is
     stored (see SpectralDecomposition._extend).

@@ -8,6 +8,7 @@ import pytest
 
 from quasiloc import cli, many_body
 from quasiloc.cli import main
+from quasiloc.diophantine import GOLDEN_MEAN
 from quasiloc.single_particle import ModelParams
 
 
@@ -60,6 +61,40 @@ def test_spectrum_csv(capsys):
     assert cfg["parameters"]["L"] == 8
     assert lines[1] == "energy,xi,ipr"
     assert len(lines) == 2 + 9
+
+
+@pytest.mark.parametrize("args", [
+    # x_hat = 2 lies outside the three sites of L = 2
+    ["--L", "2"],
+    # sin 2 pi (omega + theta) vanishes, so mu could not sit at x_hat = 1
+    ["--L", "2", "--theta", repr(-GOLDEN_MEAN)],
+])
+def test_spectrum_reads_no_chemical_potential(args, capsys):
+    # spectrum never reads x_hat, so no value of it can reject a chain
+    status, out, _ = run_cli(["spectrum", *args], capsys)
+    assert status == 0
+    assert len(out.strip().splitlines()) == 2 + 3
+
+
+@pytest.mark.parametrize("args", [
+    ["counterterm", "--L", "4", "--beta", "2", "--nu", "0.3"],
+    ["chain", "--alphas", "1", "--beta", "3"],
+    ["chain", "--alphas", "1", "--eps", "0.3"],
+    ["chain", "--alphas", "1", "--U", "0.5"],
+    ["spectrum", "--nu", "0.3"],
+    ["spectrum", "--xhat", "3"],
+])
+def test_flags_a_subcommand_does_not_read_exit_2(args, capsys, tmp_path):
+    # the subcommand does not read these flags, so setting one would change
+    # nothing; argparse refuses it instead
+    status, out, err = run_cli(args, capsys)
+    assert status == 2 and out == ""
+    assert "unrecognized arguments: " + " ".join(args[-2:]) in err
+    # and a config file may not set it either
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({args[-2].lstrip("-"): float(args[-1])}))
+    status, out, err = run_cli(["--config", str(cfg), *args[:-2]], capsys)
+    assert status == 2 and out == "" and "unknown keys" in err
 
 
 def test_correlate_rejects_zero_theta(capsys):

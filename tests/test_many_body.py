@@ -877,11 +877,8 @@ def test_missed_eigenvalue_is_caught(monkeypatch, l12):
     np.testing.assert_allclose(corr.values, expect, rtol=0.0, atol=1e-12)
 
 
-def test_block_grows_and_is_counted_on_one_hamiltonian(monkeypatch, l12):
-    # one H per dense sector and one per Lanczos growth, which serves the
-    # block's inertia count and any dense fallback too; the Lanczos, count
-    # and dense calls are unchanged, and each certificate is a bool
-    p, _ = l12
+def count_calls(monkeypatch, names):
+    """Count the calls of the named many_body functions into a dict."""
     calls = {}
 
     def counted(name):
@@ -892,12 +889,35 @@ def test_block_grows_and_is_counted_on_one_hamiltonian(monkeypatch, l12):
             return real(*args, **kwargs)
         monkeypatch.setattr(many_body, name, call)
 
-    for name in ("build_hamiltonian", "eigsh", "_count_below", "_whole"):
+    for name in names:
         counted(name)
+    return calls
+
+
+def test_block_grows_and_is_counted_on_one_hamiltonian(monkeypatch, l12):
+    # one H per dense sector and one per Lanczos growth, which serves the
+    # block's inertia count and any dense fallback too; each Lanczos block is
+    # sized once from its Weyl count, so no eigsh run is thrown away, and
+    # each certificate is a bool
+    p, _ = l12
+    calls = count_calls(monkeypatch, ("build_hamiltonian", "eigsh",
+                                      "_count_below", "_whole"))
     spd = q.diagonalize(p)
-    assert calls == {"build_hamiltonian": 11, "eigsh": 6, "_count_below": 3,
+    assert calls == {"build_hamiltonian": 11, "eigsh": 3, "_count_below": 3,
                      "_whole": 8}
     assert all(type(c) is bool for c in spd.certified) and spd.tail_certified
+
+
+def test_ground_sector_is_resolved_first(monkeypatch):
+    # at high filling the dense sectors' K0 sits far above the true ground
+    # (sector 10 here); resolving the lowest floor first, from the lowest K0
+    # can be, blocks only the two sectors near the ground
+    p = q.ModelParams(L=14, beta=24576.0, eps=0.1, U=0.1, theta=0.2377,
+                      x_hat=-7)
+    calls = count_calls(monkeypatch, ("eigsh", "_count_below"))
+    spd = q.diagonalize(p)
+    assert spd.tail_certified
+    assert calls["eigsh"] <= 2 and calls["_count_below"] <= 2
 
 
 def test_uncounted_blocks_are_not_certified(monkeypatch, l12):
@@ -1090,7 +1110,7 @@ def test_propagation_bound_covers_its_error_property(chain, frac, sign, tail):
 
 
 @PROPERTY
-@given(chains(sizes=(2, 4, 6, 8)))
+@given(chains(sizes=(2, 4, 6, 8, 10)))
 def test_one_body_floor_bounds_every_sector_property(chain):
     # the floor an empty block starts from lies below the sector's spectrum,
     # and at U = 0 it is the free ground energy itself
@@ -1104,3 +1124,21 @@ def test_one_body_floor_bounds_every_sector_property(chain):
     for n in range(spd.n_sectors):
         assert many_body._ground_floor(free, levels, n) == pytest.approx(
             ground[n][0], abs=1e-7)
+
+
+@PROPERTY
+@given(st.sampled_from([4, 6, 8, 10]), st.floats(-0.6, 0.6),
+       st.floats(-0.6, 0.6), st.floats(0.05, 0.95), st.floats(0.0, 1.0),
+       st.data())
+def test_weyl_count_bounds_the_dense_count_property(L, eps, U, theta, frac,
+                                                   data):
+    # the one-body sums shifted by the pair term's least value bound the
+    # spectrum from below one by one, so no more eigenvalues than free sums
+    # lie below any cut
+    p = q.ModelParams(L=L, beta=1.0, eps=eps, U=U, theta=theta)
+    levels = q.single_particle_spectrum(p)[0]
+    sec = enumerate_sector(L, data.draw(st.integers(0, p.n_sites)))
+    e = np.linalg.eigvalsh(q.build_hamiltonian(p, sec).toarray())
+    cut = e[0] - 0.1 + frac * (e[-1] - e[0] + 0.2)
+    assert np.count_nonzero(e < cut) <= many_body._weyl_count(p, levels, sec,
+                                                               cut)
