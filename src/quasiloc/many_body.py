@@ -4,18 +4,24 @@ Sites map to bits (site x <-> bit x + L/2).  Each sector of fixed particle
 number keeps a thermal block: its lowest eigenpairs, below a floor that
 bounds every eigenvalue it leaves out.  Sectors of at most _DENSE_MAX states
 are diagonalized densely and kept whole.  Larger ones start empty below a
-Weyl bound (sums of one-body levels plus the least value of the pair term)
-and take a Lanczos (eigsh) block where that floor is too low, with as many
-Ritz pairs as the same bound allows below the cut.  One build of the
-sector's H serves both the block and its certificate: the inertia of sparse
-LDL^T factors of H - floor in reverse Cuthill-McKee order, counted at two
-shifts and guarded against pivoting and tiny pivots, shows that no
-eigenvalue below the new floor was missed.  The states a block leaves out
-weigh at most (d - k) e^(-b (floor - mu n - K0)) at exponent b; a read whose
-summed bound exceeds _TAIL first extends the blocks it needs, one at a time
-and the lowest floor of E - mu N first, so the sector that holds the ground
-fixes K0 before the others are sized against it, and no read answers from
-an unresolved spectrum.  Every read takes a decomposition and
+Weyl bound (sums of one-body levels plus the least value of the pair term).
+A read that finds one of them over its share of the tail first takes its
+Weyl profile: the i-th smallest of those sums bounds the i-th eigenvalue, so
+the tail is summed eigenvalue by eigenvalue.  Only a sector still over its
+share takes a Lanczos (eigsh) block, with as many Ritz pairs as the same
+profile allows below the cut.  One build of the sector's H serves both the
+block and its certificate.  Kahan's theorem on the block's residual, with
+the profile above it, certifies the leading Ritz pairs without any
+factorization where it can; otherwise the inertia of sparse LDL^T factors of
+H - floor in reverse Cuthill-McKee order, counted at two shifts and guarded
+against pivoting and tiny pivots, shows that no eigenvalue below the new
+floor was missed.  The states a block leaves out weigh at most
+sum_(i >= k) e^(-b (max(floor, w_i) - mu n - K0)) at exponent b, or
+(d - k) e^(-b (floor - mu n - K0)) without a profile; a read whose summed
+bound exceeds _TAIL first resolves the sectors it needs, one step at a
+time and the lowest floor of E - mu N first, so the sector that holds the
+ground fixes K0 before the others are sized against it, and no read answers
+from an unresolved spectrum.  Every read takes a decomposition and
 the counterterm nu, which only shifts mu = mu0 + nu, so one decomposition
 serves every nu.  The Lehmann kernel needs only thermal
 eigenstates: completeness at t = 0, and otherwise KMS to bring t into
@@ -28,7 +34,7 @@ E - mu N, which leaves all observables invariant and keeps every weight in
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -214,10 +220,10 @@ def _lowest_block(h, k, cut):
     doubles until the block clears the cut.  The block keeps the pairs below
     the highest spacing of at least _GAP between consecutive Ritz values, and
     the floor is the midpoint of that spacing.  That no eigenvalue below the
-    floor was missed is for _count_below to certify.  Where k would pass
-    _LANCZOS_FRACTION of the sector, the whole spectrum is returned with
-    floor +inf.  The caller sizes the first k from the Weyl count of
-    _weyl_count, so doubling is only the fallback.
+    floor was missed is for _weyl_kahan or _count_below to certify.  Where k
+    would pass _LANCZOS_FRACTION of the sector, the whole spectrum is
+    returned with floor +inf.  The caller sizes the first k from the Weyl
+    count of _weyl_count, so doubling is only the fallback.
     """
     d = h.shape[0]
     while k <= _LANCZOS_FRACTION * d:
@@ -235,24 +241,19 @@ def _lowest_block(h, k, cut):
     return _whole(h)
 
 
-def _inertia(h, sigma):
+def _inertia(a, sigma):
     """(number of negative pivots, smallest |pivot|) of a symmetric LDL^T
-    factorization of h - sigma, or None where it pivoted off the diagonal or
-    found h - sigma singular.
+    factorization of a - sigma in a's own order, or None where it pivoted off
+    the diagonal or found a - sigma singular.
 
-    The rows and columns are first put in reverse Cuthill-McKee order, which
-    keeps the factors inside a narrow profile, a symmetric permutation that
-    keeps the inertia.  SuperLU in symmetric mode, in that natural order and
-    with no threshold pivoting, factors P^T (h - sigma) P = L U with
-    U = D L^T when perm_r equals perm_c, so by Sylvester's law of inertia the
-    negative diagonal entries of U count the eigenvalues of h below sigma.
+    SuperLU in symmetric mode, in natural order and with no threshold
+    pivoting, factors a - sigma = L U with U = D L^T when perm_r equals
+    perm_c, so by Sylvester's law of inertia the negative diagonal entries of
+    U count the eigenvalues of a below sigma.
     """
-    # imported on the first count: commands that count nothing never load it
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-    order = reverse_cuthill_mckee(h, symmetric_mode=True)
-    a = (h - sigma * sp.identity(h.shape[0], format="csr"))[order][:, order]
+    shifted = (a - sigma * sp.identity(a.shape[0], format="csc")).tocsc()
     try:
-        lu = splu(a.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        lu = splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError:  # "Factor is exactly singular"
         return None
@@ -272,17 +273,62 @@ def _count_below(h, sigma, spacing):
     is trusted only when the sector has at most _COUNT_MAX states, both
     factorizations keep their pivots on the diagonal, no pivot is smaller
     than _PIVOT_FRACTION of the spacing, and a second count at
-    sigma - spacing / 4, inside the same spacing, agrees.
+    sigma - spacing / 4, inside the same spacing, agrees.  Both shifts factor
+    h in one reverse Cuthill-McKee order, found once: it keeps the factors
+    inside a narrow profile, and as a symmetric permutation it keeps the
+    inertia.
     """
     if h.shape[0] > _COUNT_MAX:
         return None
+    # imported on the first count: commands that count nothing never load it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    order = reverse_cuthill_mckee(h, symmetric_mode=True)
+    a = h[order][:, order].tocsc()
     counts = set()
     for shift in (sigma, sigma - 0.25 * spacing):
-        inertia = _inertia(h, shift)
+        inertia = _inertia(a, shift)
         if inertia is None or inertia[1] < _PIVOT_FRACTION * spacing:
             return None
         counts.add(inertia[0])
     return counts.pop() if len(counts) == 1 else None
+
+
+def _weyl_kahan(h, theta, v, profile, cut):
+    """Number j of leading Ritz pairs (theta, v) of h that are certified to
+    be the j lowest eigenpairs, with every other eigenvalue at least
+    profile[j] >= cut; 0 where no j > 0 is.
+
+    Let V_j be the first j columns of v, R_j = h V_j - V_j diag(theta_1..j)
+    and eta = ||V^T V - I||_F < 1, so G = V_j^T V_j has its eigenvalues in
+    [1 - eta, 1 + eta].  Q = V_j G^(-1/2) has orthonormal columns, and
+    E = Q - V_j = V_j (G^(-1/2) - I) has
+    ||E|| <= sqrt(1 + eta) (1 / sqrt(1 - eta) - 1) <= eta / (1 - eta).  So
+    h Q - Q diag(theta) = R_j + h E - E diag(theta) has 2-norm at most
+    rho_j = ||R_j||_F + (||h|| + max |theta|) eta / (1 - eta), with ||h|| at
+    most its largest absolute row sum (Gershgorin).  By Kahan's theorem
+    (Parlett, The Symmetric Eigenvalue Problem, 11.5) there are j distinct
+    eigenvalues within rho_j of theta_1..theta_j, so all at most
+    theta_j + rho_j.  Where that is below profile[j], which bounds the
+    (j+1)-th eigenvalue from below (Weyl), those j are the j lowest, and
+    every eigenvalue left out is at least profile[j].  A Lanczos run that
+    missed an eigenvalue below it cannot pass.  The _GAP the profile sits
+    below the Weyl sums covers the rounding of R and eta.  The Gram matrix
+    is summed by einsum, not BLAS: in fresh processes with two BLAS threads,
+    a GEMM here made a whole L = 12, beta = 24 read about 40% slower than
+    this einsum (with one BLAS thread it did not).
+    """
+    r = h @ v - v * theta
+    residual = np.sqrt(np.cumsum(np.einsum("ij,ij->j", r, r)))
+    gram = np.einsum("ij,ik->jk", v, v) - np.eye(theta.size)
+    eta = math.sqrt(np.einsum("ij,ij->", gram, gram))
+    if not eta < 1.0:
+        return 0
+    norm = float(abs(h).sum(axis=1).max())
+    slack = (norm + float(np.max(np.abs(theta)))) * eta / (1.0 - eta)
+    above = profile[1:theta.size + 1]  # the (j+1)-th entry for each j
+    passed = np.flatnonzero((theta + residual + slack < above)
+                            & (above >= cut))
+    return int(passed[-1]) + 1 if passed.size else 0
 
 
 @dataclass
@@ -291,10 +337,14 @@ class SpectralDecomposition:
 
     energies[n] (ascending) and vectors[n] (d x k) are the k lowest
     eigenpairs of sector n.  Every eigenvalue the block leaves out is at
-    least floors[n] (+inf when the block is the whole sector).  certified[n]
-    is True when the block is whole, empty below the Weyl bound of
-    _ground_floor, or confirmed by an inertia count, and False when no count
-    can be trusted (see _count_below); _extend stores it with the block.
+    least floors[n] (+inf when the block is the whole sector), and where
+    profiles holds sector n's Weyl profile w (see _weyl_profile), the i-th
+    lowest eigenvalue is also at least w[i].  certified[n] says whether that
+    floor is proven, and _extend stores it with the block.  It is True in four
+    ways: the block is whole; it is empty below the Weyl bound of
+    _ground_floor; Weyl's profile and Kahan's theorem certify a Lanczos block
+    (_weyl_kahan); or an inertia count confirms one (_count_below).  It is
+    False when neither certificate applies and no count can be trusted.
     Eigenvalues are stored raw (no chemical potential); everything
     mu-dependent is assembled on demand at the nu a read takes, from
     params.with_nu(nu), which rejects a bad nu before any block grows.  No
@@ -307,6 +357,7 @@ class SpectralDecomposition:
     vectors: list
     floors: list
     certified: list
+    profiles: dict = field(default_factory=dict)
 
     @property
     def n_sectors(self):
@@ -341,59 +392,86 @@ class SpectralDecomposition:
         return sum(self._tail_terms(mu, b))
 
     def _tail_terms(self, mu, b):
+        """Per sector, a bound on the summed e^(-b (K - K0)) of the states
+        its block leaves out.  The i-th of them is at least the floor and,
+        with a profile w, at least w[i]: the term is
+        sum_(i >= k) e^(-b (max(floor, w_i) - mu n - K0)), and without one
+        (d - k) e^(-b (floor - mu n - K0)), for a block of k of d states."""
         k0 = self.ground_shift(mu)
         terms = []
-        for s, e, f in zip(self.sectors, self.energies, self.floors):
+        for n, (s, e, f) in enumerate(zip(self.sectors, self.energies,
+                                          self.floors)):
             left = len(s) - e.size
-            # a floor far below K0 leaves the tail unbounded, not overflowing;
-            # a whole block adds 0.0, even where mu n overflows to a NaN x
-            x = -b * (f - mu * s.n_particles - k0)
-            terms.append(left * math.exp(x) if x < 700.0
-                         else math.inf if left else 0.0)
+            if not left:  # 0.0 for a whole block, even at a NaN exponent
+                terms.append(0.0)
+                continue
+            w = self.profiles.get(n)
+            x = -b * ((f if w is None else np.maximum(w[e.size:], f))
+                      - mu * s.n_particles - k0)
+            # a floor far below K0 leaves the tail unbounded, not overflowing
+            if not np.max(x) < 700.0:
+                terms.append(math.inf)
+            else:
+                terms.append(left * math.exp(x) if w is None
+                             else float(np.sum(np.exp(x))))
         return terms
 
     def _resolve(self, mu, b):
-        """Extend blocks until tail_bound(mu, b) <= _TAIL, one at a time.  Of
-        the sectors whose term exceeds its share, the one with the lowest
-        floor of E - mu N goes first: it is the one that may hold the ground
-        and so move K0, which every other term is measured from."""
+        """Resolve sectors until tail_bound(mu, b) <= _TAIL, one step at a
+        time.  Of the sectors whose term exceeds its share, the one with the
+        lowest floor of E - mu N goes first: it is the one that may hold the
+        ground and so move K0, which every other term is measured from.  Its
+        first step stores its Weyl profile, which often brings the term
+        within its share; only a sector still over it grows a block."""
         terms = self._tail_terms(mu, b)
         target = _TAIL / len(terms)
         while sum(terms) > _TAIL:
             n = min((n for n, term in enumerate(terms) if term > target),
                     key=lambda n: (self.floors[n]
                                    - mu * self.sectors[n].n_particles))
-            self._extend(n, mu, b, target)
+            if n in self.profiles:
+                self._extend(n, mu, b, target)
+            else:
+                levels = single_particle_spectrum(self.params)[0]
+                self.profiles[n] = _weyl_profile(self.params, levels,
+                                                 self.sectors[n])
             terms = self._tail_terms(mu, b)
 
     def _extend(self, n, mu, b, target):
         """Grow block n until the states it leaves out weigh at most target,
-        and count the eigenvalues below its floor on the same H.  Any other
-        count than the block's size means Lanczos missed one, and the sector
-        is diagonalized densely instead; no count leaves it uncertified.
+        and certify it on the same H.  Where _weyl_kahan certifies leading
+        Ritz pairs, the block keeps them with the profile value above them as
+        its floor, and nothing is factorized.  Otherwise an inertia count
+        below the block's floor decides: any other count than the block's
+        size means Lanczos missed one, and the sector is diagonalized densely
+        instead; no count leaves it uncertified.
 
         The weight is measured from the lowest K0 can be once the block holds
         its states: the ground shift or this sector's own floor of E - mu N.
         The first Lanczos block takes one Ritz pair more than the Weyl count
-        of _weyl_count allows below the cut.
+        of the sector's profile allows below the cut.
         """
-        sec = self.sectors[n]
+        sec, profile = self.sectors[n], self.profiles[n]
         k0 = min(self.ground_shift(mu), self.floors[n] - mu * sec.n_particles)
         # (d - k) e^(-b (floor - offset)) <= target once floor >= cut
         cut = mu * sec.n_particles + k0 + math.log(len(sec) / target) / b
-        levels = single_particle_spectrum(self.params)[0]
         k = max(2 * self.energies[n].size, _K_START,
-                min(_weyl_count(self.params, levels, sec, cut) + 1,
+                min(_weyl_count(profile, cut) + 1,
                     math.floor(_LANCZOS_FRACTION * len(sec))))
         h = build_hamiltonian(self.params, sec)
         energies, vectors, floor = _lowest_block(h, k, cut)
         certified = True
         if not math.isinf(floor):
-            # floor: the midpoint of the spacing above the highest kept value
-            count = _count_below(h, floor, 2.0 * (floor - energies[-1]))
-            if count is not None and count != energies.size:
-                energies, vectors, floor = _whole(h)
-            certified = count is not None
+            j = _weyl_kahan(h, energies, vectors, profile, cut)
+            if j:
+                energies, vectors = energies[:j], vectors[:, :j]
+                floor = float(profile[j])
+            else:
+                # floor: the midpoint of the spacing above the highest value
+                count = _count_below(h, floor, 2.0 * (floor - energies[-1]))
+                if count is not None and count != energies.size:
+                    energies, vectors, floor = _whole(h)
+                certified = count is not None
         self.energies[n], self.vectors[n] = energies, vectors
         self.floors[n], self.certified[n] = floor, certified
 
@@ -430,17 +508,25 @@ def _ground_floor(params, levels, n):
     return float(np.sum(levels[:n])) + shift - _GAP
 
 
-def _weyl_count(params, levels, sector, cut):
-    """Upper bound on the number of eigenvalues of the sector's H below cut.
+def _weyl_profile(params, levels, sector):
+    """Lower bounds on the sector's eigenvalues one by one, ascending: the
+    i-th is at most the i-th eigenvalue of the sector's H.
 
     The rows of the sector's occupations are all n-subsets of the sites, so
     occ @ levels lists every eigenvalue of hopping plus onsite energy in the
-    sector.  By Weyl's inequality the k-th eigenvalue of H is at least the
-    k-th of those plus _pair_shift.
+    sector.  The pair term is diagonal and at least _pair_shift, so by Weyl's
+    inequality the i-th eigenvalue of H is at least the i-th of those plus
+    _pair_shift.  _GAP keeps the bound below the rounding of the sums.
     """
-    free = _structure(sector).occ @ levels
-    shift = _pair_shift(params.U, sector.n_particles, params.n_sites)
-    return int(np.count_nonzero(free + shift < cut))
+    free = np.sort(_structure(sector).occ @ levels)
+    return free + _pair_shift(params.U, sector.n_particles,
+                              params.n_sites) - _GAP
+
+
+def _weyl_count(profile, cut):
+    """Upper bound on the number of eigenvalues below cut of the sector
+    whose _weyl_profile is profile: the number of its entries below cut."""
+    return int(np.searchsorted(profile, cut))
 
 
 def diagonalize(params):

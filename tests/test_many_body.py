@@ -373,12 +373,12 @@ def test_residual_norms(small):
     assert len(big.sectors[n]) == 462
     assert residual_norm(big, n) < 1e-12
     assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-13
-    # the Lanczos block of the largest L = 12 sector
+    # the largest L = 12 sector that keeps a Lanczos block
     spd12 = q.diagonalize(q.ModelParams(L=12, beta=24.0, eps=0.1, U=0.1,
                                         theta=0.2377))
-    n = max(range(spd12.n_sectors), key=lambda k: len(spd12.sectors[k]))
+    n = max(lanczos_blocks(spd12), key=lambda k: len(spd12.sectors[k]))
     v = spd12.vectors[n]
-    assert len(spd12.sectors[n]) == 1716 and 0 < v.shape[1] < 1716
+    assert len(spd12.sectors[n]) == 1287 and 0 < v.shape[1] < 1287
     assert residual_norm(spd12, n) < 1e-12
     assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-13
 
@@ -745,6 +745,8 @@ def test_thermal_blocks_match_dense_oracle(L, beta):
     spd, ref = q.diagonalize(p), dense_diagonalize(p)
     assert spd.tail_certified
     assert bool(truncated(spd)) == (L == 12)
+    for n in truncated(spd):
+        assert np.all(ref.energies[n][spd.energies[n].size:] >= spd.floors[n])
     # mu + 0.5 draws sectors the blocks at mu leave out into the thermal
     # range, and a time near beta/2 needs more of every block
     if L == 12:
@@ -858,11 +860,17 @@ def lanczos_blocks(spd):
     return [n for n in truncated(spd) if spd.energies[n].size]
 
 
+def without_weyl_kahan(monkeypatch):
+    """Leave every Lanczos block to its inertia count."""
+    monkeypatch.setattr(many_body, "_weyl_kahan", lambda *args: 0)
+
+
 def test_missed_eigenvalue_is_caught(monkeypatch, l12):
     # the inertia count finds one eigenvalue more below every Lanczos floor
     # than the block holds; each such sector is diagonalized whole instead
     p, ref = l12
     assert lanczos_blocks(q.diagonalize(p))
+    without_weyl_kahan(monkeypatch)
     lossy_eigsh(monkeypatch)
     spd = q.diagonalize(p)
     assert not lanczos_blocks(spd) and spd.tail_certified
@@ -875,6 +883,28 @@ def test_missed_eigenvalue_is_caught(monkeypatch, l12):
     corr = q.compute_correlation(spd, p.nu, [0.0, 1.0])
     expect = q.compute_correlation(ref, p.nu, [0.0, 1.0]).values
     np.testing.assert_allclose(corr.values, expect, rtol=0.0, atol=1e-12)
+
+
+def test_missed_eigenvalue_is_caught_with_weyl_kahan_on(monkeypatch, l12):
+    # with the Weyl + Kahan step on, a block that lacks the second-lowest
+    # eigenvalue certifies at most its lowest pair, below the profile value
+    # above it, or goes to its count; either way the reads match dense ED
+    p, ref = l12
+    lossy_eigsh(monkeypatch)
+    spd = q.diagonalize(p)
+    assert spd.tail_certified
+    for n in range(spd.n_sectors):
+        k = spd.energies[n].size
+        np.testing.assert_allclose(spd.energies[n], ref.energies[n][:k],
+                                   rtol=0.0, atol=1e-12)
+        assert np.all(ref.energies[n][k:] >= spd.floors[n])
+    for nu in (p.nu, 0.5):
+        assert spd.thermal_weights(nu)[1] == pytest.approx(
+            ref.thermal_weights(nu)[1], rel=1e-12, abs=0.0)
+    corr = q.compute_correlation(spd, p.nu, [0.0, 1.0])
+    expect = q.compute_correlation(ref, p.nu, [0.0, 1.0]).values
+    err = np.max(np.abs(corr.values - expect), axis=(1, 2))
+    assert np.all(err <= corr.discarded + 1e-12)
 
 
 def count_calls(monkeypatch, names):
@@ -896,14 +926,16 @@ def count_calls(monkeypatch, names):
 
 def test_block_grows_and_is_counted_on_one_hamiltonian(monkeypatch, l12):
     # one H per dense sector and one per Lanczos growth, which serves the
-    # block's inertia count and any dense fallback too; each Lanczos block is
-    # sized once from its Weyl count, so no eigsh run is thrown away, and
-    # each certificate is a bool
+    # block's certificate and any dense fallback too; each Lanczos block is
+    # sized once from its Weyl count, so no eigsh run is thrown away.  The
+    # 1,716-state sector's Weyl profile bounds its tail, so it keeps no
+    # block; of the two blocks, Weyl + Kahan certifies one and the other is
+    # counted.  Each certificate is a bool
     p, _ = l12
     calls = count_calls(monkeypatch, ("build_hamiltonian", "eigsh",
                                       "_count_below", "_whole"))
     spd = q.diagonalize(p)
-    assert calls == {"build_hamiltonian": 11, "eigsh": 3, "_count_below": 3,
+    assert calls == {"build_hamiltonian": 10, "eigsh": 2, "_count_below": 1,
                      "_whole": 8}
     assert all(type(c) is bool for c in spd.certified) and spd.tail_certified
 
@@ -917,13 +949,14 @@ def test_ground_sector_is_resolved_first(monkeypatch):
     calls = count_calls(monkeypatch, ("eigsh", "_count_below"))
     spd = q.diagonalize(p)
     assert spd.tail_certified
-    assert calls["eigsh"] <= 2 and calls["_count_below"] <= 2
+    assert calls.get("eigsh", 0) <= 2 and calls.get("_count_below", 0) <= 2
 
 
 def test_uncounted_blocks_are_not_certified(monkeypatch, l12):
     # above the size cap of the sparse LDL^T no block is counted; a block
     # that missed an eigenvalue is then reported, never certified
     p, _ = l12
+    without_weyl_kahan(monkeypatch)
     monkeypatch.setattr(many_body, "_COUNT_MAX", 0)
     spd = q.diagonalize(p)
     assert lanczos_blocks(spd) and not spd.tail_certified
@@ -1023,6 +1056,7 @@ def test_count_guards_reject_an_untrusted_factorization(monkeypatch):
 def test_failed_count_guard_leaves_block_uncertified(monkeypatch, l12):
     # a guard that fails reports the block, never certifies it
     p, _ = l12
+    without_weyl_kahan(monkeypatch)
     monkeypatch.setattr(many_body, "_PIVOT_FRACTION", 1e6)
     spd = q.diagonalize(p)
     assert lanczos_blocks(spd) and not spd.tail_certified
@@ -1140,5 +1174,87 @@ def test_weyl_count_bounds_the_dense_count_property(L, eps, U, theta, frac,
     sec = enumerate_sector(L, data.draw(st.integers(0, p.n_sites)))
     e = np.linalg.eigvalsh(q.build_hamiltonian(p, sec).toarray())
     cut = e[0] - 0.1 + frac * (e[-1] - e[0] + 0.2)
-    assert np.count_nonzero(e < cut) <= many_body._weyl_count(p, levels, sec,
-                                                               cut)
+    profile = many_body._weyl_profile(p, levels, sec)
+    assert np.count_nonzero(e < cut) <= many_body._weyl_count(profile, cut)
+
+
+@st.composite
+def weyl_sectors(draw):
+    """A random sector of at least L + 1 states at L <= 10: its
+    Hamiltonian, dense eigenpairs and a profile of lower bounds on its
+    eigenvalues one by one, from the Weyl profile up to the spectrum itself
+    less _GAP."""
+    L = draw(st.sampled_from([4, 6, 8, 10]))
+    p = q.ModelParams(L=L, beta=1.0, eps=draw(st.floats(-0.6, 0.6)),
+                      U=draw(st.floats(-0.6, 0.6)),
+                      theta=draw(st.floats(0.05, 0.95)))
+    sec = enumerate_sector(L, draw(st.integers(1, L)))
+    h = q.build_hamiltonian(p, sec)
+    e, x = eigh(h.toarray())
+    weyl = many_body._weyl_profile(p, q.single_particle_spectrum(p)[0], sec)
+    assert np.all(weyl <= e - 0.5 * many_body._GAP)
+    tight = draw(st.floats(0.0, 1.0))
+    return p, sec, h, e, x, weyl + tight * (e - many_body._GAP - weyl)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weyl_sectors(), st.floats(-1.0, 1.0), st.floats(0.05, 20.0),
+       st.floats(0.0, 1.0), st.data())
+def test_profile_tail_bounds_the_left_out_weight_property(sector, mu, b, frac,
+                                                          data):
+    # a block of the k lowest eigenpairs with a floor at most the (k+1)-th
+    # eigenvalue: the profile's term is at least the exact weight of the
+    # eigenvalues it leaves out, with K0 from it and a one-state sector
+    p, sec, _, e, x, profile = sector
+    k = data.draw(st.integers(0, e.size - 1))
+    floor = profile[0] + frac * (e[k] - profile[0])
+    empty = enumerate_sector(p.L, 0)
+    spd = q.SpectralDecomposition(
+        params=p, sectors=[empty, sec], energies=[np.zeros(1), e[:k]],
+        vectors=[np.ones((1, 1)), x[:, :k]], floors=[math.inf, floor],
+        certified=[True, True], profiles={1: profile})
+    offset = mu * sec.n_particles + spd.ground_shift(mu)
+    with np.errstate(over="ignore"):
+        exact = float(np.sum(np.exp(-b * (e[k:] - offset))))
+    term = spd._tail_terms(mu, b)[1]
+    assert term >= exact
+    # and no looser than the floor alone, the term without a profile
+    if -b * (floor - offset) < 700.0:
+        alone = (e.size - k) * math.exp(-b * (floor - offset))
+        assert term <= alone * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weyl_sectors(), st.floats(0.0, 0.1), st.floats(0.95, 1.0),
+       st.floats(-0.5, 1.0), st.data())
+def test_weyl_kahan_keeps_every_eigenvalue_below_its_floor_property(
+        sector, shift, scale, frac, data):
+    # a block of m eigenvectors, one of the m + 1 lowest perhaps left out,
+    # with Ritz values shifted down and columns shortened, so that the
+    # residual and the orthonormality defect are what hide the gap: every
+    # eigenvalue below the certified floor must be one the block holds
+    p, sec, h, e, x, profile = sector
+    m = data.draw(st.integers(1, min(e.size - 1, 12)))
+    skip = data.draw(st.none() | st.integers(0, m - 1))
+    held = [i for i in range(m + 1) if i != skip][:m]
+    cut = e[0] + frac * (e[m] - e[0])
+    j = many_body._weyl_kahan(h, e[held] - shift, x[:, held] * scale,
+                              profile, cut)
+    assert 0 <= j <= m
+    if j:
+        assert profile[j] >= cut
+        assert set(np.flatnonzero(e < profile[j])) <= set(held[:j])
+    # against the spectrum less _GAP, the exact block is certified up to its
+    # last spacing wider than 2 _GAP whose profile value clears the cut
+    exact = e - many_body._GAP
+    j = many_body._weyl_kahan(h, e[:m], x[:, :m], exact, cut)
+    wide = [i for i in range(1, m + 1)
+            if e[i] - e[i - 1] > 2.0 * many_body._GAP and exact[i] >= cut]
+    assert j >= max(wide, default=0)
+    # and a block without the lowest eigenvector certifies no pair: Ritz
+    # values 1e-3 low leave only the residual to show the gap, and columns
+    # 1e-3 short, whose residual is short too, only the orthonormality term
+    for short in (0.0, 1e-3):
+        assert many_body._weyl_kahan(h, e[1:m + 1] - 1e-3,
+                                     x[:, 1:m + 1] * (1.0 - short), exact,
+                                     -math.inf) == 0
