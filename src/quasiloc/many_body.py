@@ -25,11 +25,15 @@ from an unresolved spectrum.  Every read takes a decomposition and
 the counterterm nu, which only shifts mu = mu0 + nu, so one decomposition
 serves every nu.  The Lehmann kernel needs only thermal
 eigenstates: completeness at t = 0, and otherwise KMS to bring t into
-|t| <= beta/2 and a Chebyshev series of e^(-tau K) for the non-thermal side,
-cut where its left-out coefficients bound the error below _TAIL.  Energies
-entering any exponential are shifted by the global ground value K0 of
-E - mu N, which leaves all observables invariant and keeps every weight in
-(0, 1].
+|t| <= beta/2 and a Chebyshev series of e^(-tau K) for the non-thermal side.
+Each thermal state has an equal share of the error: a state too light to
+matter at that tau is dropped with its bound, and the others take the series
+only to the degree their own weight needs.  Every term is a weighted Gram
+entry, summed by one GEMM per block of thermal states, so a read holds a few
+blocks of the size of its stack and no (states, sites, sites) product.
+Energies entering any exponential are shifted by the global ground value K0
+of E - mu N, which leaves all observables invariant and keeps every weight
+in (0, 1].
 """
 
 import functools
@@ -198,7 +202,7 @@ _PIVOT_FRACTION = 1e-3  # smallest |pivot| of a trusted count, per Ritz spacing
 _GAP = 1e-8  # smallest spacing of Ritz values a floor may sit in
 _TAIL = 1e-16  # largest summed Boltzmann factor a read may leave out
 _SEED = 5065  # of the Lanczos start vectors
-_STACK_ELEMENTS = 1 << 22  # entries of one propagated stack chunk (32 MB)
+_STACK_ELEMENTS = 1 << 22  # entries of one stack chunk (32 MB)
 
 
 def _whole(h):
@@ -580,34 +584,51 @@ def _kms_reduce(t, beta):
 
 
 def _chebyshev(tau, lo, hi, tol):
-    """Chebyshev series of e^(-tau x) on [lo, hi], as (coefficients, bound).
+    """Chebyshev series of e^(-tau x) on [lo, hi], as (coefficients, rest):
+    the series of degree m, coefficients[:m + 1], is within rest[m] of
+    e^(-tau x) there, and rest[-1] <= tol.
 
     With x = c + r y, c = (lo + hi) / 2 and r = (hi - lo) / 2,
     e^(-tau x) = sum_k c_k T_k(y), c_k = e^(-tau lo) 2 (-1)^k ive(k, tau r)
     and half that at k = 0.  |T_k| <= 1 on the interval, so the coefficients
-    a series leaves out bound its error there.  The power series of I_k gives
-    I_(k+1)(z) <= z / (2 (k + 1)) I_k(z) term by term, so beyond degree m,
-    once m + 2 > z / 2, they sum to at most |c_(m+1)| / (1 - z / (2 (m + 2))).
-    The series is cut at the first degree where that bound is at most tol.
-    With lo >= 0 the coefficients sum to at most 1 in magnitude, so rounding
-    in the recurrence is not amplified either.
+    a series leaves out bound its error there, and two bounds on them are
+    taken at each degree m, whichever is smaller.  The power series of I_k
+    gives I_(k+1)(z) <= z / (2 (k + 1)) I_k(z) term by term, so once
+    m + 2 > z / 2 they sum to at most |c_(m+1)| / (1 - z / (2 (m + 2))).
+    And since sum_(k in Z) I_k(z) = e^z, they sum to exactly
+    e^(-tau lo) (1 - ive(0, z) - 2 sum_(k=1..m) ive(k, z)) at every degree;
+    that difference is taken with a margin of e^(-tau lo) ((m + 4) eps +
+    2^-40), eps the machine epsilon, for the rounding of m partial sums of
+    at most 1 and the relative error of ive (below 5e-13 against 40-digit
+    values for z up to 5000).  A bound at degree m also bounds every later
+    tail, so rest is the running minimum of the two, non-increasing, and a
+    state whose tolerance is at least rest[m] needs no degree above m.  The
+    series is cut at the first degree where rest is at most tol.  With
+    lo >= 0 the coefficients sum to at most 1 in magnitude, so rounding in
+    the recurrence is not amplified either.
     """
     scale = math.exp(-tau * lo)
     z = 0.5 * tau * max(hi - lo, 0.0)
     size = math.ceil(z + 10.0 * math.sqrt(z) + 32.0)
     while True:
         k = np.arange(size)
-        c = 2.0 * scale * ive(k, z)
+        a = ive(k, z)
+        c = 2.0 * scale * a
         c[0] *= 0.5
         c[1::2] *= -1.0
-        ratio = z / (2.0 * (k[:-1] + 2.0))
+        m = k[:-1]
+        ratio = z / (2.0 * (m + 2.0))
         rest = np.divide(np.abs(c[1:]), 1.0 - ratio,
                          out=np.full(ratio.shape, math.inf),
                          where=ratio < 1.0)
+        # a_0 + 2 (a_1 + ... + a_m) = 2 cumsum - a_0
+        left = 1.0 - (2.0 * np.cumsum(a[:-1]) - a[0])
+        margin = (m + 4.0) * np.finfo(float).eps + 2.0 ** -40
+        rest = np.minimum.accumulate(np.minimum(rest, scale * (left + margin)))
         fits = np.flatnonzero(rest <= tol)
         if fits.size:
-            m = int(fits[0])
-            return c[:m + 1], float(rest[m])
+            cut = int(fits[0])
+            return c[:cut + 1], rest[:cut + 1]
         size *= 2
 
 
@@ -643,6 +664,18 @@ def _gershgorin_top(h):
     return float(np.max(abs(h).sum(axis=1).A1 - np.abs(diag) + diag))
 
 
+def _add_gram(out, sign, part, w):
+    """out += sign sum_(j, i) w_i part[j, :, i] part[j, :, i]^T for a stack
+    part (d, sites, r) and weights w >= 0, as one GEMM: part scaled by sqrt(w)
+    is written site-major into one (sites, d r) buffer q, and the sum is
+    q q^T.  No (d, sites, sites) product is formed."""
+    d, sites, r = part.shape
+    q = np.empty((sites, d, r))
+    np.multiply(part.transpose(1, 0, 2), np.sqrt(w), out=q)
+    q = q.reshape(sites, d * r)
+    out += sign * (q @ q.T)
+
+
 def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
     """Add the (n, n+1) sector pair's Lehmann terms into s[tau], and a bound
     on what they leave out or get wrong into bound[tau].
@@ -655,24 +688,38 @@ def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
     carries 1/2, completeness removes e^(-|tau| K), and otherwise a
     polynomial p(K) approximates e^(-|tau| K / 2) on either side, so each
     term is a weighted Gram entry, symmetric in x and y, at half the
-    propagation.  p is the Chebyshev series of _chebyshev on [lo, hi]: lo
-    is the other sector's lowest eigenvalue (its lowest kept value, or its
-    floor when it keeps none) less the offset, at least 0 since K0 is the
-    global ground value, and hi the Gershgorin upper end of K.  Its error
-    delta bounds ||p(K) - e^(-|tau| K / 2)||, so ||p(K)|| <= 1 + delta and
-    each kept term is off by at most w (2 delta + delta^2), since
-    ||a_x|| = 1; the series is cut where that sums to at most _TAIL over the
-    slab.  The thermal side is cut to the slab `_slab` leaves, and every
-    dropped term is at most its weight.  One stack of a_y+ |i> (or a_x |j>)
-    over all sites serves every time of a branch; it is one sparse product
-    with the pair's stacked annihilators, built and propagated in chunks of
-    thermal states of at most _STACK_ELEMENTS entries.
+    propagation.  The thermal side is cut to the slab `_slab` leaves, and
+    every dropped term is at most its weight.
+
+    p is the Chebyshev series of _chebyshev on [lo, hi]: lo is the other
+    sector's lowest eigenvalue (its lowest kept value, or its floor when it
+    keeps none) less the offset, at least 0 since K0 is the global ground
+    value, and hi the Gershgorin upper end of K.  Each of the k states of a
+    slab has an equal share _TAIL / (3 k) of the error, so state i has the
+    tolerance delta_i = _TAIL / (3 k w_i).  Every entry of its term is at
+    most w_i e^(-|tau| lo), since ||a_x|| = 1: where e^(-|tau| lo) <= delta_i
+    that amount is added to the bound and the state is not propagated, and a
+    branch with no state left builds no H, stack or series.  The others
+    share one series, cut at the smallest delta_i; state i takes it to the
+    first degree whose rest rho_i is at most delta_i, so ||p_i(K)|| <= 1 +
+    rho_i and its term is off by at most w_i (2 rho_i + rho_i^2).  w does
+    not increase along the slab, so the degrees do not either, and states
+    of one degree are contiguous: each such run is propagated and added into
+    s[tau] before the next starts.  One stack of a_y+ |i> (or a_x |j>) over
+    all sites serves every time of a branch; it is one sparse product with
+    the pair's stacked annihilators, built in chunks of thermal states of at
+    most _STACK_ELEMENTS entries.  Each Gram block is one GEMM (_add_gram).
     """
     sec, sec1 = spectral.sectors[n], spectral.sectors[n + 1]
     stacks = None  # (up, down), built once a branch keeps a term
     for sign, thermal, other, side in ((1.0, n, n + 1, 0),
                                        (-1.0, n + 1, n, 1)):
-        terms = []
+        target = spectral.sectors[other]
+        offset = mu * target.n_particles + k0
+        kept = spectral.energies[other]
+        lowest = kept[0] if kept.size else spectral.floors[other]
+        lo = max(float(lowest) - offset, 0.0)
+        terms = []  # (tau, w, delta); delta None at tau = 0
         for tau in s:
             if sign * tau < 0.0:
                 continue
@@ -681,48 +728,57 @@ def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
                 w = 0.5 * w  # a copy: weights[tau] serves every pair
             keep, dropped = _slab(w)
             bound[tau] += dropped
+            w, delta = w[:keep], None
+            if tau != 0.0 and keep:
+                # every entry of state i's term is at most w_i e^(-|tau| lo)
+                share, most = _TAIL / (3.0 * keep), math.exp(-abs(tau) * lo)
+                keep = int(np.count_nonzero(w * most > share))
+                bound[tau] += most * float(np.sum(w[keep:]))
+                w = w[:keep]
+                delta = share / w
             if keep:
-                terms.append((tau, w[:keep]))
+                terms.append((tau, w, delta))
         if not terms:
             continue
         if stacks is None:
             stacks = _stacks(sec, sec1)
         ann = stacks[side]
-        target = spectral.sectors[other]
         dim = len(target)
-        series = {}
-        if any(tau != 0.0 for tau, _ in terms):
+        if any(delta is not None for _, _, delta in terms):
             h = build_hamiltonian(spectral.params, target)
-            offset = mu * target.n_particles + k0
-            kept = spectral.energies[other]
-            lowest = kept[0] if kept.size else spectral.floors[other]
-            lo = max(float(lowest) - offset, 0.0)
             r = 0.5 * max(_gershgorin_top(h) - offset - lo, 0.0)
             # 2 y, where y = (K - lo - r) / r maps [lo, lo + 2 r] onto [-1, 1]
             y2 = (h - (offset + lo + r) * sp.identity(dim, format="csr")
                   ) * (2.0 / r) if r > 0.0 else None
-            for tau, w in terms:
-                if tau != 0.0:
-                    total = float(np.sum(w))
-                    series[tau], delta = _chebyshev(
-                        0.5 * abs(tau), lo, lo + 2.0 * r, _TAIL / (3.0 * total))
-                    bound[tau] += (2.0 + delta) * delta * total
-        rows = max(w.size for _, w in terms)
+        series = {}
+        for tau, w, delta in terms:
+            if delta is not None:
+                c, rest = _chebyshev(0.5 * abs(tau), lo, lo + 2.0 * r,
+                                     delta[0])
+                # rest does not increase: the first degree within delta_i
+                degrees = np.searchsorted(-rest, -delta)
+                rho = rest[degrees]
+                bound[tau] += float(np.sum(w * (2.0 + rho) * rho))
+                series[tau] = c, degrees
+        rows = max(w.size for _, w, _ in terms)
         chunk = max(1, _STACK_ELEMENTS // (dim * sec.n_sites))
         for i0 in range(0, rows, chunk):
             v = spectral.vectors[thermal][:, i0:min(i0 + chunk, rows)]
             # stack[:, x, i] is a_x+ |i> in sector n+1, or a_x |i> in sector n
             stack = (ann @ v).reshape(dim, sec.n_sites, -1)
-            for tau, w in terms:
-                if w.size <= i0:
+            for tau, w, _ in terms:
+                i1 = min(i0 + chunk, w.size)
+                if i1 <= i0:
                     continue
-                part = stack[:, :, :w.size - i0]
-                if tau in series:
-                    part = _propagate(y2, series[tau], part)
-                # batched Gram products over the other sector's states: no
-                # transposed copy of the chunk, unlike one tensordot
-                s[tau] += sign * np.matmul(part * w[i0:i0 + chunk],
-                                           part.transpose(0, 2, 1)).sum(axis=0)
+                if tau not in series:
+                    _add_gram(s[tau], sign, stack[:, :, :i1 - i0], w[i0:i1])
+                    continue
+                c, degrees = series[tau]
+                starts = np.flatnonzero(np.diff(degrees[i0:i1])) + 1
+                for a, b in zip([0, *starts], [*starts, i1 - i0]):
+                    part = _propagate(y2, c[:degrees[i0 + a] + 1],
+                                      stack[:, :, a:b])
+                    _add_gram(s[tau], sign, part, w[i0 + a:i0 + b])
 
 
 def _lehmann(spectral, nu, times):
@@ -734,9 +790,10 @@ def _lehmann(spectral, nu, times):
     tau with |tau| <= beta/2, so they share one propagation; the blocks are
     first extended until their tail at exponent beta - max |tau| is
     resolved, which leaves every floor above K0 + mu n and so also resolves
-    the tail of Z at beta.  The bound adds the dropped slab weight, the error
-    of the Chebyshev propagation, the tail at beta - |tau| and the tail of Z,
-    divided by Z.  t = 0 means the mean of the one-sided limits.
+    the tail of Z at beta.  The bound adds the dropped slab weight, the
+    terms of states too light to propagate, the error of the Chebyshev
+    propagation, the tail at beta - |tau| and the tail of Z, divided by Z.
+    t = 0 means the mean of the one-sided limits.
     """
     times = [float(t) for t in times]
     beta, n_sites = spectral.params.beta, spectral.params.n_sites

@@ -5,7 +5,8 @@ one-body eigenpairs (oracles of the Lehmann kernel), the Fock structure
 built from scratch for every call (oracles of the per-sector structure the
 package builds once: a sector's masks by an enumeration of the whole space,
 the Hamiltonian and the stacked annihilators by COO -> CSR conversion on
-those masks), the brute-force scan of the frequency Diophantine constant
+those masks), the Gram step of the Lehmann kernel by batched products (oracle
+of its single GEMM), the brute-force scan of the frequency Diophantine constant
 (oracle of its evaluation at the convergent denominators), the dense inertia
 count (oracle of the sparse one that certifies thermal blocks), the
 partition-of-unity and telescoping residuals of the scale decomposition, and
@@ -112,6 +113,13 @@ def annihilators_from_scratch(sector_n, sector_np1):
     down = sp.csr_matrix((signs, (j0 * n_sites + x, j1)),
                          shape=(d0 * n_sites, d1))
     return up, down
+
+
+def gram_by_batched_products(part, w):
+    """sum_(j, i) w_i part[j, :, i] part[j, :, i]^T for a stack part
+    (d, sites, r): one batched (sites, sites) product per j, summed after,
+    through a (d, sites, sites) temporary."""
+    return np.matmul(part * w, part.transpose(0, 2, 1)).sum(axis=0)
 
 
 def frequency_constant_by_scan(omega, tau, q_max):

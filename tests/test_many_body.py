@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -13,8 +14,8 @@ import quasiloc as q
 from quasiloc import many_body
 from quasiloc.many_body import enumerate_sector
 from oracles import (annihilators_from_scratch, dense_count_below,
-                     hamiltonian_from_scratch, one_body_correlation_matrix,
-                     sector_from_scratch)
+                     gram_by_batched_products, hamiltonian_from_scratch,
+                     one_body_correlation_matrix, sector_from_scratch)
 
 
 def dense_diagonalize(params):
@@ -201,6 +202,15 @@ def test_zero_temperature_reach_at_l28():
     spd = q.diagonalize(p)
     assert spd.tail_certified
     assert q.mean_particle_number(spd, p.nu) == pytest.approx(2.0, abs=1e-12)
+    # the t = 0 read holds a few stack-sized blocks (the 3,654-state sector 3
+    # times 29 sites, 0.8 MB each), never a (d, sites, sites) product (25 MB)
+    tracemalloc.start()
+    try:
+        q.equal_time_matrix(spd, p.nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_occupancy_counts():
@@ -1065,6 +1075,26 @@ def test_failed_count_guard_leaves_block_uncertified(monkeypatch, l12):
 
 # ---- Chebyshev propagation --------------------------------------------------
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 12), st.integers(1, 9),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([-1.0, 1.0]))
+def test_gram_step_matches_batched_oracle_property(d, sites, r, seed, sign):
+    # the one GEMM sums in another order than the batched products; each
+    # entry is a dot product of d r terms, off by at most about d r eps
+    # times the same sum of absolute values
+    rng = np.random.default_rng(seed)
+    part = rng.standard_normal((d, sites, r))
+    w = np.sort(rng.random(r))[::-1]
+    start = rng.standard_normal((sites, sites))
+    out = start.copy()
+    many_body._add_gram(out, sign, part, w)
+    expect = start + sign * gram_by_batched_products(part, w)
+    size = gram_by_batched_products(np.abs(part), w)
+    assert np.all(np.abs(out - expect)
+                  <= 2.0 * (d * r + 2) * np.finfo(float).eps
+                  * (size + np.abs(start)))
+
+
 def chebyshev_values(coefficients, lo, hi, x):
     """sum_k c_k T_k(y(x)) in closed form, T_k(y) = cos(k arccos y)."""
     if coefficients.size == 1:
@@ -1079,7 +1109,8 @@ def chebyshev_values(coefficients, lo, hi, x):
        st.sampled_from([1e-2, 1e-8, 1e-16, 1e-20]))
 def test_chebyshev_series_bounds_its_error_property(tau, lo, width, tol):
     hi = lo + width
-    c, delta = many_body._chebyshev(tau, lo, hi, tol)
+    c, rest = many_body._chebyshev(tau, lo, hi, tol)
+    delta = rest[-1]
     assert 0.0 <= delta <= tol
     # lo >= 0: the coefficients sum to at most e^(-tau lo) <= 1, so rounding
     # in the recurrence is not amplified
@@ -1089,12 +1120,39 @@ def test_chebyshev_series_bounds_its_error_property(tau, lo, width, tol):
     assert np.all(err <= delta + 1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 400.0), st.floats(0.0, 0.2), st.floats(0.0, 30.0),
+       st.sampled_from([1e-2, 1e-8, 1e-16, 1e-20]))
+@example(200.0, 0.1, 20.0, 1e-16)  # z = 2000, cut at degree 244 < z / 2
+@example(80.0, 0.0, 25.0, 1e-16)  # z = 1000, where 1 - ive(0) - ... rounds
+def test_chebyshev_rest_bounds_every_left_out_tail_property(tau, lo, width,
+                                                            tol):
+    # at every degree a state may be cut at, m < z / 2 included, the rest
+    # covers the coefficients left out, summed from ive out to underflow
+    hi = lo + width
+    c, rest = many_body._chebyshev(tau, lo, hi, tol)
+    assert c.size == rest.size and rest[-1] <= tol
+    assert np.all(np.diff(rest) <= 0.0)
+    z, size = 0.5 * tau * (hi - lo), 64
+    while True:
+        a = ive(np.arange(size), z)
+        if a[-1] == 0.0:
+            break
+        size *= 2
+    left_out = 2.0 * math.exp(-tau * lo) * np.cumsum(a[::-1])[::-1]
+    # at tiny z the ratio bound is tight, so the two sums, each rounded, are
+    # compared to 8 ulps; a missing rounding margin under-reports far more
+    ulps = 1.0 - 8.0 * np.finfo(float).eps
+    assert np.all(rest >= ulps * left_out[1:c.size + 1])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_chebyshev_skips_degrees_past_the_tail_bound_silently():
     # z = tau (hi - lo) / 2 = 4 gives z / (2 (k + 2)) exactly 1 at k = 0,
     # where the tail bound does not hold; that degree must be passed over
     # without dividing by zero, and the cut stays where it was
-    c, delta = many_body._chebyshev(4.0, 0.0, 2.0, 1e-16)
+    c, rest = many_body._chebyshev(4.0, 0.0, 2.0, 1e-16)
+    delta = rest[-1]
     k = np.arange(c.size + 1)
     ref = 2.0 * ive(k, 4.0) * (-1.0) ** k
     ref[0] *= 0.5
@@ -1108,8 +1166,8 @@ def test_one_state_interval_is_exact():
     # a 1-state sector has hi = lo, so r = 0: the series is the constant
     # e^(-tau lo) with no error, and _propagate applies no operator (the
     # kernel builds none, as it would divide by r)
-    c, delta = many_body._chebyshev(3.0, 0.25, 0.25, 1e-16)
-    assert c.tolist() == [math.exp(-0.75)] and delta == 0.0
+    c, rest = many_body._chebyshev(3.0, 0.25, 0.25, 1e-16)
+    assert c.tolist() == [math.exp(-0.75)] and rest.tolist() == [0.0]
     stack = np.arange(6.0).reshape(2, 3, 1)
     np.testing.assert_array_equal(many_body._propagate(None, c, stack),
                                   math.exp(-0.75) * stack)
@@ -1128,12 +1186,29 @@ def test_propagation_interval_starts_at_the_lower_bound_of_K():
                                rtol=0.0, atol=1e-12)
 
 
+# at tau = 0.28 beta the ground state (sector 1) is dropped from the branch
+# into sector 2: its term there, 4e-8, is covered only by what the drop adds
+# to the bound
+DROP_DRAW = q.ModelParams(L=2, beta=57.601974535376115,
+                          eps=-0.03331307421173202, U=0.5764737010567073,
+                          theta=0.5139704021956438, x_hat=-1)
+
+# at beta = 1 the states of a slab weigh about alike and runs of them share
+# a degree: the error reaches 0.72 of the bound, whose propagation part sums
+# each state's own weight, not its run's smallest
+RUN_DRAW = q.ModelParams(L=2, beta=1.0, eps=0.0, U=0.0, theta=0.5, x_hat=-1)
+
+
 @settings(max_examples=25, deadline=None)
-@given(chains(sizes=(2, 4, 6), betas=(0.5, 60.0)), st.floats(0.01, 0.5),
+@given(chains(sizes=(2, 4, 6, 8), betas=(0.5, 60.0)), st.floats(0.01, 0.5),
        st.sampled_from([-1.0, 1.0]), st.sampled_from([1e-3, 1e-6, 1e-10]))
+@example((DROP_DRAW, q.diagonalize(DROP_DRAW)), 0.2845247580618008, 1.0, 1e-6)
+@example((RUN_DRAW, q.diagonalize(RUN_DRAW)), 0.25, -1.0, 1e-3)
 def test_propagation_bound_covers_its_error_property(chain, frac, sign, tail):
     # at a coarse tail the series is cut far above rounding, so the bound
-    # the kernel reports is tested against errors it must actually cover
+    # the kernel reports is tested against errors it must actually cover:
+    # at large beta and |tau| the states of a slab take different degrees,
+    # and the lightest are dropped with their weight times e^(-|tau| lo)
     p, spd = chain
     times = [sign * frac * p.beta]
     with pytest.MonkeyPatch.context() as mp:
