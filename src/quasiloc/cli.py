@@ -7,6 +7,7 @@ bit-reproducible.  Exit status: 0 success, 1 runtime error, 2 invalid flags.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -72,7 +73,15 @@ def _model_flags(p, skip=()):
             p.add_argument("--" + name, type=kind, default=default)
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process; main never changes it."""
+    return _new_parser()
+
+
+def _new_parser():
+    """A fresh parser of every subcommand and flag."""
     parser = argparse.ArgumentParser(
         prog="quasiloc",
         description="quasi-periodic fermionic chain laboratory")
@@ -291,6 +300,9 @@ def main(argv=None):
             bad = set(overrides) - (set(vars(pre)) - {"config", "subcommand"})
             if bad:
                 raise ValueError(f"unknown keys {sorted(bad)}")
+            # the overrides go to a parser of this run's own: the shared one
+            # keeps the built-in defaults
+            parser = _new_parser()
             if "output" in overrides:
                 parser.set_defaults(output=overrides.pop("output"))
             # a subcommand parses into a fresh namespace, so its own parser

@@ -29,11 +29,16 @@ eigenstates: completeness at t = 0, and otherwise KMS to bring t into
 Each thermal state has an equal share of the error: a state too light to
 matter at that tau is dropped with its bound, and the others take the series
 only to the degree their own weight needs.  Every term is a weighted Gram
-entry, summed by one GEMM per block of thermal states, so a read holds a few
-blocks of the size of its stack and no (states, sites, sites) product.
-Energies entering any exponential are shifted by the global ground value K0
-of E - mu N, which leaves all observables invariant and keeps every weight
-in (0, 1].
+entry.  Each term forms its own stacks, a block of thermal states at a time
+through one side of the pair's annihilators, and sums each one in
+cache-sized slices with no copy, so a read holds one stack and its
+propagation at a time and no (states, sites, sites) product.  The Fock layer
+builds only what a read uses: a sector's occupations from its masks, H's
+hopping pattern when H is first built, and each side of a sector pair's
+annihilators from the masks of its source sector when a branch with terms
+first needs it.  Energies entering any exponential are shifted by the
+global ground value K0 of E - mu N, which leaves all observables invariant
+and keeps every weight in (0, 1].
 """
 
 import functools
@@ -43,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import eigsh, splu
 from scipy.special import ive
 
@@ -92,17 +98,29 @@ def _masks(n_sites, n):
     return masks
 
 
-@dataclass(frozen=True)
-class _Structure:
-    """What a sector's Hamiltonian and annihilators take from the basis
-    alone, shared by every ModelParams at its size.  All arrays read-only.
+@functools.cache
+def _occupations(sector):
+    """(dim, n_sites) int8 bit occupations of a FockSector's masks, shared
+    and read-only; filled one site column at a time, so no (dim, n_sites)
+    temporary wider than the result is formed."""
+    states = sector.states
+    occ = np.empty((states.size, sector.n_sites), dtype=np.int8)
+    for x in range(sector.n_sites):
+        np.bitwise_and(states >> x, 1, out=occ[:, x], casting="unsafe")
+    _read_only(occ)
+    return occ
 
-    occ: (dim, n_sites) int8 bit occupations; bonds: occupied bonds per
-    state; indices and indptr: the CSR pattern of H with hopping, each row's
-    columns ascending, as COO -> CSR conversion leaves them; diagonal: where
-    the diagonal entries sit in its data.
+
+@dataclass(frozen=True)
+class _Pattern:
+    """What a sector's Hamiltonian takes from the basis beyond its
+    occupations, shared by every ModelParams at its size.  All arrays
+    read-only.
+
+    bonds: occupied bonds per state; indices and indptr: the CSR pattern of
+    H with hopping, each row's columns ascending, as COO -> CSR conversion
+    leaves them; diagonal: where the diagonal entries sit in its data.
     """
-    occ: np.ndarray
     bonds: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
@@ -110,11 +128,10 @@ class _Structure:
 
 
 @functools.cache
-def _structure(sector):
-    """The _Structure of a FockSector."""
-    states = sector.states
+def _pattern(sector):
+    """The _Pattern of a FockSector, built when its H is first built."""
+    states, occ = sector.states, _occupations(sector)
     dim = states.size
-    occ = ((states[:, None] >> np.arange(sector.n_sites)) & 1).astype(np.int8)
     bonds = np.sum(occ[:, :-1] & occ[:, 1:], axis=1, dtype=np.int8)
     # exactly one of the two neighboring sites occupied; an adjacent hop
     # crosses no occupied site, so its sign is +1
@@ -128,9 +145,9 @@ def _structure(sector):
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
     diagonal = np.flatnonzero(order < dim).astype(np.int32)
-    _read_only(occ, bonds, indices, indptr, diagonal)
-    return _Structure(occ=occ, bonds=bonds, indices=indices, indptr=indptr,
-                      diagonal=diagonal)
+    _read_only(bonds, indices, indptr, diagonal)
+    return _Pattern(bonds=bonds, indices=indices, indptr=indptr,
+                    diagonal=diagonal)
 
 
 def build_hamiltonian(params, sector):
@@ -143,52 +160,60 @@ def build_hamiltonian(params, sector):
     has its own data, but its indices and indptr are the sector's shared,
     read-only pattern.
     """
-    st = _structure(sector)
+    pattern = _pattern(sector)
     phi = np.asarray(onsite_energy(params, params.sites), dtype=float)
-    diag = st.occ @ phi
+    diag = _occupations(sector) @ phi
     if params.U != 0.0:
-        diag = diag + 2.0 * params.U * st.bonds
+        diag = diag + 2.0 * params.U * pattern.bonds
     dim = len(sector)
-    data = np.full(st.indices.size, -params.eps)
-    data[st.diagonal] = diag
-    return sp.csr_matrix((data, st.indices, st.indptr), shape=(dim, dim))
-
-
-def _stack(occ, hits, source, target):
-    """CSR stack whose row j S + x holds, for each (j, x) in hits, the sign
-    of flipping bit x of source[j] in the column of the flipped mask in
-    target; other rows are empty."""
-    j, x = np.nonzero(hits)
-    below = np.cumsum(occ, axis=1) - occ
-    data = 1.0 - 2.0 * (below[j, x] & 1)
-    indices = np.searchsorted(target, source[j] ^ (1 << x)).astype(np.int32)
-    indptr = np.zeros(hits.size + 1, dtype=np.int32)
-    np.cumsum(hits.ravel(), out=indptr[1:])
-    _read_only(data, indices, indptr)
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(hits.size, target.size))
+    data = np.full(pattern.indices.size, -params.eps)
+    data[pattern.diagonal] = diag
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=(dim, dim))
 
 
 @functools.cache
-def _stacks(sector_n, sector_np1):
-    """Every a_x from the (N+1)-sector to the N-sector, stacked site-minor.
+def _side(sector_n, sector_np1, side):
+    """One side of the pair's stacked annihilators, shared and read-only.
 
-    Returns (up, down): up = vstack_x a_x^T of shape (d_{N+1} S, d_N) and
-    down = vstack_x a_x of shape (d_N S, d_{N+1}), S = n_sites, with row
-    j S + x holding row j of a_x^T (or a_x).  So up @ v reshaped to
-    (d_{N+1}, S, r) holds a_x+ v[:, i] at [:, x, i], and the rows x::S of
-    down are a_x: a_x^T has an entry where x is occupied in the (N+1)-state,
-    a_x where it is empty in the N-state.  Each a_x has at most one entry,
-    +1 or -1, per row and per column, so products with either stack are
-    exact.  The pair depends only on the sectors, so it is built once per
-    process and shared, read-only.
+    side 0 is up = vstack_x a_x^T, (d_{N+1} S, d_N), and side 1 is
+    down = vstack_x a_x, (d_N S, d_{N+1}), S = n_sites, with row j S + x
+    holding row j of a_x^T (or a_x).  So up @ v reshaped to (d_{N+1}, S, r)
+    holds a_x+ v[:, i] at [:, x, i], and the rows x::S of down are a_x.
+    Each a_x has at most one entry, +1 or -1, per row and per column, so
+    products with either side are exact.  Each side is built from the masks
+    and occupations of its source sector alone (the N-sector for up, the
+    (N+1)-sector for down), one site column at a time, and stored CSC: a
+    source state has the same number of entries in every column (its empty
+    sites for up, its occupied ones for down), so no row pointer of length
+    d S exists.  Within a column the rows ascend: along x for up, against
+    it for down, where a higher bit removed leaves a lower mask.
 
-    Convention: removing (or adding) a particle at bit b carries the sign
-    (-1)^(number of occupied bits below b).
+    Convention: removing (or adding) a particle at bit x of a mask carries
+    the sign (-1)^(number of occupied bits below x).
     """
-    occ, occ1 = _structure(sector_n).occ, _structure(sector_np1).occ
-    return (_stack(occ1, occ1 == 1, sector_np1.states, sector_n.states),
-            _stack(occ, occ == 0, sector_n.states, sector_np1.states))
+    n, n_sites = sector_n.n_particles, sector_n.n_sites
+    source, target = ((sector_n, sector_np1) if side == 0
+                      else (sector_np1, sector_n))
+    masks, occ = source.states, _occupations(source)
+    per = n_sites - n if side == 0 else n + 1  # entries per column
+    data = np.empty(masks.size * per)
+    indices = np.empty(masks.size * per, dtype=np.int32)
+    for x in range(n_sites):
+        # up adds a particle where x is empty (0), down removes one where
+        # it is occupied (1)
+        j = np.flatnonzero(occ[:, x] == side)
+        m = masks[j]
+        below = np.bitwise_count(m & ((1 << x) - 1))
+        # rank of x among the column's entries, in ascending row order
+        at = j * per + (x - below if side == 0 else n - below)
+        flipped = np.searchsorted(target.states, m ^ (1 << x))
+        indices[at] = flipped * n_sites + x
+        data[at] = 1.0 - 2.0 * (below & 1)
+    indptr = np.arange(0, masks.size * per + 1, per, dtype=np.int32)
+    _read_only(data, indices, indptr)
+    return sp.csc_matrix((data, indices, indptr),
+                         shape=(len(target) * n_sites, masks.size))
 
 
 _DENSE_MAX = 500  # largest sector diagonalized densely and kept whole
@@ -202,7 +227,8 @@ _PIVOT_FRACTION = 1e-3  # smallest |pivot| of a trusted count, per Ritz spacing
 _GAP = 1e-8  # smallest spacing of Ritz values a floor may sit in
 _TAIL = 1e-16  # largest summed Boltzmann factor a read may leave out
 _SEED = 5065  # of the Lanczos start vectors
-_STACK_ELEMENTS = 1 << 22  # entries of one stack chunk (32 MB)
+_STACK_ELEMENTS = 1 << 22  # entries of one stack block (32 MB)
+_GRAM_ELEMENTS = 8192  # entries of one site-major Gram slice (64 KB)
 
 
 def _whole(h):
@@ -522,7 +548,7 @@ def _weyl_profile(params, levels, sector):
     inequality the i-th eigenvalue of H is at least the i-th of those plus
     _pair_shift.  _GAP keeps the bound below the rounding of the sums.
     """
-    free = np.sort(_structure(sector).occ @ levels)
+    free = np.sort(_occupations(sector) @ levels)
     return free + _pair_shift(params.U, sector.n_particles,
                               params.n_sites) - _GAP
 
@@ -664,16 +690,30 @@ def _gershgorin_top(h):
     return float(np.max(abs(h).sum(axis=1).A1 - np.abs(diag) + diag))
 
 
-def _add_gram(out, sign, part, w):
-    """out += sign sum_(j, i) w_i part[j, :, i] part[j, :, i]^T for a stack
-    part (d, sites, r) and weights w >= 0, as one GEMM: part scaled by sqrt(w)
-    is written site-major into one (sites, d r) buffer q, and the sum is
-    q q^T.  No (d, sites, sites) product is formed."""
+def _add_gram(out, sign, part):
+    """out += sign sum_(j, i) part[j, :, i] part[j, :, i]^T for a stack part
+    (d, sites, r), as q q^T with q the stack laid out site-major,
+    (sites, d r).  For r = 1 that q is a transposed view of part, and the
+    sum is one BLAS call.  Otherwise the rows j are taken in fixed slices,
+    as many as fit _GRAM_ELEMENTS entries (at least one): each slice is
+    copied site-major into one cache-sized buffer and summed by one general
+    GEMM, which at a few sites is faster than the syrk that q @ q.T
+    dispatches to.  Neither a (d, sites, sites) product nor a copy of part
+    is formed."""
     d, sites, r = part.shape
-    q = np.empty((sites, d, r))
-    np.multiply(part.transpose(1, 0, 2), np.sqrt(w), out=q)
-    q = q.reshape(sites, d * r)
-    out += sign * (q @ q.T)
+    if r == 1:
+        q = part.reshape(d, sites).T
+        out += sign * (q @ q.T)
+        return
+    rows = min(d, max(1, _GRAM_ELEMENTS // (sites * r)))
+    buffer = np.empty(sites * rows * r)
+    for j0 in range(0, d, rows):
+        m = min(rows, d - j0)
+        q = buffer[:sites * m * r].reshape(sites, m, r)
+        np.copyto(q, part[j0:j0 + m].transpose(1, 0, 2))
+        # q^T in Fortran order, as BLAS reads it without a copy
+        qt = q.reshape(sites, m * r).T
+        out += sign * dgemm(1.0, qt, qt, trans_a=True)
 
 
 def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
@@ -699,19 +739,24 @@ def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
     tolerance delta_i = _TAIL / (3 k w_i).  Every entry of its term is at
     most w_i e^(-|tau| lo), since ||a_x|| = 1: where e^(-|tau| lo) <= delta_i
     that amount is added to the bound and the state is not propagated, and a
-    branch with no state left builds no H, stack or series.  The others
-    share one series, cut at the smallest delta_i; state i takes it to the
-    first degree whose rest rho_i is at most delta_i, so ||p_i(K)|| <= 1 +
-    rho_i and its term is off by at most w_i (2 rho_i + rho_i^2).  w does
-    not increase along the slab, so the degrees do not either, and states
-    of one degree are contiguous: each such run is propagated and added into
-    s[tau] before the next starts.  One stack of a_y+ |i> (or a_x |j>) over
-    all sites serves every time of a branch; it is one sparse product with
-    the pair's stacked annihilators, built in chunks of thermal states of at
-    most _STACK_ELEMENTS entries.  Each Gram block is one GEMM (_add_gram).
+    branch with no state left builds no H, annihilators or series.  The
+    others share one series per time, cut at the smallest delta_i; state i
+    takes it to the first degree whose rest rho_i is at most delta_i, so
+    ||p_i(K)|| <= 1 + rho_i and its term is off by at most
+    w_i (2 rho_i + rho_i^2).  w does not increase along the slab, so the
+    degrees do not either, and states of one degree are contiguous.
+
+    Each (branch, tau) term forms its own stacks of sqrt(w_i) a_y+ |i> (or
+    sqrt(w_j) a_x |j>) over all sites, one sparse product with the branch's
+    side of the pair's annihilators (_side) per run of equal degree, or per
+    block of the slab at tau = 0, each of at most _STACK_ELEMENTS entries.
+    A stack is propagated, added into s[tau] by _add_gram and released
+    before the next is formed, so a read holds one stack and its
+    propagation at a time; the products a time repeats cost far less than
+    its propagation.
     """
     sec, sec1 = spectral.sectors[n], spectral.sectors[n + 1]
-    stacks = None  # (up, down), built once a branch keeps a term
+    sites = sec.n_sites
     for sign, thermal, other, side in ((1.0, n, n + 1, 0),
                                        (-1.0, n + 1, n, 1)):
         target = spectral.sectors[other]
@@ -740,9 +785,7 @@ def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
                 terms.append((tau, w, delta))
         if not terms:
             continue
-        if stacks is None:
-            stacks = _stacks(sec, sec1)
-        ann = stacks[side]
+        ann = _side(sec, sec1, side)
         dim = len(target)
         if any(delta is not None for _, _, delta in terms):
             h = build_hamiltonian(spectral.params, target)
@@ -750,8 +793,11 @@ def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
             # 2 y, where y = (K - lo - r) / r maps [lo, lo + 2 r] onto [-1, 1]
             y2 = (h - (offset + lo + r) * sp.identity(dim, format="csr")
                   ) * (2.0 / r) if r > 0.0 else None
-        series = {}
+        vectors = spectral.vectors[thermal]
+        chunk = max(1, _STACK_ELEMENTS // (dim * sites))
         for tau, w, delta in terms:
+            c = None
+            starts = [0, w.size]
             if delta is not None:
                 c, rest = _chebyshev(0.5 * abs(tau), lo, lo + 2.0 * r,
                                      delta[0])
@@ -759,26 +805,18 @@ def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
                 degrees = np.searchsorted(-rest, -delta)
                 rho = rest[degrees]
                 bound[tau] += float(np.sum(w * (2.0 + rho) * rho))
-                series[tau] = c, degrees
-        rows = max(w.size for _, w, _ in terms)
-        chunk = max(1, _STACK_ELEMENTS // (dim * sec.n_sites))
-        for i0 in range(0, rows, chunk):
-            v = spectral.vectors[thermal][:, i0:min(i0 + chunk, rows)]
-            # stack[:, x, i] is a_x+ |i> in sector n+1, or a_x |i> in sector n
-            stack = (ann @ v).reshape(dim, sec.n_sites, -1)
-            for tau, w, _ in terms:
-                i1 = min(i0 + chunk, w.size)
-                if i1 <= i0:
-                    continue
-                if tau not in series:
-                    _add_gram(s[tau], sign, stack[:, :, :i1 - i0], w[i0:i1])
-                    continue
-                c, degrees = series[tau]
-                starts = np.flatnonzero(np.diff(degrees[i0:i1])) + 1
-                for a, b in zip([0, *starts], [*starts, i1 - i0]):
-                    part = _propagate(y2, c[:degrees[i0 + a] + 1],
-                                      stack[:, :, a:b])
-                    _add_gram(s[tau], sign, part, w[i0 + a:i0 + b])
+                starts = [0, *(np.flatnonzero(np.diff(degrees)) + 1), w.size]
+            for a, b in zip(starts[:-1], starts[1:]):
+                for i0 in range(a, b, chunk):
+                    i1 = min(i0 + chunk, b)
+                    # stack[:, x, i] is sqrt(w_i) a_x+ |i> in sector n+1,
+                    # or sqrt(w_i) a_x |i> in sector n
+                    v = vectors[:, i0:i1] * np.sqrt(w[i0:i1])
+                    stack = (ann @ v).reshape(dim, sites, -1)
+                    if c is not None:
+                        stack = _propagate(y2, c[:degrees[i0] + 1], stack)
+                    _add_gram(s[tau], sign, stack)
+                    del stack  # before the next product is formed
 
 
 def _lehmann(spectral, nu, times):
@@ -843,7 +881,7 @@ def occupations(spectral, nu):
     occ = np.zeros(spectral.params.n_sites)
     for w, v, sec in zip(weights, spectral.vectors, spectral.sectors):
         if w.size:
-            occ += ((v ** 2) @ w) @ _structure(sec).occ
+            occ += ((v ** 2) @ w) @ _occupations(sec)
     return occ / z
 
 

@@ -4,9 +4,10 @@ The free propagator in closed form and the U = 0 two-point matrix from the
 one-body eigenpairs (oracles of the Lehmann kernel), the Fock structure
 built from scratch for every call (oracles of the per-sector structure the
 package builds once: a sector's masks by an enumeration of the whole space,
-the Hamiltonian and the stacked annihilators by COO -> CSR conversion on
-those masks), the Gram step of the Lehmann kernel by batched products (oracle
-of its single GEMM), the brute-force scan of the frequency Diophantine constant
+the Hamiltonian and the stacked annihilators by COO conversion on those
+masks, their signs by a cumulative sum of the occupations), the Gram step of
+the Lehmann kernel by batched products (oracle of its sliced BLAS calls),
+the brute-force scan of the frequency Diophantine constant
 (oracle of its evaluation at the convergent denominators), the dense inertia
 count (oracle of the sparse one that certifies thermal blocks), the
 partition-of-unity and telescoping residuals of the scale decomposition, and
@@ -96,9 +97,13 @@ def hamiltonian_from_scratch(params, sector):
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-def annihilators_from_scratch(sector_n, sector_np1):
-    """(up, down) of many_body._stacks, assembled as COO triplets from the
-    masks of the (N+1)-sector from scratch and converted to CSR."""
+def annihilator_triplets(sector_n, sector_np1, side):
+    """COO triplets (rows, cols, signs) of one side of many_body._side from
+    the masks of both sectors from scratch: side 0 is up = vstack_x a_x^T,
+    side 1 is down = vstack_x a_x, row j S + x holding row j of a_x^T (or
+    a_x).  The sign rule: removing the particle at bit x of an (N+1)-mask
+    carries (-1)^(occupied bits below x), read off a cumulative sum of its
+    occupations."""
     n_sites = sector_np1.n_sites
     states = sector_from_scratch(n_sites - 1, sector_n.n_particles)
     states1 = sector_from_scratch(n_sites - 1, sector_np1.n_particles)
@@ -107,12 +112,21 @@ def annihilators_from_scratch(sector_n, sector_np1):
     below = np.cumsum(occ, axis=1) - occ
     signs = 1.0 - 2.0 * (below[j1, x] & 1)
     j0 = np.searchsorted(states, states1[j1] ^ (1 << x))
-    d0, d1 = states.size, states1.size
-    up = sp.csr_matrix((signs, (j1 * n_sites + x, j0)),
-                       shape=(d1 * n_sites, d0))
-    down = sp.csr_matrix((signs, (j0 * n_sites + x, j1)),
-                         shape=(d0 * n_sites, d1))
-    return up, down
+    if side == 0:
+        return j1 * n_sites + x, j0, signs
+    return j0 * n_sites + x, j1, signs
+
+
+def annihilators_from_scratch(sector_n, sector_np1):
+    """(up, down) of many_body._side, assembled from annihilator_triplets and
+    converted to CSC."""
+    dims = (len(sector_n), len(sector_np1))
+    sides = []
+    for side in (0, 1):
+        rows, cols, signs = annihilator_triplets(sector_n, sector_np1, side)
+        shape = (dims[1 - side] * sector_n.n_sites, dims[side])
+        sides.append(sp.csc_matrix((signs, (rows, cols)), shape=shape))
+    return tuple(sides)
 
 
 def gram_by_batched_products(part, w):

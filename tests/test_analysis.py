@@ -192,29 +192,30 @@ def test_phase_scan_certifies_once_and_fits_no_eigenvector(monkeypatch):
 
 
 def test_phase_scan_builds_each_stack_pair_once(monkeypatch):
-    # the annihilator stacks depend only on the sector pair, so every read
-    # of a scan gets the same objects; the references held here keep a
-    # rebuilt stack from reusing a freed one's id
+    # each side of a pair's annihilators depends only on the sector pair,
+    # so every read of a scan gets the same objects; the references held
+    # here keep a rebuilt side from reusing a freed one's id
     from quasiloc import many_body
 
     seen = {}
-    stacks_of = many_body._stacks
+    side_of = many_body._side
 
-    def spy(sec, sec1):
-        stacks = stacks_of(sec, sec1)
-        seen.setdefault((sec1.n_sites, sec.n_particles), []).append(stacks)
-        return stacks
+    def spy(sec, sec1, side):
+        stack = side_of(sec, sec1, side)
+        seen.setdefault((sec1.n_sites, sec.n_particles), {}).setdefault(
+            side, []).append(stack)
+        return stack
 
-    monkeypatch.setattr(many_body, "_stacks", spy)
+    monkeypatch.setattr(many_body, "_side", spy)
     grid = q.phase_scan([0.0, 0.2], [0.0, 0.1], [40, 80], 6.0)
     assert [pt.error for pt in grid.values()] == [None] * 4
     # three of the four points hop or interact, and each reads every pair
     # with terms (at beta = 6 the full sector's weight is below the slab)
     assert sorted(seen) == [(_SCAN_L + 1, n) for n in range(_SCAN_L)]
-    for stacks in seen.values():
-        assert len(stacks) == 3
-        assert all(s[0] is stacks[0][0] and s[1] is stacks[0][1]
-                   for s in stacks)
+    for sides in seen.values():
+        for stacks in sides.values():
+            assert len(stacks) == 3
+            assert all(s is stacks[0] for s in stacks)
 
 
 def coarse_rate(s, sites, window):

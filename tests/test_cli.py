@@ -215,6 +215,26 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert doc["config"]["parameters"]["tau"] == 1.5
 
 
+def test_config_run_leaves_the_shared_parser_at_its_defaults(tmp_path,
+                                                             capsys):
+    # main reuses one parser per process; a --config run sets its defaults
+    # on a parser of its own, so the next run reads the built-in ones
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"qmax": 500, "tau": 2.0,
+                               "output": str(tmp_path / "cfg.json")}))
+    assert cli.build_parser() is cli.build_parser()
+    status, _, _ = run_cli(["--config", str(cfg), "dioph"], capsys)
+    assert status == 0
+    assert json.loads((tmp_path / "cfg.json").read_text())["config"][
+        "parameters"]["qmax"] == 500
+    status, out, _ = run_cli(["dioph"], capsys)
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["config"]["output"] == "-"
+    assert doc["config"]["parameters"]["qmax"] == 10 ** 5
+    assert doc["config"]["parameters"]["tau"] == 1.5
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"not_a_flag": 1}))

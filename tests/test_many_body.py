@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 import quasiloc as q
 from quasiloc import many_body
 from quasiloc.many_body import enumerate_sector
-from oracles import (annihilators_from_scratch, dense_count_below,
-                     gram_by_batched_products, hamiltonian_from_scratch,
-                     one_body_correlation_matrix, sector_from_scratch)
+from oracles import (annihilator_triplets, annihilators_from_scratch,
+                     dense_count_below, gram_by_batched_products,
+                     hamiltonian_from_scratch, one_body_correlation_matrix,
+                     sector_from_scratch)
 
 
 def dense_diagonalize(params):
@@ -42,7 +44,7 @@ def index_of(sector):
 
 def hamiltonian_loop(params, sector):
     """Reference: the mask-by-mask loop build_hamiltonian used to run."""
-    occ = many_body._structure(sector).occ
+    occ = many_body._occupations(sector)
     phi = np.asarray(q.onsite_energy(params, params.sites), dtype=float)
     diag = occ @ phi
     if params.U != 0.0:
@@ -66,7 +68,7 @@ def hamiltonian_loop(params, sector):
 def annihilation_matrix(sector_n, sector_np1, x_bit):
     """a_x from the (N+1)-sector to the N-sector: the rows x_bit::S of the
     kernel's stacked annihilators."""
-    down = many_body._stacks(sector_n, sector_np1)[1]
+    down = many_body._side(sector_n, sector_np1, 1)
     return down[x_bit::sector_n.n_sites]
 
 
@@ -213,10 +215,50 @@ def test_zero_temperature_reach_at_l28():
     assert peak < 4 * 2 ** 20
 
 
+def test_zero_temperature_reach_gate_at_l36():
+    # sector 3 (7,770 states) keeps the ground block and sector 4 (66,045)
+    # keeps none.  A cold t = 0 read takes only the up side of pair (3, 4),
+    # built from sector 3's masks with about 2.3M entries in CSC, and one
+    # stack of 2.4M entries per thermal state, summed with no copy: no
+    # hopping pattern of sector 4, no down side, no row pointer of 2.4M
+    # entries and no int64 (state, site) temporary
+    p = q.ModelParams(L=36, beta=24576.0, eps=0.1, U=0.1, theta=0.2377)
+    spd = q.diagonalize(p)
+    assert spd.tail_certified
+    assert [n for n, e in enumerate(spd.energies) if e.size] == [0, 1, 3, 36,
+                                                                 37]
+    many_body._side.cache_clear()
+    tracemalloc.start()
+    try:
+        q.equal_time_matrix(spd, p.nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
 def test_occupancy_counts():
     sec = enumerate_sector(4, 2)
-    occ = many_body._structure(sec).occ
+    occ = many_body._occupations(sec)
     np.testing.assert_array_equal(occ.sum(axis=1), 2)
+
+
+def test_occupations_filled_without_a_wide_temporary():
+    # one site column at a time: the 52,360 x 35 int8 occupations (1.8 MB)
+    # take one mask-sized int64 column (0.4 MB) at a time, never an int64
+    # (state, site) array (14.7 MB)
+    sec = enumerate_sector(34, 4)
+    states = sec.states  # the masks themselves are not counted
+    many_body._occupations.cache_clear()
+    tracemalloc.start()
+    try:
+        occ = many_body._occupations(sec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert occ.dtype == np.int8 and occ.shape == (len(sec), 35)
+    np.testing.assert_array_equal(occ, (states[:, None] >> np.arange(35)) & 1)
+    assert peak < 2 * occ.nbytes
 
 
 @pytest.mark.parametrize("L", [2, 4, 6, 8])
@@ -227,7 +269,7 @@ def test_fock_operators_match_loop_reference(L):
         h = q.build_hamiltonian(p, sec)
         assert abs(h - hamiltonian_loop(p, sec)).max() == 0.0
     for sec, sec1 in zip(secs, secs[1:]):
-        up, down = many_body._stacks(sec, sec1)
+        up, down = (many_body._side(sec, sec1, side) for side in (0, 1))
         assert up.shape == (len(sec1) * (L + 1), len(sec))
         assert down.shape == (len(sec) * (L + 1), len(sec1))
         for x_bit in range(L + 1):
@@ -237,9 +279,10 @@ def test_fock_operators_match_loop_reference(L):
                 assert a.nnz == ref.nnz and abs(a - ref).max() == 0.0
 
 
-def assert_same_csr(a, b):
-    """Bit for bit: shape, and indptr, indices and data with their dtypes."""
-    assert a.shape == b.shape
+def assert_same_sparse(a, b):
+    """Bit for bit: format, shape, and indptr, indices and data with their
+    dtypes."""
+    assert a.format == b.format and a.shape == b.shape
     for name in ("indptr", "indices", "data"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
@@ -266,12 +309,34 @@ def test_fock_structure_matches_from_scratch_oracles_property(L, eps, U, draws,
         p = q.ModelParams(L=L, beta=1.0, eps=draws[0] if eps is None else eps,
                           U=draws[1] if U is None else U, theta=theta, x_hat=1)
         for sec in secs:
-            assert_same_csr(q.build_hamiltonian(p, sec),
+            assert_same_sparse(q.build_hamiltonian(p, sec),
                             hamiltonian_from_scratch(p, sec))
     for sec, sec1 in zip(secs, secs[1:]):
-        for stack, ref in zip(many_body._stacks(sec, sec1),
+        for stack, ref in zip((many_body._side(sec, sec1, side)
+                               for side in (0, 1)),
                               annihilators_from_scratch(sec, sec1)):
-            assert_same_csr(stack, ref)
+            assert_same_sparse(stack, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 10), side=st.sampled_from([0, 1]), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_annihilator_sides_match_sign_rule_oracle_property(L, side, data,
+                                                           seed):
+    """Each side built from the masks holds exactly the oracle's COO
+    triplets, and its products with random vectors match the oracle's
+    bit for bit: every row has at most one entry, +1 or -1."""
+    n = data.draw(st.integers(0, L))
+    sec, sec1 = enumerate_sector(L, n), enumerate_sector(L, n + 1)
+    ann = many_body._side(sec, sec1, side)
+    rows, cols, signs = annihilator_triplets(sec, sec1, side)
+    coo = ann.tocoo()
+    assert (sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+            == sorted(zip(rows.tolist(), cols.tolist(), signs.tolist())))
+    ref = sp.coo_matrix((signs, (rows, cols)), shape=ann.shape).tocsr()
+    v = np.random.default_rng(seed).standard_normal((ann.shape[1], 3))
+    assert np.array_equal(ann @ v, ref @ v)
+    assert np.array_equal(ann @ v[:, 0], ref @ v[:, 0])
 
 
 def test_shared_fock_structure_is_read_only():
@@ -279,15 +344,16 @@ def test_shared_fock_structure_is_read_only():
     secs = [enumerate_sector(p.L, n) for n in range(p.n_sites + 1)]
     arrays = []
     for sec in secs:
-        pattern = many_body._structure(sec)
-        arrays += [sec.states, pattern.occ, pattern.bonds, pattern.indices,
-                   pattern.indptr, pattern.diagonal]
+        pattern = many_body._pattern(sec)
+        arrays += [sec.states, many_body._occupations(sec), pattern.bonds,
+                   pattern.indices, pattern.indptr, pattern.diagonal]
         for params in (p, replace(p, eps=0.0)):
             h = q.build_hamiltonian(params, sec)
             assert h.data.flags.writeable
             arrays += [h.indices, h.indptr]
     for sec, sec1 in zip(secs, secs[1:]):
-        for stack in many_body._stacks(sec, sec1):
+        for side in (0, 1):
+            stack = many_body._side(sec, sec1, side)
             arrays += [stack.data, stack.indices, stack.indptr]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -303,7 +369,7 @@ def test_hamiltonians_share_their_pattern_not_their_values():
     assert np.shares_memory(h1.indices, h2.indices)
     assert np.shares_memory(h1.indptr, h2.indptr)
     assert not np.shares_memory(h1.data, h2.data)
-    assert_same_csr(h1, before)
+    assert_same_sparse(h1, before)
     assert abs(h2 - h1).max() > 0.0
 
 
@@ -510,12 +576,12 @@ def test_annihilators_built_only_for_pairs_with_terms(monkeypatch):
     spd = q.diagonalize(p)
     calls = []
 
-    def counted(sector_n, sector_np1):
+    def counted(sector_n, sector_np1, side):
         calls.append(sector_n.n_particles)
-        return annihilators(sector_n, sector_np1)
+        return annihilators(sector_n, sector_np1, side)
 
-    annihilators = many_body._stacks
-    monkeypatch.setattr(many_body, "_stacks", counted)
+    annihilators = many_body._side
+    monkeypatch.setattr(many_body, "_side", counted)
     em = q.equal_time_matrix(spd, p.nu)
     assert 0 < len(calls) < spd.n_sectors - 1
     np.testing.assert_allclose(em, fock_correlation(p, [0.0])[0], atol=1e-12)
@@ -525,21 +591,35 @@ def test_empty_sectors_build_no_hamiltonian_until_propagated(monkeypatch):
     # at beta = 24576 every sector above _DENSE_MAX states stays empty below
     # its one-body floor; no step may build its H or read its occupations,
     # and diagonalize does not even build its masks, except a t != 0 read,
-    # which propagates into the neighbors of the sectors that keep states
+    # which propagates into the neighbors of the sectors that keep states.
+    # A t = 0 read builds neither the hopping pattern of an empty sector nor
+    # a down side (a_x, read from the (N+1)-sector) out of one
     p = q.ModelParams(L=16, beta=24576.0, eps=0.1, U=0.0, theta=0.2377)
-    built, read = [], []
+    built, read, patterns, downs = [], [], [], []
 
     def counted_build(params, sector):
         built.append(sector.n_particles)
         return build(params, sector)
 
-    def counted_structure(sector):
+    def counted_occupations(sector):
         read.append(sector.n_particles)
-        return structure(sector)
+        return occupations(sector)
 
-    build, structure = many_body.build_hamiltonian, many_body._structure
+    def counted_pattern(sector):
+        patterns.append(sector.n_particles)
+        return pattern(sector)
+
+    def counted_side(sector_n, sector_np1, side):
+        if side == 1:
+            downs.append(sector_np1.n_particles)
+        return annihilators(sector_n, sector_np1, side)
+
+    build, occupations = many_body.build_hamiltonian, many_body._occupations
+    pattern, annihilators = many_body._pattern, many_body._side
     monkeypatch.setattr(many_body, "build_hamiltonian", counted_build)
-    monkeypatch.setattr(many_body, "_structure", counted_structure)
+    monkeypatch.setattr(many_body, "_occupations", counted_occupations)
+    monkeypatch.setattr(many_body, "_pattern", counted_pattern)
+    monkeypatch.setattr(many_body, "_side", counted_side)
     spd = q.diagonalize(p)
     empty = {n for n, (s, e) in enumerate(zip(spd.sectors, spd.energies))
              if len(s) > many_body._DENSE_MAX and not e.size}
@@ -549,8 +629,10 @@ def test_empty_sectors_build_no_hamiltonian_until_propagated(monkeypatch):
     assert read and not empty & set(read)
 
     built.clear()
+    patterns.clear()
     corr = q.compute_correlation(spd, p.nu, [0.0])
     assert not empty & set(built)
+    assert downs and not empty & set(downs) and not empty & set(patterns)
     read.clear()
     occ = q.occupations(spd, p.nu)
     assert not empty & set(built)
@@ -801,11 +883,11 @@ def test_high_temperature_sectors_go_dense():
 
 def test_stack_chunks_sum_to_the_whole(monkeypatch):
     # at beta = 20 the slabs of these times differ in length (4 to 20 states
-    # in the larger sectors), and chunks hold 4 to 20 thermal states; a chunk
-    # that starts past a short slab must add nothing to its time.  The
-    # longest slab of a branch is often no multiple of the chunk (18 states
-    # of 21 in chunks of 4, or 20 of 35 in chunks of 8), so its last chunk
-    # ends inside the block, at the slab's end
+    # in the larger sectors), and stack blocks hold 4 to 20 thermal states.
+    # Each term splits its own slab (t = 0) or runs of equal degree into
+    # blocks; a slab or run is often no multiple of the block (18 states in
+    # blocks of 4), so its last block ends inside it, at the slab's or the
+    # run's end
     p = q.ModelParams(L=6, beta=20.0, eps=0.15, U=0.1)
     spd = q.diagonalize(p)
     times = [0.0, 0.3, -1.2, 2.4, 9.0]
@@ -1075,19 +1157,23 @@ def test_failed_count_guard_leaves_block_uncertified(monkeypatch, l12):
 
 # ---- Chebyshev propagation --------------------------------------------------
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(1, 60), st.integers(1, 12), st.integers(1, 9),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([-1.0, 1.0]))
-def test_gram_step_matches_batched_oracle_property(d, sites, r, seed, sign):
-    # the one GEMM sums in another order than the batched products; each
-    # entry is a dot product of d r terms, off by at most about d r eps
-    # times the same sum of absolute values
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([-1.0, 1.0]),
+       st.sampled_from([1, 40, 8192]))
+def test_gram_step_matches_batched_oracle_property(d, sites, r, seed, sign,
+                                                   elements):
+    # the sliced BLAS calls sum in another order than the batched products;
+    # each entry is a dot product of d r terms, off by at most about d r eps
+    # times the same sum of absolute values.  Slices of 1 or 40 entries
+    # take one row or a few at a time, and the last slice is often shorter
     rng = np.random.default_rng(seed)
     part = rng.standard_normal((d, sites, r))
     w = np.sort(rng.random(r))[::-1]
     start = rng.standard_normal((sites, sites))
     out = start.copy()
-    many_body._add_gram(out, sign, part, w)
+    with mock.patch.object(many_body, "_GRAM_ELEMENTS", elements):
+        many_body._add_gram(out, sign, part * np.sqrt(w))
     expect = start + sign * gram_by_batched_products(part, w)
     size = gram_by_batched_products(np.abs(part), w)
     assert np.all(np.abs(out - expect)
