@@ -1,7 +1,7 @@
 """Fixing the counterterm nu so the interacting chain keeps the free filling.
 
 The interacting density at chemical potential mu0 + nu is matched to the
-density of the eps = U = 0 reference at mu0.  Since the Hamiltonian commutes
+density of the U = 0 chain (same eps) at mu0.  Since the Hamiltonian commutes
 with N, nu enters the grand-canonical weights only through mu, so one spectral
 decomposition serves the whole root search: each trial nu reweights the
 stored sector blocks, which grow where a trial nu needs more of them.

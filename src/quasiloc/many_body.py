@@ -23,22 +23,23 @@ time and the lowest floor of E - mu N first, so the sector that holds the
 ground fixes K0 before the others are sized against it, and no read answers
 from an unresolved spectrum.  Every read takes a decomposition and
 the counterterm nu, which only shifts mu = mu0 + nu, so one decomposition
-serves every nu.  The Lehmann kernel needs only thermal
-eigenstates: completeness at t = 0, and otherwise KMS to bring t into
-|t| <= beta/2 and a Chebyshev series of e^(-tau K) for the non-thermal side.
-Each thermal state has an equal share of the error: a state too light to
-matter at that tau is dropped with its bound, and the others take the series
-only to the degree their own weight needs.  Every term is a weighted Gram
-entry.  Each term forms its own stacks, a block of thermal states at a time
-through one side of the pair's annihilators, and sums each one in
-cache-sized slices with no copy, so a read holds one stack and its
-propagation at a time and no (states, sites, sites) product.  The Fock layer
-builds only what a read uses: a sector's occupations from its masks, H's
-hopping pattern when H is first built, and each side of a sector pair's
+serves every nu.  The Lehmann kernel needs only thermal eigenstates: at
+t = 0 the anticommutator leaves delta_xy / 2 - rho(y, x), rho the one-body
+density matrix, and otherwise KMS brings t into |t| <= beta/2 and a
+Chebyshev series of e^(-tau K) stands for the non-thermal side.  Each
+thermal state has an equal share of the error: a state too light to matter
+at that tau is dropped with its bound, and the others take the series only
+to the degree their own weight needs.  Every term is a weighted Gram entry.
+Each term forms its own stacks, a block of thermal states at a time through
+one side of the pair's annihilators, and sums each one in cache-sized
+slices with no copy, so a read holds one stack and its propagation at a
+time and no (states, sites, sites) product.  The Fock layer builds only
+what a read uses: a sector's occupations from its masks, H's hopping
+pattern when H is first built, and each side of a sector pair's
 annihilators from the masks of its source sector when a branch with terms
-first needs it.  Energies entering any exponential are shifted by the
-global ground value K0 of E - mu N, which leaves all observables invariant
-and keeps every weight in (0, 1].
+first needs it, the up side only at t > 0.  Energies entering any
+exponential are shifted by the global ground value K0 of E - mu N, which
+leaves all observables invariant and keeps every weight in (0, 1].
 """
 
 import functools
@@ -187,7 +188,8 @@ def _side(sector_n, sector_np1, side):
     source state has the same number of entries in every column (its empty
     sites for up, its occupied ones for down), so no row pointer of length
     d S exists.  Within a column the rows ascend: along x for up, against
-    it for down, where a higher bit removed leaves a lower mask.
+    it for down, where a higher bit removed leaves a lower mask.  Only a
+    read at tau > 0 takes an up side.
 
     Convention: removing (or adding) a particle at bit x of a mask carries
     the sign (-1)^(number of occupied bits below x).
@@ -693,18 +695,13 @@ def _gershgorin_top(h):
 def _add_gram(out, sign, part):
     """out += sign sum_(j, i) part[j, :, i] part[j, :, i]^T for a stack part
     (d, sites, r), as q q^T with q the stack laid out site-major,
-    (sites, d r).  For r = 1 that q is a transposed view of part, and the
-    sum is one BLAS call.  Otherwise the rows j are taken in fixed slices,
-    as many as fit _GRAM_ELEMENTS entries (at least one): each slice is
-    copied site-major into one cache-sized buffer and summed by one general
-    GEMM, which at a few sites is faster than the syrk that q @ q.T
-    dispatches to.  Neither a (d, sites, sites) product nor a copy of part
-    is formed."""
+    (sites, d r).  The rows j are taken in fixed slices, as many as fit
+    _GRAM_ELEMENTS entries (at least one): each slice is copied site-major
+    into one cache-sized buffer and summed by one general GEMM, which at a
+    few sites is faster than the syrk that q @ q.T dispatches to.  Neither a
+    (d, sites, sites) product nor a copy of part is formed, a single state
+    (r = 1) included."""
     d, sites, r = part.shape
-    if r == 1:
-        q = part.reshape(d, sites).T
-        out += sign * (q @ q.T)
-        return
     rows = min(d, max(1, _GRAM_ELEMENTS // (sites * r)))
     buffer = np.empty(sites * rows * r)
     for j0 in range(0, d, rows):
@@ -720,16 +717,17 @@ def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
     """Add the (n, n+1) sector pair's Lehmann terms into s[tau], and a bound
     on what they leave out or get wrong into bound[tau].
 
-    Branch tau >= 0 sums w_i <i| a_x e^(-tau K) a_y+ |i> over the thermal
+    Branch tau > 0 sums w_i <i| a_x e^(-tau K) a_y+ |i> over the thermal
     states i of sector n, w = e^(-(beta - tau) K) from weights[tau], which
     holds e^(-(beta - |tau|) K) per sector; branch tau <= 0 sums
-    -w_j <j| a_y+ e^(-|tau| K) a_x |j> over those of sector n+1.  No
-    eigenbasis of the other sector enters: at tau = 0, where each branch
-    carries 1/2, completeness removes e^(-|tau| K), and otherwise a
-    polynomial p(K) approximates e^(-|tau| K / 2) on either side, so each
-    term is a weighted Gram entry, symmetric in x and y, at half the
-    propagation.  The thermal side is cut to the slab `_slab` leaves, and
-    every dropped term is at most its weight.
+    -w_j <j| a_y+ e^(-|tau| K) a_x |j> over those of sector n+1.  At
+    tau = 0 that is the pair's share of -Z rho(y, x), and _lehmann adds the
+    Z delta_xy / 2 that the anticommutator fixes, so no other branch runs
+    there.  No eigenbasis of the other sector enters: at tau = 0 there is no
+    e^(-|tau| K) to apply, and otherwise a polynomial p(K) approximates
+    e^(-|tau| K / 2) on either side, so each term is a weighted Gram entry,
+    symmetric in x and y, at half the propagation.  The thermal side is cut
+    to the slab `_slab` leaves, and every dropped term is at most its weight.
 
     p is the Chebyshev series of _chebyshev on [lo, hi]: lo is the other
     sector's lowest eigenvalue (its lowest kept value, or its floor when it
@@ -766,11 +764,9 @@ def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
         lo = max(float(lowest) - offset, 0.0)
         terms = []  # (tau, w, delta); delta None at tau = 0
         for tau in s:
-            if sign * tau < 0.0:
+            if (tau > 0.0) != (sign > 0.0):
                 continue
             w = weights[tau][thermal]
-            if tau == 0.0:
-                w = 0.5 * w  # a copy: weights[tau] serves every pair
             keep, dropped = _slab(w)
             bound[tau] += dropped
             w, delta = w[:keep], None
@@ -831,7 +827,8 @@ def _lehmann(spectral, nu, times):
     the tail of Z at beta.  The bound adds the dropped slab weight, the
     terms of states too light to propagate, the error of the Chebyshev
     propagation, the tail at beta - |tau| and the tail of Z, divided by Z.
-    t = 0 means the mean of the one-sided limits.
+    t = 0 means the mean of the one-sided limits, delta_xy / 2 - rho(y, x):
+    the tau <= 0 branch sums -Z rho, and Z / 2 joins the diagonal of s[0].
     """
     times = [float(t) for t in times]
     beta, n_sites = spectral.params.beta, spectral.params.n_sites
@@ -851,6 +848,8 @@ def _lehmann(spectral, nu, times):
     k0 = spectral.ground_shift(mu)
     for n in range(spectral.n_sectors - 1):
         _add_sector_pair(s, bound, spectral, n, weights, k0, mu)
+    if 0.0 in s:
+        s[0.0][np.diag_indices(n_sites)] += 0.5 * z
     values = np.array([sign * s[tau] for tau, sign in reduced]) / z
     return values, np.array([bound[tau] for tau, _ in reduced]) / z
 

@@ -210,8 +210,9 @@ def test_phase_scan_builds_each_stack_pair_once(monkeypatch):
     grid = q.phase_scan([0.0, 0.2], [0.0, 0.1], [40, 80], 6.0)
     assert [pt.error for pt in grid.values()] == [None] * 4
     # three of the four points hop or interact, and each reads every pair
-    # with terms (at beta = 6 the full sector's weight is below the slab)
-    assert sorted(seen) == [(_SCAN_L + 1, n) for n in range(_SCAN_L)]
+    # with terms: a t = 0 read sums over each pair's upper sector, and at
+    # beta = 6 the full sector's weight is below the slab
+    assert sorted(seen) == [(_SCAN_L + 1, n) for n in range(_SCAN_L - 1)]
     for sides in seen.values():
         for stacks in sides.values():
             assert len(stacks) == 3

@@ -204,8 +204,38 @@ def test_zero_temperature_reach_at_l28():
     spd = q.diagonalize(p)
     assert spd.tail_certified
     assert q.mean_particle_number(spd, p.nu) == pytest.approx(2.0, abs=1e-12)
-    # the t = 0 read holds a few stack-sized blocks (the 3,654-state sector 3
-    # times 29 sites, 0.8 MB each), never a (d, sites, sites) product (25 MB)
+    # the t = 0 read takes the ground sector's one state down into sector 1,
+    # a stack of 29 states times 29 sites; it forms no stack in the
+    # 3,654-state sector 3 (0.8 MB) and no (d, sites, sites) product (25 MB)
+    tracemalloc.start()
+    try:
+        q.equal_time_matrix(spd, p.nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.fixture(scope="module")
+def l36():
+    """Sector 3 (7,770 states) keeps the ground block, and sector 4
+    (66,045) keeps none."""
+    p = q.ModelParams(L=36, beta=24576.0, eps=0.1, U=0.1, theta=0.2377)
+    spd = q.diagonalize(p)
+    assert spd.tail_certified
+    assert [n for n, e in enumerate(spd.energies) if e.size] == [0, 1, 3, 36,
+                                                                 37]
+    return p, spd
+
+
+def test_zero_temperature_reach_gate_at_l36(l36):
+    # a cold t = 0 read takes only the down side of pair (2, 3), built from
+    # sector 3's masks with 23,310 entries in CSC, and one stack of the
+    # 666-state sector 2 times 37 sites, summed with no copy: nothing of
+    # sector 4 (one stack there has 2.4M entries, 19.5 MB), no row pointer
+    # and no int64 (state, site) temporary
+    p, spd = l36
+    many_body._side.cache_clear()
     tracemalloc.start()
     try:
         q.equal_time_matrix(spd, p.nu)
@@ -215,26 +245,25 @@ def test_zero_temperature_reach_at_l28():
     assert peak < 4 * 2 ** 20
 
 
-def test_zero_temperature_reach_gate_at_l36():
-    # sector 3 (7,770 states) keeps the ground block and sector 4 (66,045)
-    # keeps none.  A cold t = 0 read takes only the up side of pair (3, 4),
-    # built from sector 3's masks with about 2.3M entries in CSC, and one
-    # stack of 2.4M entries per thermal state, summed with no copy: no
-    # hopping pattern of sector 4, no down side, no row pointer of 2.4M
-    # entries and no int64 (state, site) temporary
-    p = q.ModelParams(L=36, beta=24576.0, eps=0.1, U=0.1, theta=0.2377)
-    spd = q.diagonalize(p)
-    assert spd.tail_certified
-    assert [n for n, e in enumerate(spd.energies) if e.size] == [0, 1, 3, 36,
-                                                                 37]
-    many_body._side.cache_clear()
-    tracemalloc.start()
-    try:
-        q.equal_time_matrix(spd, p.nu)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2 ** 20
+@pytest.mark.parametrize("L", [12, 36])
+def test_equal_time_read_builds_no_up_side(monkeypatch, request, L):
+    # {a_x, a_y+} = delta_xy fixes the tau > 0 limit at t = 0 from the
+    # tau <= 0 one, so a t = 0 read takes down sides only
+    if L == 36:
+        p, spd = request.getfixturevalue("l36")
+    else:
+        p = q.ModelParams(L=12, beta=24.0, eps=0.1, U=0.1, theta=0.2377)
+        spd = q.diagonalize(p)
+    sides = []
+
+    def spy(sector_n, sector_np1, side):
+        sides.append(side)
+        return side_of(sector_n, sector_np1, side)
+
+    side_of = many_body._side
+    monkeypatch.setattr(many_body, "_side", spy)
+    q.equal_time_matrix(spd, p.nu)
+    assert sides and 0 not in sides
 
 
 def test_occupancy_counts():
@@ -776,6 +805,20 @@ def test_free_fermion_oracle_property(chain, frac):
         np.testing.assert_allclose(q.correlation_matrix(spd, p.nu, t),
                                    one_body_correlation_matrix(p, t),
                                    atol=1e-12)
+
+
+@PROPERTY
+@given(chains())
+def test_interacting_equal_time_oracle_property(chain):
+    # S2(x, y; 0) = delta_xy / 2 - rho(y, x) against the full-Fock trace
+    # formula, which takes both one-sided limits, and its diagonal against
+    # the particle number of the sector weights
+    p, spd = chain
+    assume(p.U != 0.0)
+    em = q.equal_time_matrix(spd, p.nu)
+    np.testing.assert_allclose(em, fock_correlation(p, [0.0])[0], atol=1e-12)
+    assert float(np.sum(0.5 - np.diag(em))) == pytest.approx(
+        q.mean_particle_number(spd, p.nu), abs=1e-11)
 
 
 @pytest.mark.parametrize("tail", [1e-4, 1e-2])
