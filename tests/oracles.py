@@ -10,11 +10,14 @@ the Lehmann kernel by batched products (oracle of its sliced BLAS calls),
 the brute-force scan of the frequency Diophantine constant
 (oracle of its evaluation at the convergent denominators), the dense inertia
 count (oracle of the sparse one that certifies thermal blocks), the
-partition-of-unity and telescoping residuals of the scale decomposition, and
-the smallness and continuity report of a counterterm grid.  None of them has a caller in the
+partition-of-unity and telescoping residuals of the scale decomposition,
+the smallness and continuity report of a counterterm grid, and the scaled
+Bessel functions to 40 digits (oracle of the Chebyshev coefficients and of
+the tails the series leaves out).  None of them has a caller in the
 package.
 """
 
+import mpmath
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork
@@ -77,6 +80,32 @@ def occupancy_from_scratch(states, n_sites):
     return (states[:, None] >> bits[None, :]) & 1
 
 
+def scaled_bessel_to_40_digits(z):
+    """e^(-z) I_k(z) for k = 0, 1, ... as 40-digit mpmath numbers, out to
+    the first term below 1e-340 (which doubles round to 0).
+
+    Miller's backward recurrence I_(k-1) = (2 k / z) I_k + I_(k+1), from 1
+    and 0 at a start degree that doubles until it is at least twice that
+    last degree, normalized by mpmath's own e^(-z) I_0(z)."""
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        if not z:
+            return [mpmath.mpf(1), mpmath.mpf(0)]
+        i0 = mpmath.besseli(0, z) * mpmath.exp(-z)
+        tiny = mpmath.mpf("1e-340")
+        start = 64
+        while True:
+            y = [mpmath.mpf(0)] * (start + 2)
+            y[start] = mpmath.mpf(1)
+            for k in range(start, 0, -1):
+                y[k - 1] = 2 * k / z * y[k] + y[k + 1]
+            a = [v * (i0 / y[0]) for v in y]
+            last = next((k for k, v in enumerate(a) if v < tiny), start)
+            if 2 * last <= start:
+                return a[:last + 1]
+            start *= 2
+
+
 def hamiltonian_from_scratch(params, sector):
     """The sector Hamiltonian of many_body.build_hamiltonian, assembled as
     COO triplets on the sector's masks from scratch and converted to CSR.
@@ -84,7 +113,8 @@ def hamiltonian_from_scratch(params, sector):
     states = sector_from_scratch(sector.n_sites - 1, sector.n_particles)
     occ = occupancy_from_scratch(states, sector.n_sites)
     phi = np.asarray(onsite_energy(params, params.sites), dtype=float)
-    diag = occ @ phi
+    # phi over the occupied sites, added in ascending site order
+    diag = np.array([sum(phi[row == 1].tolist(), 0.0) for row in occ])
     if params.U != 0.0:
         diag = diag + 2.0 * params.U * np.sum(occ[:, :-1] * occ[:, 1:], axis=1)
 

@@ -4,11 +4,11 @@ from dataclasses import replace
 from functools import reduce
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.special import ive
 from hypothesis import assume, example, given, settings, strategies as st
 
 import quasiloc as q
@@ -17,7 +17,7 @@ from quasiloc.many_body import enumerate_sector
 from oracles import (annihilator_triplets, annihilators_from_scratch,
                      dense_count_below, gram_by_batched_products,
                      hamiltonian_from_scratch, one_body_correlation_matrix,
-                     sector_from_scratch)
+                     scaled_bessel_to_40_digits, sector_from_scratch)
 
 
 def dense_diagonalize(params):
@@ -46,7 +46,8 @@ def hamiltonian_loop(params, sector):
     """Reference: the mask-by-mask loop build_hamiltonian used to run."""
     occ = many_body._occupations(sector)
     phi = np.asarray(q.onsite_energy(params, params.sites), dtype=float)
-    diag = occ @ phi
+    # phi over the occupied sites, added in ascending site order
+    diag = np.array([sum(phi[row == 1].tolist(), 0.0) for row in occ])
     if params.U != 0.0:
         diag = diag + 2.0 * params.U * np.sum(occ[:, :-1] * occ[:, 1:], axis=1)
     dim = len(sector)
@@ -288,6 +289,32 @@ def test_occupations_filled_without_a_wide_temporary():
     assert occ.dtype == np.int8 and occ.shape == (len(sec), 35)
     np.testing.assert_array_equal(occ, (states[:, None] >> np.arange(35)) & 1)
     assert peak < 2 * occ.nbytes
+
+
+def test_site_sums_form_no_float_copy_of_the_occupations():
+    # L = 40, n = 4: 101,270 states; a float64 copy of the int8
+    # occupations is 32.5 MiB, and H's data array alone 6.35 MiB
+    p = q.ModelParams(L=40, beta=24576.0, eps=0.1, U=0.1, theta=0.2377)
+    sec = enumerate_sector(40, 4)
+    occ = many_body._occupations(sec)
+    many_body._pattern(sec)  # H's shared pattern is not counted
+    levels = q.single_particle_spectrum(p)[0]
+    peaks = []
+    for build in (lambda: many_body._weyl_profile(p, levels, sec),
+                  lambda: q.build_hamiltonian(p, sec)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 4 * 2 ** 20 and peaks[1] < 10 * 2 ** 20
+    # the product that casts adds the same 4 levels in another order; each
+    # rounded sum is within 3 eps times the sum of their |levels| of the
+    # exact one
+    atol = 2.0 * 3.0 * np.finfo(float).eps * 4.0 * np.max(np.abs(levels))
+    np.testing.assert_allclose(many_body._site_sum(occ, levels),
+                               occ @ levels, rtol=0.0, atol=atol)
 
 
 @pytest.mark.parametrize("L", [2, 4, 6, 8])
@@ -1249,46 +1276,98 @@ def test_chebyshev_series_bounds_its_error_property(tau, lo, width, tol):
     assert np.all(err <= delta + 1e-14)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 5000.0),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+@example(0.0, [0.0, 1.0])
+@example(3.5e-10, [0.0, 0.03, 0.5, 1.0])  # I_1 close to z / 2
+@example(474.0, [0.0, 0.2, 0.5, 0.9])  # L = 20, beta = 24576, t = 300
+@example(2500.0, [0.0, 0.2, 0.5, 0.9])
+@example(5000.0, [0.0, 0.2, 0.5, 0.9])
+def test_scaled_bessel_matches_40_digit_values_property(z, fractions):
+    # the backward ratio recurrence, scaled by the Neumann identity, against
+    # mpmath at sampled degrees, wherever the value is a normal double
+    a = many_body._scaled_bessel(z)
+    if z == 0.0:
+        assert a[0] == 1.0 and not np.any(a[1:])
+    assert abs(a[0] + 2.0 * np.sum(a[1:]) - 1.0) <= 4.0 * np.finfo(float).eps
+    with mpmath.workdps(40):
+        scale = mpmath.exp(-mpmath.mpf(z))
+        for k in {int(f * (a.size - 1)) for f in fractions}:
+            ref = mpmath.besseli(k, mpmath.mpf(z)) * scale
+            if ref > 1e-300:
+                assert abs(a[k] - ref) <= 1e-13 * ref, k
+
+
+def left_out_to_40_digits(tau, lo, hi, degrees):
+    """2 e^(-tau lo) sum_(k > m) e^(-z) I_k(z) for m < degrees, z = tau (hi -
+    lo) / 2: the Bessel sum at 40 digits, from the far end, times the
+    package's float e^(-tau lo), which its series takes as well."""
+    a = scaled_bessel_to_40_digits(0.5 * tau * (hi - lo))
+    a += [mpmath.mpf(0)] * (degrees + 1 - len(a))
+    with mpmath.workdps(40):
+        tails = np.cumsum(a[:0:-1])[::-1]
+        scale = 2 * mpmath.mpf(math.exp(-tau * lo))
+        return np.array([float(scale * t) for t in tails[:degrees]])
+
+
+def test_heavy_state_series_stops_at_its_exact_tail():
+    # z = 2500: the ratio bound holds only from degree z / 2 - 2 = 1248 on;
+    # the left-out sum taken from the far end cuts the series near its true
+    # tail (at 429), and still covers the 40-digit tail there
+    c, rest = many_body._chebyshev(500.0, 0.0, 10.0, 1e-17)
+    assert c.size - 1 <= 450 and rest[-1] <= 1e-17
+    assert rest[-1] >= left_out_to_40_digits(500.0, 0.0, 10.0, c.size)[-1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 400.0), st.floats(0.0, 0.2), st.floats(0.0, 30.0),
        st.sampled_from([1e-2, 1e-8, 1e-16, 1e-20]))
 @example(200.0, 0.1, 20.0, 1e-16)  # z = 2000, cut at degree 244 < z / 2
-@example(80.0, 0.0, 25.0, 1e-16)  # z = 1000, where 1 - ive(0) - ... rounds
+@example(80.0, 0.0, 25.0, 1e-16)  # z = 1000
+@example(7.0, 0.0, 1e-10, 0.01)  # z = 3.5e-10: the ratio bound is tight
+@example(500.0, 0.0, 10.0, 1e-17)  # z = 2500, cut near the true tail
+# z = 5e-324: a_1 = z / 2 rounds to 0, but the left-out 2 a_1 does not
+@example(1.203784274119909e-63, 0.0, 1.2169218375599288e-260, 0.01)
 def test_chebyshev_rest_bounds_every_left_out_tail_property(tau, lo, width,
                                                             tol):
     # at every degree a state may be cut at, m < z / 2 included, the rest
-    # covers the coefficients left out, summed from ive out to underflow
+    # covers the coefficients left out, summed at 40 digits out to where
+    # doubles underflow
     hi = lo + width
     c, rest = many_body._chebyshev(tau, lo, hi, tol)
     assert c.size == rest.size and rest[-1] <= tol
     assert np.all(np.diff(rest) <= 0.0)
-    z, size = 0.5 * tau * (hi - lo), 64
-    while True:
-        a = ive(np.arange(size), z)
-        if a[-1] == 0.0:
-            break
-        size *= 2
-    left_out = 2.0 * math.exp(-tau * lo) * np.cumsum(a[::-1])[::-1]
-    # at tiny z the ratio bound is tight, so the two sums, each rounded, are
-    # compared to 8 ulps; a missing rounding margin under-reports far more
+    left_out = left_out_to_40_digits(tau, lo, hi, c.size)
+    # at tiny z the ratio bound is tight, so rest, rounded, is compared to
+    # the 40-digit sum to 8 ulps; a missing rounding margin under-reports
+    # far more
     ulps = 1.0 - 8.0 * np.finfo(float).eps
-    assert np.all(rest >= ulps * left_out[1:c.size + 1])
+    assert np.all(rest >= ulps * left_out)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_chebyshev_skips_degrees_past_the_tail_bound_silently():
     # z = tau (hi - lo) / 2 = 4 gives z / (2 (k + 2)) exactly 1 at k = 0,
-    # where the tail bound does not hold; that degree must be passed over
+    # where the ratio bound does not hold; that degree must be passed over
     # without dividing by zero, and the cut stays where it was
     c, rest = many_body._chebyshev(4.0, 0.0, 2.0, 1e-16)
     delta = rest[-1]
-    k = np.arange(c.size + 1)
-    ref = 2.0 * ive(k, 4.0) * (-1.0) ** k
+    a = many_body._scaled_bessel(4.0)
+    with mpmath.workdps(40):
+        scale = mpmath.exp(-4)
+        for k, x in enumerate(a[:c.size + 1]):
+            ref = mpmath.besseli(k, 4) * scale
+            assert abs(x - ref) <= 1e-14 * ref
+    ref = 2.0 * a * (-1.0) ** np.arange(a.size)
     ref[0] *= 0.5
-    np.testing.assert_array_equal(c, ref[:-1])
+    np.testing.assert_array_equal(c, ref[:c.size])
+    # the sum of the left-out coefficients is below the ratio bound there,
+    # and it covers their 40-digit value
     m = c.size - 1
-    assert delta == abs(ref[m + 1]) / (1.0 - 4.0 / (2.0 * (m + 2)))
-    assert (c.size, delta) == (23, 1.531014409352565e-17)
+    assert delta < abs(ref[m + 1]) / (1.0 - 4.0 / (2.0 * (m + 2)))
+    assert delta >= left_out_to_40_digits(4.0, 0.0, 2.0, c.size)[-1]
+    assert (c.size, delta) == (23, 1.529613264676495e-17)
 
 
 def test_one_state_interval_is_exact():

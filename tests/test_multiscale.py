@@ -249,14 +249,14 @@ def test_unconverged_band_raises(family, monkeypatch):
 
 
 def test_scipy_integrate_loads_on_the_first_escalation(family):
-    # a fresh interpreter: importing the package and its CLI loads neither
-    # scipy.optimize nor scipy.integrate; the escalating sample loads the
-    # latter
+    # a fresh interpreter: importing the package and its CLI loads none of
+    # scipy.optimize, scipy.integrate and scipy.special; the escalating
+    # sample loads scipy.integrate
     h, x_prime, delta, t = escalating_sample(family)
     script = f"""
 import sys
 import quasiloc as q, quasiloc.cli
-lazy = {{"scipy.optimize", "scipy.integrate"}}
+lazy = {{"scipy.optimize", "scipy.integrate", "scipy.special"}}
 print(sorted(lazy & set(sys.modules)))
 family = q.ScaleFamily.build({family.omega!r}, {family.theta!r},
                              {family.x_hat!r}, tau={family.tau!r})
