@@ -1,24 +1,27 @@
 """Exact grand-canonical layer: Fock basis, Hamiltonian, Lehmann two-point function.
 
-Sites map to bits (site x <-> bit x + L/2).  Each sector of fixed particle
-number keeps a thermal block: its lowest eigenpairs, below a floor that
-bounds every eigenvalue it leaves out.  Sectors of at most _DENSE_MAX states
-are diagonalized densely and kept whole.  Larger ones start empty below a
-Weyl bound (sums of one-body levels plus the least value of the pair term).
-A read that finds one of them over its share of the tail first takes its
-Weyl profile: the i-th smallest of those sums bounds the i-th eigenvalue, so
-the tail is summed eigenvalue by eigenvalue.  Only a sector still over its
-share takes a Lanczos (eigsh) block, with as many Ritz pairs as the same
-profile allows below the cut.  One build of the sector's H serves both the
-block and its certificate.  Kahan's theorem on the block's residual, with
-the profile above it, certifies the leading Ritz pairs without any
-factorization where it can; otherwise the inertia of sparse LDL^T factors of
-H - floor in reverse Cuthill-McKee order, counted at two shifts and guarded
-against pivoting and tiny pivots, shows that no eigenvalue below the new
-floor was missed.  The states a block leaves out weigh at most
-sum_(i >= k) e^(-b (max(floor, w_i) - mu n - K0)) at exponent b, or
-(d - k) e^(-b (floor - mu n - K0)) without a profile; a read whose summed
-bound exceeds _TAIL first resolves the sectors it needs, one step at a
+Sites map to bits (site x <-> bit x + L/2).  A SpectralDecomposition holds
+one record, a _Block, per sector of fixed particle number: the sector, its
+lowest eigenpairs, a floor that bounds every eigenvalue they leave out,
+whether that floor is certified and, once a read needs it, the sector's Weyl
+profile.  A step that grows a block or stores its profile replaces the
+record whole, so no block is ever seen half updated.  Sectors of at most
+_DENSE_MAX states are diagonalized densely and kept whole.  Larger ones start
+empty below a Weyl bound (sums of one-body levels plus the least value of
+the pair term).  A read that finds one of them over its share of the tail
+first takes its Weyl profile: the i-th smallest of those sums bounds the
+i-th eigenvalue, so the tail is summed eigenvalue by eigenvalue.  Only a
+sector still over its share takes a Lanczos (eigsh) block, with as many
+Ritz pairs as the same profile allows below the cut.  One build of the
+sector's H serves both the block and its certificate.  Kahan's theorem on
+the block's residual, with the profile above it, certifies the leading Ritz
+pairs without any factorization where it can; otherwise the inertia of
+sparse LDL^T factors of H - floor in reverse Cuthill-McKee order, counted
+at two shifts and guarded against pivoting and tiny pivots, shows that no
+eigenvalue below the new floor was missed.  The states a block leaves out
+weigh at most sum_(i >= k) e^(-b (max(floor, w_i) - mu n - K0)) at
+exponent b, or (d - k) e^(-b (floor - mu n - K0)) without a profile
+(_Block.tail); a read whose summed bound exceeds _TAIL first resolves the sectors it needs, one step at a
 time and the lowest floor of E - mu N first, so the sector that holds the
 ground fixes K0 before the others are sized against it, and no read answers
 from an unresolved spectrum.  Every read takes a decomposition and
@@ -48,7 +51,7 @@ leaves all observables invariant and keeps every weight in (0, 1].
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -242,7 +245,7 @@ _GAP = 1e-8  # smallest spacing of Ritz values a floor may sit in
 _TAIL = 1e-16  # largest summed Boltzmann factor a read may leave out
 _SEED = 5065  # of the Lanczos start vectors
 _STACK_ELEMENTS = 1 << 22  # entries of one stack block (32 MB)
-_GRAM_ELEMENTS = 8192  # entries of one site-major Gram slice (64 KB)
+_GRAM_ELEMENTS = 8192  # entries of one Gram or occupations slice (64 KB)
 
 
 def _whole(h):
@@ -375,53 +378,85 @@ def _weyl_kahan(h, theta, v, profile, cut):
     return int(passed[-1]) + 1 if passed.size else 0
 
 
+@dataclass(frozen=True)
+class _Block:
+    """The thermal block of one sector: its k lowest eigenpairs, energies
+    (ascending) and vectors (d x k), and a floor below every eigenvalue it
+    leaves out (+inf when the block is the whole sector).  Where profile
+    holds the sector's Weyl profile w (see _weyl_profile), the i-th lowest
+    eigenvalue is also at least w[i].  certified says whether the floor is
+    proven.  It is True in four ways: the block is whole; it is empty below
+    the Weyl bound of _ground_floor; Weyl's profile and Kahan's theorem
+    certify a Lanczos block (_weyl_kahan); or an inertia count confirms one
+    (_count_below).  It is False when neither certificate applies and no
+    count can be trusted.  Eigenvalues are raw, with no chemical potential.
+    A block is never changed in place: a step that grows it or stores its
+    profile replaces it whole.
+    """
+    sector: FockSector
+    energies: np.ndarray
+    vectors: np.ndarray
+    floor: float
+    certified: bool = True
+    profile: object = None
+
+    def tail(self, mu, b, k0):
+        """Bound on the summed e^(-b (K - K0)) of the states the block leaves
+        out.  The i-th of them is at least the floor and, with a profile w,
+        at least w[i]: the bound is
+        sum_(i >= k) e^(-b (max(floor, w_i) - mu n - K0)), and without one
+        (d - k) e^(-b (floor - mu n - K0)), for a block of k of d states."""
+        k, w = self.energies.size, self.profile
+        left = len(self.sector) - k
+        if not left:  # 0.0 for a whole block, even at a NaN exponent
+            return 0.0
+        x = -b * ((self.floor if w is None else np.maximum(w[k:], self.floor))
+                  - mu * self.sector.n_particles - k0)
+        # a floor far below K0 leaves the tail unbounded, not overflowing
+        if not np.max(x) < 700.0:
+            return math.inf
+        return (left * math.exp(x) if w is None
+                else float(np.sum(np.exp(x))))
+
+
 @dataclass
 class SpectralDecomposition:
-    """Per-sector thermal blocks of the many-body Hamiltonian.
+    """Per-sector thermal blocks of the many-body Hamiltonian: blocks[n] is
+    the _Block of sector n.
 
-    energies[n] (ascending) and vectors[n] (d x k) are the k lowest
-    eigenpairs of sector n.  Every eigenvalue the block leaves out is at
-    least floors[n] (+inf when the block is the whole sector), and where
-    profiles holds sector n's Weyl profile w (see _weyl_profile), the i-th
-    lowest eigenvalue is also at least w[i].  certified[n] says whether that
-    floor is proven, and _extend stores it with the block.  It is True in four
-    ways: the block is whole; it is empty below the Weyl bound of
-    _ground_floor; Weyl's profile and Kahan's theorem certify a Lanczos block
-    (_weyl_kahan); or an inertia count confirms one (_count_below).  It is
-    False when neither certificate applies and no count can be trusted.
-    Eigenvalues are stored raw (no chemical potential); everything
-    mu-dependent is assembled on demand at the nu a read takes, from
-    params.with_nu(nu), which rejects a bad nu before any block grows.  No
-    Hamiltonian is kept: a block that grows, and a sector a read propagates
-    into, builds its H from params (it does not depend on nu).
+    Everything mu-dependent is assembled on demand at the nu a read takes,
+    from params.with_nu(nu), which rejects a bad nu before any block grows.
+    No Hamiltonian is kept: a block that grows, and a sector a read
+    propagates into, builds its H from params (it does not depend on nu).
     """
     params: object
-    sectors: list
-    energies: list
-    vectors: list
-    floors: list
-    certified: list
-    profiles: dict = field(default_factory=dict)
+    blocks: list
+
+    @property
+    def vectors(self):
+        """The kept eigenvectors of every sector, in sector order.  The
+        benchmark's tracer sums their bytes after every traced diagonalize."""
+        return [blk.vectors for blk in self.blocks]
 
     @property
     def n_sectors(self):
-        return len(self.sectors)
+        return len(self.blocks)
 
     @property
     def tail_certified(self):
         """Whether every floor, so every reported tail bound, is certified."""
-        return all(self.certified)
+        return all(blk.certified for blk in self.blocks)
 
     def ground_shift(self, mu):
         """Global minimum of E - mu N, subtracted before any exponential."""
-        return min(float(e[0]) - mu * s.n_particles
-                   for e, s in zip(self.energies, self.sectors) if e.size)
+        return min(float(blk.energies[0]) - mu * blk.sector.n_particles
+                   for blk in self.blocks if blk.energies.size)
 
     def shifted_energies(self, mu):
         """Kept E - mu N less the ground shift, per sector."""
         k0 = self.ground_shift(mu)
-        return [e - mu * s.n_particles - k0
-                for e, s in zip(self.energies, self.sectors)]
+        return [blk.energies - mu * blk.sector.n_particles - k0
+                for blk in self.blocks]
 
     def thermal_weights(self, nu):
         """(Boltzmann factors of the kept states per sector, Z) at
@@ -436,29 +471,8 @@ class SpectralDecomposition:
         return sum(self._tail_terms(mu, b))
 
     def _tail_terms(self, mu, b):
-        """Per sector, a bound on the summed e^(-b (K - K0)) of the states
-        its block leaves out.  The i-th of them is at least the floor and,
-        with a profile w, at least w[i]: the term is
-        sum_(i >= k) e^(-b (max(floor, w_i) - mu n - K0)), and without one
-        (d - k) e^(-b (floor - mu n - K0)), for a block of k of d states."""
         k0 = self.ground_shift(mu)
-        terms = []
-        for n, (s, e, f) in enumerate(zip(self.sectors, self.energies,
-                                          self.floors)):
-            left = len(s) - e.size
-            if not left:  # 0.0 for a whole block, even at a NaN exponent
-                terms.append(0.0)
-                continue
-            w = self.profiles.get(n)
-            x = -b * ((f if w is None else np.maximum(w[e.size:], f))
-                      - mu * s.n_particles - k0)
-            # a floor far below K0 leaves the tail unbounded, not overflowing
-            if not np.max(x) < 700.0:
-                terms.append(math.inf)
-            else:
-                terms.append(left * math.exp(x) if w is None
-                             else float(np.sum(np.exp(x))))
-        return terms
+        return [blk.tail(mu, b, k0) for blk in self.blocks]
 
     def _resolve(self, mu, b):
         """Resolve sectors until tail_bound(mu, b) <= _TAIL, one step at a
@@ -471,19 +485,21 @@ class SpectralDecomposition:
         target = _TAIL / len(terms)
         while sum(terms) > _TAIL:
             n = min((n for n, term in enumerate(terms) if term > target),
-                    key=lambda n: (self.floors[n]
-                                   - mu * self.sectors[n].n_particles))
-            if n in self.profiles:
-                self._extend(n, mu, b, target)
-            else:
+                    key=lambda n: (self.blocks[n].floor
+                                   - mu * self.blocks[n].sector.n_particles))
+            blk = self.blocks[n]
+            if blk.profile is None:
                 levels = single_particle_spectrum(self.params)[0]
-                self.profiles[n] = _weyl_profile(self.params, levels,
-                                                 self.sectors[n])
+                blk = replace(blk, profile=_weyl_profile(self.params, levels,
+                                                         blk.sector))
+            else:
+                blk = self._extend(blk, mu, b, target)
+            self.blocks[n] = blk
             terms = self._tail_terms(mu, b)
 
-    def _extend(self, n, mu, b, target):
-        """Grow block n until the states it leaves out weigh at most target,
-        and certify it on the same H.  Where _weyl_kahan certifies leading
+    def _extend(self, blk, mu, b, target):
+        """blk, grown until the states it leaves out weigh at most target
+        and certified on the same H.  Where _weyl_kahan certifies leading
         Ritz pairs, the block keeps them with the profile value above them as
         its floor, and nothing is factorized.  Otherwise an inertia count
         below the block's floor decides: any other count than the block's
@@ -495,11 +511,11 @@ class SpectralDecomposition:
         The first Lanczos block takes one Ritz pair more than the Weyl count
         of the sector's profile allows below the cut.
         """
-        sec, profile = self.sectors[n], self.profiles[n]
-        k0 = min(self.ground_shift(mu), self.floors[n] - mu * sec.n_particles)
+        sec, profile = blk.sector, blk.profile
+        k0 = min(self.ground_shift(mu), blk.floor - mu * sec.n_particles)
         # (d - k) e^(-b (floor - offset)) <= target once floor >= cut
         cut = mu * sec.n_particles + k0 + math.log(len(sec) / target) / b
-        k = max(2 * self.energies[n].size, _K_START,
+        k = max(2 * blk.energies.size, _K_START,
                 min(_weyl_count(profile, cut) + 1,
                     math.floor(_LANCZOS_FRACTION * len(sec))))
         h = build_hamiltonian(self.params, sec)
@@ -516,8 +532,8 @@ class SpectralDecomposition:
                 if count is not None and count != energies.size:
                     energies, vectors, floor = _whole(h)
                 certified = count is not None
-        self.energies[n], self.vectors[n] = energies, vectors
-        self.floors[n], self.certified[n] = floor, certified
+        return replace(blk, energies=energies, vectors=vectors, floor=floor,
+                       certified=certified)
 
 
 def _boltzmann(shifted, b):
@@ -584,19 +600,15 @@ def diagonalize(params):
     stored (see SpectralDecomposition._extend).
     """
     levels = single_particle_spectrum(params)[0]
-    sectors, blocks = [], []
+    blocks = []
     for n in range(params.n_sites + 1):
         sec = enumerate_sector(params.L, n)
         if len(sec) <= _DENSE_MAX:
-            blocks.append(_whole(build_hamiltonian(params, sec)))
+            blocks.append(_Block(sec, *_whole(build_hamiltonian(params, sec))))
         else:
-            blocks.append((np.empty(0), np.empty((len(sec), 0)),
-                           _ground_floor(params, levels, n)))
-        sectors.append(sec)
-    energies, vectors, floors = (list(x) for x in zip(*blocks))
-    spectral = SpectralDecomposition(
-        params=params, sectors=sectors, energies=energies, vectors=vectors,
-        floors=floors, certified=[True] * len(sectors))
+            blocks.append(_Block(sec, np.empty(0), np.empty((len(sec), 0)),
+                                 _ground_floor(params, levels, n)))
+    spectral = SpectralDecomposition(params=params, blocks=blocks)
     spectral._resolve(params.mu, params.beta)
     return spectral
 
@@ -640,11 +652,8 @@ def _scaled_bessel(z):
     not round to 0.  Their running products are I_k / I_0, at most 1, and
     the Neumann identity I_0 + 2 sum_(k >= 1) I_k = e^z scales them.
     Against 40-digit values the result is within 1e-14 relative for z up
-    to 5000 (9e-15 measured at z = 1e5) wherever it exceeds 1e-300, and
-    z = 0 gives exactly [1, 0].
+    to 5000 (9e-15 measured at z = 1e5) wherever it exceeds 1e-300.  z > 0.
     """
-    if z == 0.0:
-        return np.array([1.0, 0.0])
     floor = math.log(2.0) - math.log(np.finfo(float).smallest_subnormal)
 
     def exponent(k):
@@ -676,25 +685,21 @@ def _chebyshev(tau, lo, hi, tol):
     e^(-tau x) = sum_k c_k T_k(y), c_k = e^(-tau lo) 2 (-1)^k a_k and half
     that at k = 0, a_k = e^(-z) I_k(z) from _scaled_bessel at z = tau r.
     |T_k| <= 1 on the interval, so the coefficients a series leaves out
-    bound its error there, and two bounds on them are taken at each degree
-    m, whichever is smaller.  The power series of I_k gives
-    I_(k+1)(z) <= z / (2 (k + 1)) I_k(z) term by term, so once
-    m + 2 > z / 2 they sum to at most |c_(m+1)| / (1 - z / (2 (m + 2))).
-    And a runs out to the degree past which every term rounds to 0, so they
-    sum to e^(-tau lo) 2 (a_(m+1) + ... + a_n), taken from the far end:
-    positive terms, so nothing cancels, and a relative margin of
-    (n + 5) eps + 2^-40, eps the machine epsilon, covers the rounding of
-    the sum and the relative error of a (below 1e-14 against 40-digit
-    values).  A bound at degree m also bounds every later tail, so rest is
-    the running minimum of the two, non-increasing, and a state whose
-    tolerance is at least rest[m] needs no degree above m.  Terms below the
-    smallest normal double, tiny, round to subnormals or 0, where no
-    relative margin holds, so rest takes tiny more at every degree.  The
-    series is cut at the first degree where rest is at most tol (at least
-    tiny), n at the latest, where rest is tiny.  At z = 0 the series is the
-    constant e^(-tau lo), exact.  With lo >= 0 the coefficients sum to at
-    most 1 in magnitude, so rounding in the recurrence is not amplified
-    either.
+    bound its error there.  a runs out to the degree past which every term
+    rounds to 0, so at degree m they sum to
+    e^(-tau lo) 2 (a_(m+1) + ... + a_n), taken from the far end: positive
+    terms, so nothing cancels, and a relative margin of (n + 5) eps + 2^-40,
+    eps the machine epsilon, covers the rounding of the sum and the
+    relative error of a (below 1e-14 against 40-digit values).  A rounded
+    running sum of non-negative terms never decreases, so rest does not
+    increase with m, and a state whose tolerance is at least rest[m] needs
+    no degree above m.  Terms below the smallest normal double, tiny, round
+    to subnormals or 0, where no relative margin holds, so rest takes tiny
+    more at every degree.  The series is cut at the first degree where rest
+    is at most tol (at least tiny), n at the latest, where rest is tiny.  At
+    z = 0 the series is the constant e^(-tau lo), exact.  With lo >= 0 the
+    coefficients sum to at most 1 in magnitude, so rounding in the
+    recurrence is not amplified either.
     """
     scale = math.exp(-tau * lo)
     z = 0.5 * tau * max(hi - lo, 0.0)
@@ -704,14 +709,10 @@ def _chebyshev(tau, lo, hi, tol):
     c = 2.0 * scale * a
     c[0] *= 0.5
     c[1::2] *= -1.0
-    ratio = z / (2.0 * (np.arange(a.size) + 2.0))
-    rest = np.divide(np.append(np.abs(c[1:]), 0.0), 1.0 - ratio,
-                     out=np.full(a.size, math.inf), where=ratio < 1.0)
     # 2 (a_(m+1) + ... + a_n), summed from a_n down
     tail = np.append(2.0 * np.cumsum(a[:0:-1])[::-1], 0.0)
     margin = (a.size + 4.0) * np.finfo(float).eps + 2.0 ** -40
-    rest = np.minimum(rest, scale * tail * (1.0 + margin))
-    rest = np.minimum.accumulate(rest) + np.finfo(float).tiny
+    rest = scale * tail * (1.0 + margin) + np.finfo(float).tiny
     cut = int(np.argmax(rest <= tol))
     return c[:cut + 1], rest[:cut + 1]
 
@@ -809,14 +810,14 @@ def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
     propagation at a time; the products a time repeats cost far less than
     its propagation.
     """
-    sec, sec1 = spectral.sectors[n], spectral.sectors[n + 1]
+    sec, sec1 = spectral.blocks[n].sector, spectral.blocks[n + 1].sector
     sites = sec.n_sites
     for sign, thermal, other, side in ((1.0, n, n + 1, 0),
                                        (-1.0, n + 1, n, 1)):
-        target = spectral.sectors[other]
+        blk = spectral.blocks[other]
+        target = blk.sector
         offset = mu * target.n_particles + k0
-        kept = spectral.energies[other]
-        lowest = kept[0] if kept.size else spectral.floors[other]
+        lowest = blk.energies[0] if blk.energies.size else blk.floor
         lo = max(float(lowest) - offset, 0.0)
         terms = []  # (tau, w, delta); delta None at tau = 0
         for tau in s:
@@ -845,7 +846,7 @@ def _add_sector_pair(s, bound, spectral, n, weights, k0, mu):
             # 2 y, where y = (K - lo - r) / r maps [lo, lo + 2 r] onto [-1, 1]
             y2 = (h - (offset + lo + r) * sp.identity(dim, format="csr")
                   ) * (2.0 / r) if r > 0.0 else None
-        vectors = spectral.vectors[thermal]
+        vectors = spectral.blocks[thermal].vectors
         chunk = max(1, _STACK_ELEMENTS // (dim * sites))
         for tau, w, delta in terms:
             c = None
@@ -930,21 +931,27 @@ def occupations(spectral, nu):
     far below 1e-16 keep their relative precision; 1/2 - S2(x, x; 0) would
     cancel them to rounding noise.  Where a sector is truncated to its thermal
     block, the states left out shift an occupation by at most
-    tail_bound(mu, beta) / Z <= _TAIL, an absolute bound.
+    tail_bound(mu, beta) / Z <= _TAIL, an absolute bound.  Each sector is
+    summed in row slices of at most _GRAM_ELEMENTS occupation entries, so
+    neither a float64 copy of its int8 occupations nor a squared copy of its
+    vectors is formed.
     """
     weights, z = spectral.thermal_weights(nu)
     occ = np.zeros(spectral.params.n_sites)
-    for w, v, sec in zip(weights, spectral.vectors, spectral.sectors):
+    rows = max(1, _GRAM_ELEMENTS // spectral.params.n_sites)
+    for w, blk in zip(weights, spectral.blocks):
         if w.size:
-            occ += ((v ** 2) @ w) @ _occupations(sec)
+            bits = _occupations(blk.sector)
+            for j in range(0, bits.shape[0], rows):
+                occ += ((blk.vectors[j:j + rows] ** 2) @ w) @ bits[j:j + rows]
     return occ / z
 
 
 def mean_particle_number(spectral, nu):
     """<N> from sector weights alone; cheap objective for the counterterm search."""
     weights, z = spectral.thermal_weights(nu)
-    return sum(s.n_particles * float(np.sum(w))
-               for s, w in zip(spectral.sectors, weights)) / z
+    return sum(blk.sector.n_particles * float(np.sum(w))
+               for blk, w in zip(spectral.blocks, weights)) / z
 
 
 @dataclass
