@@ -156,7 +156,12 @@ def phase_scan(eps_values, U_values, L_list, beta, *, omega=GOLDEN_MEAN,
     at each L in L_list and the Lyapunov exponent at a mid-spectrum energy.
     Per (eps, U), the many-body indicator: the equal-time decay rate over
     distances _SCAN_WINDOW, all sites included, at size _SCAN_L with the
-    counterterm fixed.  eps = 0 has no transfer matrix and U = eps = 0 has
+    counterterm fixed.  The one-body pass runs over every eps before the
+    first many-body point, so that its eigenvector blocks (1.28 MB at
+    L = 400) reuse one another's freed memory: interleaved with the
+    many-body points, each eps's blocks landed above the small allocations
+    those left behind, and the peak memory grew with every eps.  eps = 0
+    has no transfer matrix and U = eps = 0 has
     exactly zero off-diagonal correlations; both get infinite-rate
     sentinels, as does a decay rate with fewer than 2 resolved distances.
     Errors are captured in the records instead of aborting the scan: one
@@ -173,19 +178,21 @@ def phase_scan(eps_values, U_values, L_list, beta, *, omega=GOLDEN_MEAN,
     for L in sizes:
         replace(base, L=L)  # x_hat must lie in every lattice of L_list too
     U_grid = sorted(set(float(u) for u in U_values))
-    grid = {}
+    one_body = {}  # eps -> (median IPRs, exponent), or the error's message
     for eps in sorted(set(float(e) for e in eps_values)):
         try:
-            median_ipr, lam = _one_body_point(replace(base, eps=eps), sizes)
+            one_body[eps] = _one_body_point(replace(base, eps=eps), sizes)
         except Exception as exc:  # keep scanning the other eps
-            error = f"{type(exc).__name__}: {exc}"
-            for U in U_grid:
-                grid[(eps, U)] = _error_point(eps, U, error)
-            continue
+            one_body[eps] = f"{type(exc).__name__}: {exc}"
+    grid = {}
+    for eps, indicators in one_body.items():
         for U in U_grid:
+            if isinstance(indicators, str):
+                grid[(eps, U)] = _error_point(eps, U, indicators)
+                continue
             try:
                 grid[(eps, U)] = _scan_point(replace(base, eps=eps, U=U),
-                                             median_ipr, lam)
+                                             *indicators)
             except Exception as exc:  # keep scanning the rest of the grid
                 grid[(eps, U)] = _error_point(
                     eps, U, f"{type(exc).__name__}: {exc}")
@@ -204,15 +211,20 @@ def _one_body_point(params, sizes):
     The IPR of an eigenvector is the sum of its entries to the fourth power,
     taken as two squarings in place: `evecs ** 4` goes through the C
     library's `pow` entry by entry, many times slower than a multiplication.
+    phase_scan runs this for every eps before its many-body grid, and each
+    size's block is squared in place and released before the next size's
+    and before the Lyapunov loop, so that no more than one (L + 1)^2 block
+    is alive at a time: the scan's peak memory is set here.
     """
     median_ipr = {}
     mid_energy = 0.0
     for L in sizes:
         evals, evecs = single_particle_spectrum(replace(params, L=L))
-        sq = evecs * evecs
-        np.multiply(sq, sq, out=sq)
-        median_ipr[L] = float(np.median(np.sum(sq, axis=0)))
+        np.multiply(evecs, evecs, out=evecs)
+        np.multiply(evecs, evecs, out=evecs)
+        median_ipr[L] = float(np.median(np.sum(evecs, axis=0)))
         mid_energy = float(np.median(evals))
+        del evals, evecs
 
     if params.eps == 0.0:
         return median_ipr, math.inf  # no hopping: every state is a single site

@@ -43,8 +43,11 @@ def _parse_omega(text):
 
 
 def _parse_grid(text):
-    """a:b:n -> n evenly spaced values from a to b inclusive."""
+    """a:b:n -> n evenly spaced values from a to b inclusive; ValueError
+    unless n >= 1, since an empty grid would print an empty table."""
     a, b, n = text.split(":")
+    if int(n) < 1:
+        raise ValueError(f"grid {text!r} needs a count of at least 1")
     return np.linspace(float(a), float(b), int(n)).tolist()
 
 

@@ -19,8 +19,12 @@ from .diophantine import (GOLDEN_MEAN, DiophantineFrequency,
 
 # steps between renormalizations of the transfer-matrix iterate
 _RENORM_EVERY = 16
-# steps whose coefficients (phi_x - E)/eps are evaluated as one array
-_ORBIT_CHUNK = 1 << 16
+# steps whose coefficients (phi_x - E)/eps are evaluated as one array; the
+# loop reads them as Python floats (`tolist`), so this also caps the floats
+# alive at once: 4,096 (about 130 KB) rather than a whole 20,000-step
+# phase_scan orbit (about 640 KB), which raised the scan's peak memory, while
+# the numpy calls per chunk stay negligible against the Python loop
+_ORBIT_CHUNK = 1 << 12
 # eigenvector amplitudes at or below this are left out of the xi fit
 _AMPLITUDE_FLOOR = 1e-12
 

@@ -135,6 +135,35 @@ def test_phase_scan_does_one_body_work_once_per_eps(monkeypatch):
     assert loops == [0.2]
 
 
+def test_phase_scan_takes_every_spectrum_before_diagonalizing(monkeypatch):
+    # the one-body pass runs over every eps before the first many-body
+    # point, and its in-place squarings still give the IPR of each spectrum
+    from quasiloc import analysis
+
+    calls, vectors = [], {}
+
+    def spectrum(params):
+        evals, evecs = q.single_particle_spectrum(params)
+        calls.append("spectrum")
+        # in its own memory order: np.sum rounds along the contiguous axis
+        vectors[(params.eps, params.L)] = evecs.copy(order="K")
+        return evals, evecs
+
+    def diagonalize(params):
+        calls.append("diagonalize")
+        return q.diagonalize(params)
+
+    monkeypatch.setattr(analysis, "single_particle_spectrum", spectrum)
+    monkeypatch.setattr(analysis, "diagonalize", diagonalize)
+    grid = q.phase_scan([0.1, 0.2], [0.0, 0.1], [20, 40], 6.0)
+    assert calls == ["spectrum"] * 4 + ["diagonalize"] * 4
+    for (eps, _), pt in grid.items():
+        for L in (20, 40):
+            v = vectors[(eps, L)]
+            assert pt.median_ipr[L] == float(
+                np.median(np.sum((v * v) ** 2, axis=0)))
+
+
 def test_phase_scan_one_body_error_marks_every_U_of_its_eps(monkeypatch):
     from quasiloc import analysis
 

@@ -317,6 +317,9 @@ def test_config_file_errors_exit_2(tmp_path, capsys, content):
     ["density", "--L", "4", "--beta", "6", "--eps", "1e308"],
     # an empty fit window raised FitError, which exits 1
     ["decay", "--L", "4", "--window", "8:2"],
+    # a grid of 0 points printed an empty table and exited 0
+    ["scan", "--eps-grid", "0:0.2:0", "--U-grid", "0:0.1:2", "--L-list", "40"],
+    ["counterterm", "--L", "4", "--beta", "2", "--grid", "0:0.1:0"],
 ])
 def test_non_finite_and_out_of_range_inputs_exit_2(args, capsys,
                                                    monkeypatch):

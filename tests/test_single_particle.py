@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import quasiloc as q
+from quasiloc import single_particle
 from quasiloc.cutoffs import smooth_cutoff
 from quasiloc.single_particle import fermi_occupation
 from oracles import free_propagator, one_body_correlation_matrix
@@ -165,6 +166,23 @@ def test_lyapunov_matches_transfer_product():
     expect = math.log(np.max(np.abs(psi))) / n
     assert q.lyapunov_exponent(E, eps, u, q.GOLDEN_MEAN, theta, n) == \
         pytest.approx(expect, rel=1e-10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(E=st.floats(-3.0, 3.0), eps=st.floats(0.05, 2.0),
+       theta=st.floats(0.0, 1.0), n_steps=st.integers(1000, 20000))
+def test_lyapunov_is_independent_of_the_orbit_chunk_property(E, eps, theta,
+                                                             n_steps):
+    # the coefficients come in chunks of _ORBIT_CHUNK steps, and the running
+    # vector, its renormalizations and the step count must carry over every
+    # chunk boundary unchanged: 16 splits every orbit, 65,536 none of them
+    exponents = []
+    for chunk in (16, 4096, 65536):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(single_particle, "_ORBIT_CHUNK", chunk)
+            exponents.append(q.lyapunov_exponent(E, eps, 1.0, q.GOLDEN_MEAN,
+                                                 theta, n_steps))
+    assert exponents[0] == exponents[1] == exponents[2]
 
 
 def test_lyapunov_localized_value():
